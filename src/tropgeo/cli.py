@@ -172,6 +172,13 @@ def _require_text(args):
         raise ParseError("--format %s is only available for honeycomb plot2d" % args.format)
 
 
+def _check_box(box):
+    if not math.isfinite(box):
+        raise ParseError("--box must be finite")
+    if box < 0:
+        raise ParseError("--box must be nonnegative")
+
+
 def cmd_dist(args):
     _require_text(args)
     x, px = _parse_any(args.x)
@@ -480,6 +487,7 @@ def cmd_honeycomb_locate(args):
 
 def cmd_honeycomb_verify(args):
     _require_text(args)
+    _check_box(args.box)
     report = _honey.verify_tiling(
         args.dim,
         box_halfwidth=args.box,
@@ -570,8 +578,7 @@ def cmd_honeycomb_plot2d(args):
         fmt = "svg"
     if fmt not in ("svg", "csv"):
         raise ParseError("plot2d supports --format svg or csv")
-    if args.box < 0:
-        raise ParseError("--box must be nonnegative")
+    _check_box(args.box)
     rings = _honey.hexagon_rings(args.box)
     payload = _render_svg(rings, args.box) if fmt == "svg" else _render_rings_csv(rings)
     if args.out:

@@ -5,6 +5,11 @@ n+1.  Closed unit balls on these centers cover R^n and overlap only on
 boundaries, so almost every point has exactly one containing ball.  locate
 finds it in O(n log n) from floors and sorted fractional parts, with a
 distance certificate and a brute-force fallback near boundaries.
+
+verify_tiling checks that locator on random samples against an independent
+count.  A floor-plus-0/1 candidate F + b is a center exactly when |b| is
+r = (-sum F) mod (n+1), so only the C(n, r) offsets of that weight are
+evaluated, in numpy broadcasts cut to a fixed element budget.
 """
 
 from __future__ import annotations
@@ -267,11 +272,25 @@ def verify_tiling(
     is not among its containing centers.  Sampling is sharded; shard s uses
     the substream seeded by (seed, s), so reports are reproducible for a
     given (seed, samples, shard_size).
+
+    The enumeration tests, for each sample, every floor-plus-0/1 candidate
+    that is a lattice point: the C(n, r) offsets of weight
+    r = (-sum of floors) mod (n+1), about 2^n / (n+1) per sample rather than
+    2^n.  Samples with a coordinate within eps of an integer go through
+    ``locate`` instead.  The candidates are evaluated in numpy broadcasts
+    cut into chunks of at most 2^18 elements (2 MiB of float64) each, so
+    memory beyond the shard itself does not grow with C(n, r).
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
     if samples < 0:
         raise DomainError("samples must be nonnegative")
+    if shard_size < 1:
+        raise DomainError("shard_size must be at least 1")
+    if not (math.isfinite(box_halfwidth) and box_halfwidth >= 0):
+        raise DomainError("box halfwidth must be finite and nonnegative")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError("eps must be a positive real")
     interior = boundary = mismatches = 0
     done = 0
     shard = 0
@@ -297,7 +316,7 @@ def verify_tiling(
 
 
 def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
-    m, n = X.shape
+    n = X.shape[1]
     R = np.round(X)
     snapped = np.abs(X - R) <= eps
     Xs = np.where(snapped, R, X)
@@ -311,16 +330,7 @@ def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
     diffs = X - C
     d = np.maximum(diffs.max(axis=1), 0.0) - np.minimum(diffs.min(axis=1), 0.0)
 
-    # containing-center counts via the 0/1 offsets of the floors; complete
-    # whenever no coordinate sits within eps of an integer
-    count = np.zeros(m, dtype=np.int64)
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        cand = F + np.array(bits)
-        ok = cand.sum(axis=1).astype(np.int64) % (n + 1) == 0
-        cd = X - cand
-        cdist = np.maximum(cd.max(axis=1), 0.0) - np.minimum(cd.min(axis=1), 0.0)
-        ok &= cdist <= 1.0 + eps
-        count += ok
+    count = _containing_counts(X, F, eps)
 
     clean = ~snapped.any(axis=1)
     is_interior = clean & (d < 1.0 - eps)
@@ -345,6 +355,56 @@ def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
             ):
                 mismatches += 1
     return interior, boundary, mismatches
+
+
+# Element budget of each temporary array in _containing_counts (2 MiB of
+# float64): the (n, rows, candidates) broadcast is cut along the row and the
+# candidate axes so that memory stays flat however large C(n, r) or the
+# shard is.
+_BROADCAST_BUDGET = 1 << 18
+
+
+def _containing_counts(X: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
+    """Per row, the number of tiling centers F + b, b in {0,1}^n, within 1 + eps.
+
+    F + b has coordinate sum divisible by n+1 exactly when the weight |b|
+    equals r = (-sum F) mod (n+1), because |b| lies in [0, n].  So each row
+    is tested against the C(n, r) weight-r vectors only, and every one of
+    them is tested: the count comes from evaluating dist, not from the
+    sorted fractional parts the locator uses.  Complete whenever no
+    coordinate sits within eps of an integer.
+    """
+    m, n = X.shape
+    weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
+    count = np.zeros(m, dtype=np.int64)
+    for r in range(n + 1):
+        rows = np.nonzero(weight == r)[0]
+        if rows.size == 0:
+            continue
+        Xr = X[rows].T[:, :, None]
+        Fr = F[rows].T[:, :, None]
+        for B in _weight_vectors(n, r, max(1, _BROADCAST_BUDGET // n)):
+            step = max(1, _BROADCAST_BUDGET // B.size)
+            for lo in range(0, rows.size, step):
+                # C order keeps the coordinate axis outermost, so max and
+                # min reduce whole slabs instead of n-long runs per candidate
+                cd = np.subtract(Xr[:, lo : lo + step], Fr[:, lo : lo + step] + B, order="C")
+                cdist = np.maximum(cd.max(axis=0), 0.0) - np.minimum(cd.min(axis=0), 0.0)
+                count[rows[lo : lo + step]] += (cdist <= 1.0 + eps).sum(axis=1)
+    return count
+
+
+def _weight_vectors(n: int, r: int, cap: int):
+    """The 0/1 vectors of length n and weight r, in blocks of at most cap.
+
+    Each block has shape (n, 1, k): one column per vector, ready to
+    broadcast against (n, rows, 1) coordinates.
+    """
+    combos = itertools.combinations(range(n), r)
+    while chunk := list(itertools.islice(combos, cap)):
+        B = np.zeros((n, 1, len(chunk)))
+        B[np.array(chunk, dtype=np.intp).T, 0, np.arange(len(chunk))] = 1.0
+        yield B
 
 
 def hexagon_rings(box_halfwidth: float) -> list[tuple[Center, tuple[Point, ...]]]:

@@ -1,5 +1,7 @@
 """Shared samplers and independent oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 import tropgeo as tg
@@ -72,3 +74,22 @@ def batch_norm(X):
 def batch_dist(X, Y):
     """Vectorized dist between paired rows of X and Y."""
     return batch_norm(np.asarray(X, dtype=float) - np.asarray(Y, dtype=float))
+
+
+def containing_count_oracle(X, F, eps):
+    """Per row of X, the tiling centers F + b within 1 + eps, over all 2^n b.
+
+    Tries every 0/1 offset of the floors F and keeps those whose coordinate
+    sum is divisible by n+1: the exhaustive count that the honeycomb's
+    weight-r enumeration must reproduce.
+    """
+    m, n = X.shape
+    count = np.zeros(m, dtype=np.int64)
+    for bits in itertools.product((0.0, 1.0), repeat=n):
+        cand = F + np.array(bits)
+        ok = cand.sum(axis=1).astype(np.int64) % (n + 1) == 0
+        cd = X - cand
+        cdist = np.maximum(cd.max(axis=1), 0.0) - np.minimum(cd.min(axis=1), 0.0)
+        ok &= cdist <= 1.0 + eps
+        count += ok
+    return count

@@ -327,6 +327,19 @@ def test_bad_eps_is_usage_error(capsys):
     assert "eps" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "--dim", "2", "--samples", "100"], ["plot2d"]])
+@pytest.mark.parametrize(
+    "box, message",
+    [("-1", "nonnegative"), ("nan", "finite"), ("inf", "finite"), ("-inf", "finite")],
+)
+def test_bad_box_is_usage_error(capsys, command, box, message):
+    code, out, err = run(capsys, "honeycomb", *command, "--box=" + box)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --box must be %s\n" % message
+    assert "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "dist", "0,0", "abc")
     assert code == 2

@@ -1,12 +1,15 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tropgeo as tg
+from tropgeo import honeycomb
 from tropgeo.honeycomb import HEX_BASIS_2D, as_center, hexagon_rings
 
-from helpers import batch_dist
+from helpers import batch_dist, containing_count_oracle
 
 
 def lattice_window(n, halfwidth):
@@ -244,6 +247,101 @@ def test_verify_tiling_rejects_bad_arguments():
         tg.verify_tiling(0)
     with pytest.raises(tg.DomainError):
         tg.verify_tiling(2, samples=-5)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shard_size": 0},
+        {"shard_size": -3},
+        {"box_halfwidth": -1.0},
+        {"box_halfwidth": math.nan},
+        {"box_halfwidth": math.inf},
+        {"eps": 0.0},
+        {"eps": -1.0},
+        {"eps": math.nan},
+        {"eps": math.inf},
+    ],
+    ids=repr,
+)
+def test_verify_tiling_rejects_bad_input(kwargs):
+    # with no samples no shard is drawn, so each input must be rejected up
+    # front; a shard_size below 1 would otherwise never finish
+    with pytest.raises(tg.DomainError):
+        tg.verify_tiling(2, samples=0, **kwargs)
+
+
+def _snapped_floors(X, eps):
+    """The floors _verify_block uses: coordinates within eps of an integer snap first."""
+    R = np.round(X)
+    return np.floor(np.where(np.abs(X - R) <= eps, R, X))
+
+
+def _count_cases(n, rng):
+    """Uniform rows, rows with tied fractional parts, facet grids and snapping rows."""
+    m = 150
+    uniform = rng.uniform(-10, 10, (m, n))
+    tied = rng.integers(-6, 6, (m, n)) + rng.choice([0.25, 0.5, 0.75, 0.3], (m, n))
+    quarters = rng.integers(-24, 24, (m, n)) / 4
+    eighths = rng.integers(-48, 48, (m, n)) / 8
+    snapping = rng.uniform(-10, 10, (m, n))
+    hit = rng.random((m, n)) < 0.3
+    snapping[hit] = np.round(snapping[hit]) + rng.choice([0.0, 1e-12, -1e-12], hit.sum())
+    return np.vstack([uniform, tied, quarters, eighths, snapping])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_containing_counts_match_the_exhaustive_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    X = _count_cases(n, rng)
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        F = _snapped_floors(X, eps)
+        got = honeycomb._containing_counts(X, F, eps)
+        assert np.array_equal(got, containing_count_oracle(X, F, eps))
+
+
+def test_containing_counts_cross_row_chunks_at_n12():
+    n = 12
+    X = np.random.default_rng(12).uniform(-10, 10, (600, n))
+    F = _snapped_floors(X, tg.DEFAULT_EPS)
+    weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
+    rows_per_chunk = [honeycomb._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
+    assert any((weight == r).sum() > rows_per_chunk[r] for r in range(n + 1))
+    got = honeycomb._containing_counts(X, F, tg.DEFAULT_EPS)
+    assert np.array_equal(got, containing_count_oracle(X, F, tg.DEFAULT_EPS))
+
+
+def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
+    # a budget of a few elements cuts both the row and the candidate axis
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        X = _count_cases(n, rng)[::10]
+        F = _snapped_floors(X, tg.DEFAULT_EPS)
+        want = honeycomb._containing_counts(X, F, tg.DEFAULT_EPS)
+        monkeypatch.setattr(honeycomb, "_BROADCAST_BUDGET", 2 * n)
+        assert np.array_equal(honeycomb._containing_counts(X, F, tg.DEFAULT_EPS), want)
+        monkeypatch.undo()
+
+
+def test_weight_vectors_enumerate_each_weight_once():
+    for n in range(1, 7):
+        for r in range(n + 1):
+            blocks = list(honeycomb._weight_vectors(n, r, 4))
+            assert all(B.shape[:2] == (n, 1) and 1 <= B.shape[2] <= 4 for B in blocks)
+            vecs = np.concatenate([B[:, 0, :].T for B in blocks])
+            want = [b for b in itertools.product((0.0, 1.0), repeat=n) if sum(b) == r]
+            assert sorted(map(tuple, vecs)) == sorted(want)
+
+
+def test_verify_tiling_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        rep = tg.verify_tiling(12, samples=8000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mismatches == 0
+    assert peak < 32 * 2**20
 
 
 def test_batch_engine_agrees_with_scalar_locate():
