@@ -359,6 +359,216 @@ def test_unknown_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+# The exact stdout and exit code of every leaf command, in the text and the
+# records format.  "{simplex}" stands for a file holding SIMPLEX_POINTS.
+SIMPLEX_POINTS = "0,0,0\n1,0,0\n1,1,0\n1,1,1\n"
+
+GOLDEN = [
+    ("text", "dist 0,0 1,2", 0, "2\n"),
+    ("records", "dist 0,0 1,2", 0, "op=dist\nvalue=2\n"),
+    ("text", "dist --lp 0,0 1,2", 0, "trop: 2\nl1: 3\nlinf: 2\n"),
+    ("records", "dist --lp 0,0 1,2", 0, "op=dist\nvalue=2\nl1=3\nlinf=2\n"),
+    ("text", "dist -- -3:-2:-1 0:0:0", 0, "2\n"),
+    ("records", "dist -- -3:-2:-1 0:0:0", 0, "op=dist_proj\nvalue=2\n"),
+    ("text", "norm -- -3,-2,1", 0, "4\n"),
+    ("records", "norm -- -3,-2,1", 0, "op=norm\nvalue=4\n"),
+    ("text", "norm -- -3:-2:-1", 0, "2\n"),
+    ("records", "norm -- -3:-2:-1", 0, "op=norm_proj\nvalue=2\n"),
+    ("text", "segment 0,0 1,2", 0,
+     "apex: 0,0\nvertex: 0,0\nvertex: 1,1\nvertex: 1,2\nlength: 2\n"),
+    ("records", "segment 0,0 1,2", 0,
+     "op=segment\nmode=min\napex=0,0\nlength=2\n\n"
+     "kind=vertex\nindex=0\npoint=0,0\n\n"
+     "kind=vertex\nindex=1\npoint=1,1\n\n"
+     "kind=vertex\nindex=2\npoint=1,2\n"),
+    ("text", "segment 0,0 1,2 --mode max", 0,
+     "apex: 1,2\nvertex: 0,0\nvertex: 0,1\nvertex: 1,2\nlength: 2\n"),
+    ("records", "segment 0,0 1,2 --mode max", 0,
+     "op=segment\nmode=max\napex=1,2\nlength=2\n\n"
+     "kind=vertex\nindex=0\npoint=0,0\n\n"
+     "kind=vertex\nindex=1\npoint=0,1\n\n"
+     "kind=vertex\nindex=2\npoint=1,2\n"),
+    ("text", "length 0,0 1,1 1,2", 0, "2\n"),
+    ("records", "length 0,0 1,1 1,2", 0, "op=length\nvalue=2\n"),
+    ("text", "circle-length --radius 1", 0, "6.828427124746191\n"),
+    ("records", "circle-length --radius 1", 0,
+     "op=circle-length\nradius=1\nvalue=6.828427124746191\n"),
+    ("text", "circle-length --radius 2 --center 1,1 --tol 1e-3", 0,
+     "13.656854249492381\n"),
+    ("records", "circle-length --radius 2 --center 1,1 --tol 1e-3", 0,
+     "op=circle-length\nradius=2\nvalue=13.656854249492381\n"),
+    ("text", "geodesic-check 0,0 1,1 1,2", 0, "true\n"),
+    ("records", "geodesic-check 0,0 1,1 1,2", 0, "op=geodesic-check\nresult=true\n"),
+    ("text", "geodesic-check 0,0 1,0 0,1", 0, "false\n"),
+    ("records", "geodesic-check 0,0 1,0 0,1", 0, "op=geodesic-check\nresult=false\n"),
+    ("text", "between 0,0 1,1 1,2", 0, "true\n"),
+    ("records", "between 0,0 1,1 1,2", 0, "op=between\nresult=true\n"),
+    ("text", "hull 0,0 1,2", 0,
+     "dim: 2\n0 <= x1 <= 1\n0 <= x2 <= 2\nx1 - x2 >= -1\nx2 - x1 >= 0\n"),
+    ("records", "hull 0,0 1,2", 0,
+     "op=region\ndim=2\n\n"
+     "kind=bound\ni=1\nlower=0\nupper=1\n\n"
+     "kind=bound\ni=2\nlower=0\nupper=2\n\n"
+     "kind=diff\ni=1\nj=2\nlower=-1\n\n"
+     "kind=diff\ni=2\nj=1\nlower=0\n"),
+    ("text", "hull --file {simplex}", 0,
+     "dim: 3\n0 <= x1 <= 1\n0 <= x2 <= 1\n0 <= x3 <= 1\nx1 - x2 >= 0\n"
+     "x1 - x3 >= 0\nx2 - x1 >= -1\nx2 - x3 >= 0\nx3 - x1 >= -1\nx3 - x2 >= -1\n"),
+    ("records", "hull --file {simplex}", 0,
+     "op=region\ndim=3\n\n"
+     "kind=bound\ni=1\nlower=0\nupper=1\n\n"
+     "kind=bound\ni=2\nlower=0\nupper=1\n\n"
+     "kind=bound\ni=3\nlower=0\nupper=1\n\n"
+     "kind=diff\ni=1\nj=2\nlower=0\n\n"
+     "kind=diff\ni=1\nj=3\nlower=0\n\n"
+     "kind=diff\ni=2\nj=1\nlower=-1\n\n"
+     "kind=diff\ni=2\nj=3\nlower=0\n\n"
+     "kind=diff\ni=3\nj=1\nlower=-1\n\n"
+     "kind=diff\ni=3\nj=2\nlower=-1\n"),
+    ("text", "region-contains --file {simplex} --point 0.5,0.2,0.1", 0, "true\n"),
+    ("records", "region-contains --file {simplex} --point 0.5,0.2,0.1", 0,
+     "op=region-contains\nresult=true\n"),
+    ("text", "region-contains --file {simplex} --point 0.1,0.5,0.2", 0, "false\n"),
+    ("records", "region-contains --file {simplex} --point 0.1,0.5,0.2", 0,
+     "op=region-contains\nresult=false\n"),
+    ("text", "classify2d --a=-1 --a2=1 --b=-1 --b2=1 --c=-1 --c2=1", 0,
+     "kind: polygon\nedges: x=a' y=b' y-x=c' x=a y=b y-x=c\nedge_count: 6\n"
+     "canonical_id: 0\n"),
+    ("records", "classify2d --a=-1 --a2=1 --b=-1 --b2=1 --c=-1 --c2=1", 0,
+     "op=classify2d\nkind=polygon\nedges=x=a' y=b' y-x=c' x=a y=b y-x=c\n"
+     "edge_count=6\ncanonical_id=0\n"),
+    ("text", "classify2d --a 0 --a2 1 --b 0 --b2 1 --c 0 --c2 1", 0,
+     "kind: polygon\nedges: y=b' x=a y-x=c\nedge_count: 3\ncanonical_id: 21\n"),
+    ("records", "classify2d --a 0 --a2 1 --b 0 --b2 1 --c 0 --c2 1", 0,
+     "op=classify2d\nkind=polygon\nedges=y=b' x=a y-x=c\nedge_count=3\n"
+     "canonical_id=21\n"),
+    ("text", "ball vertices --dim 2", 0, "0,1\n1,0\n1,1\n0,-1\n-1,0\n-1,-1\n"),
+    ("records", "ball vertices --dim 2", 0,
+     "op=vertices\ndim=2\ncount=6\n\n"
+     "kind=vertex\nindex=0\npoint=0,1\n\n"
+     "kind=vertex\nindex=1\npoint=1,0\n\n"
+     "kind=vertex\nindex=2\npoint=1,1\n\n"
+     "kind=vertex\nindex=3\npoint=0,-1\n\n"
+     "kind=vertex\nindex=4\npoint=-1,0\n\n"
+     "kind=vertex\nindex=5\npoint=-1,-1\n"),
+    ("text", "ball facets --dim 2", 0,
+     "upper(1) opposite lower(1)\nupper(2) opposite lower(2)\n"
+     "lower(1) opposite upper(1)\nlower(2) opposite upper(2)\n"
+     "diff(1,2) opposite diff(2,1)\ndiff(2,1) opposite diff(1,2)\n"),
+    ("records", "ball facets --dim 2", 0,
+     "op=facets\ndim=2\ncount=6\n\n"
+     "kind=upper\ni=1\nopposite=lower(1)\n\n"
+     "kind=upper\ni=2\nopposite=lower(2)\n\n"
+     "kind=lower\ni=1\nopposite=upper(1)\n\n"
+     "kind=lower\ni=2\nopposite=upper(2)\n\n"
+     "kind=diff\ni=1\nopposite=diff(2,1)\nj=2\n\n"
+     "kind=diff\ni=2\nopposite=diff(1,2)\nj=1\n"),
+    ("text", "ball hrep --dim 2", 0,
+     "dim: 2\n-1 <= x1 <= 1\n-1 <= x2 <= 1\nx1 - x2 >= -1\nx2 - x1 >= -1\n"),
+    ("records", "ball hrep --dim 2", 0,
+     "op=region\ndim=2\n\n"
+     "kind=bound\ni=1\nlower=-1\nupper=1\n\n"
+     "kind=bound\ni=2\nlower=-1\nupper=1\n\n"
+     "kind=diff\ni=1\nj=2\nlower=-1\n\n"
+     "kind=diff\ni=2\nj=1\nlower=-1\n"),
+    ("text", "ball hrep --dim 2 --center 1,-1 --radius 2", 0,
+     "dim: 2\n-1 <= x1 <= 3\n-3 <= x2 <= 1\nx1 - x2 >= 0\nx2 - x1 >= -4\n"),
+    ("records", "ball hrep --dim 2 --center 1,-1 --radius 2", 0,
+     "op=region\ndim=2\n\n"
+     "kind=bound\ni=1\nlower=-1\nupper=3\n\n"
+     "kind=bound\ni=2\nlower=-3\nupper=1\n\n"
+     "kind=diff\ni=1\nj=2\nlower=0\n\n"
+     "kind=diff\ni=2\nj=1\nlower=-4\n"),
+    ("text", "ball decompose --point=-0.4,0.3", 0,
+     "point: -0.4,0.3\northant: 1\northant_coords: omit=1 0.7,0.4\n"
+     "minkowski: 0,0.7,0.4\ngenerators: -1,0 0,-1 1,1\n"
+     "generator_coeffs: 0.6,1.3,0\nrecomposed: -0.4,0.30000000000000004\n"
+     "max_error: 5.551115123125783e-17\n"),
+    ("records", "ball decompose --point=-0.4,0.3", 0,
+     "op=decompose\npoint=-0.4,0.3\northant=1\northant_omit=1\n"
+     "orthant_values=0.7,0.4\nminkowski=0,0.7,0.4\ngenerator_coeffs=0.6,1.3,0\n"
+     "recomposed=-0.4,0.30000000000000004\nmax_error=5.551115123125783e-17\n"),
+    ("text", "ball decompose --point 2,0", 1, ""),
+    ("records", "ball decompose --point 2,0", 1, ""),
+    ("text", "sphere poles --point 1,1", 0,
+     "point: 1,1\nfacets: upper(1) upper(2)\nd_plus: 0\nd_minus: 3\n"),
+    ("records", "sphere poles --point 1,1", 0,
+     "op=poles\npoint=1,1\nfacets=upper(1) upper(2)\nd_plus=0\nd_minus=3\n"),
+    ("text", "sphere poles --point 0.2,1", 0,
+     "point: 0.2,1\nfacets: upper(2)\nd_plus: 0.8\nd_minus: 2.2\n"),
+    ("records", "sphere poles --point 0.2,1", 0,
+     "op=poles\npoint=0.2,1\nfacets=upper(2)\nd_plus=0.8\nd_minus=2.2\n"),
+    ("text", "sphere angle --v1 1,0 --v2 0,1", 0, "2\n"),
+    ("records", "sphere angle --v1 1,0 --v2 0,1", 0, "op=angle\nvalue=2\n"),
+    ("text", "sphere distance --x 1,0 --y 1,1", 0, "1\n"),
+    ("records", "sphere distance --x 1,0 --y 1,1", 0, "op=sphere-distance\nvalue=1\n"),
+    ("text", "sphere diametral --p 1,1 --q=-1,-1", 0, "true\n"),
+    ("records", "sphere diametral --p 1,1 --q=-1,-1", 0, "op=diametral\nresult=true\n"),
+    ("text", "honeycomb locate --point 0.9,-0.4", 0,
+     "center: 1,-1\nstatus: interior\ndistance: 0.7\nall_centers: 1,-1\n"),
+    ("records", "honeycomb locate --point 0.9,-0.4", 0,
+     "op=locate\ncenter=1,-1\nstatus=interior\ndistance=0.7\nall_centers=1,-1\n"),
+    ("text", "honeycomb locate --point 1,0", 0,
+     "center: 2,1\nstatus: boundary\ndistance: 1\nall_centers: 0,0 1,-1 2,1\n"),
+    ("records", "honeycomb locate --point 1,0", 0,
+     "op=locate\ncenter=2,1\nstatus=boundary\ndistance=1\n"
+     "all_centers=0,0 1,-1 2,1\n"),
+    ("text", "--seed 2 honeycomb verify --dim 2 --samples 2000 --box 4", 0,
+     "n: 2\nsamples: 2000\nbox: 4\nseed: 2\ninterior: 2000\nboundary: 0\n"
+     "mismatches: 0\n"),
+    ("records", "--seed 2 honeycomb verify --dim 2 --samples 2000 --box 4", 0,
+     "op=verify\nn=2\nsamples=2000\nbox=4\nseed=2\ninterior=2000\nboundary=0\n"
+     "mismatches=0\n"),
+    ("text", "honeycomb neighbors --center 0,0", 0,
+     "-2,-1\n-1,-2\n-1,1\n1,-1\n1,2\n2,1\n"),
+    ("records", "honeycomb neighbors --center 0,0", 0,
+     "op=neighbors\ncenter=0,0\ncount=6\n\n"
+     "kind=neighbor\nindex=0\ncenter=-2,-1\n\n"
+     "kind=neighbor\nindex=1\ncenter=-1,-2\n\n"
+     "kind=neighbor\nindex=2\ncenter=-1,1\n\n"
+     "kind=neighbor\nindex=3\ncenter=1,-1\n\n"
+     "kind=neighbor\nindex=4\ncenter=1,2\n\n"
+     "kind=neighbor\nindex=5\ncenter=2,1\n"),
+    ("text", "honeycomb neighbors --center 1,1", 1, ""),
+    ("records", "honeycomb neighbors --center 1,1", 1, ""),
+    ("text", "honeycomb basis --dim 2", 0,
+     "basis: 1,-1\nbasis: 0,3\nhex_basis: 2,1\nhex_basis: -1,1\n"
+     "same_lattice: true\n"),
+    ("records", "honeycomb basis --dim 2", 0,
+     "op=basis\ndim=2\n\n"
+     "kind=basis\nindex=0\nvector=1,-1\n\n"
+     "kind=basis\nindex=1\nvector=0,3\n\n"
+     "kind=hex_basis\nvector=2,1\n\n"
+     "kind=hex_basis\nvector=-1,1\n\n"
+     "kind=check\nsame_lattice=true\n"),
+    ("text", "honeycomb basis --dim 3", 0,
+     "basis: 1,-1,0\nbasis: 0,1,-1\nbasis: 0,0,4\n"),
+    ("records", "honeycomb basis --dim 3", 0,
+     "op=basis\ndim=3\n\n"
+     "kind=basis\nindex=0\nvector=1,-1,0\n\n"
+     "kind=basis\nindex=1\nvector=0,1,-1\n\n"
+     "kind=basis\nindex=2\nvector=0,0,4\n"),
+    ("text", "honeycomb plot2d --box 0.5", 0,
+     "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"-2.1 -2.1 4.2 4.2\" width=\"640\" height=\"640\">\n"
+     "<rect x=\"-2.1\" y=\"-2.1\" width=\"4.2\" height=\"4.2\" fill=\"white\"/>\n"
+     "<polygon points=\"1,-0 1,-1 0,-1 -1,-0 -1,1 0,1\" fill=\"#dbe7f3\" stroke=\"#444\" stroke-width=\"0.06\"/>\n"
+     "<circle cx=\"0\" cy=\"0\" r=\"0.08\" fill=\"#444\"/>\n</svg>\n"),
+    ("records", "honeycomb plot2d --box 0.5", 2, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, command, code, stdout", GOLDEN, ids=["%s: %s" % (g[0], g[1]) for g in GOLDEN]
+)
+def test_golden_output(tmp_path, capsys, fmt, command, code, stdout):
+    simplex = tmp_path / "simplex.txt"
+    simplex.write_text(SIMPLEX_POINTS)
+    argv = [a.replace("{simplex}", str(simplex)) for a in command.split()]
+    got_code, out, err = run(capsys, "--format", fmt, *argv)
+    assert (got_code, out) == (code, stdout)
+    assert "Traceback" not in err
+
+
 def test_every_operation_is_reachable():
     parser = build_parser()
 
