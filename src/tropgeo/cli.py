@@ -48,11 +48,7 @@ OPERATION_COMMANDS = {
     "curve_length": "circle-length",
     "is_geodesic": "geodesic-check",
     "is_between": "between",
-    "pair_hull": "hull",
     "hull": "hull",
-    "hull_iterate_oracle": "hull",
-    "region_contains": "region-contains",
-    "is_tropically_geodesic": "classify2d",
     "classify2d": "classify2d",
     # ball
     "contains": "ball decompose",
@@ -83,15 +79,32 @@ def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _emit(args, lines, records):
+def _emit(args, recs, text):
+    """Print the records, or the text lines ``text(recs)`` renders from them."""
     if args.format == "records":
-        blocks = []
-        for rec in records:
-            blocks.append("\n".join("%s=%s" % (k, v) for k, v in rec.items()))
+        blocks = ["\n".join("%s=%s" % kv for kv in rec.items()) for rec in recs]
         sys.stdout.write("\n\n".join(blocks) + "\n")
     else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("".join(line + "\n" for line in text(recs)))
+
+
+# Text renderers: each turns a command's records into its text lines.
+
+
+def _answer(recs):
+    """The single value or boolean result of a one-answer command."""
+    rec = recs[0]
+    return [rec["value"] if "value" in rec else rec["result"]]
+
+
+def _fields(recs):
+    """One ``key: value`` line per field of the header record."""
+    return ["%s: %s" % kv for kv in recs[0].items() if kv[0] != "op"]
+
+
+def _items(recs):
+    """One line per item record: its last field."""
+    return [list(rec.values())[-1] for rec in recs[1:]]
 
 
 def _parse_any(text: str):
@@ -125,23 +138,6 @@ def _gather_points(args):
     return pts
 
 
-def _region_lines(region):
-    lines = ["dim: %d" % region.dim]
-    for i in range(region.dim):
-        lines.append(
-            "%s <= x%d <= %s"
-            % (format_number(region.lower[i]), i + 1, format_number(region.upper[i]))
-        )
-    for i in range(region.dim):
-        for j in range(region.dim):
-            if i != j:
-                lines.append(
-                    "x%d - x%d >= %s"
-                    % (i + 1, j + 1, format_number(region.diff_lb[i][j]))
-                )
-    return lines
-
-
 def _region_records(region):
     recs = [{"op": "region", "dim": region.dim}]
     for i in range(region.dim):
@@ -167,6 +163,16 @@ def _region_records(region):
     return recs
 
 
+def _region_text(recs):
+    lines = ["dim: %d" % recs[0]["dim"]]
+    for rec in recs[1:]:
+        if rec["kind"] == "bound":
+            lines.append("%s <= x%d <= %s" % (rec["lower"], rec["i"], rec["upper"]))
+        else:
+            lines.append("x%d - x%d >= %s" % (rec["i"], rec["j"], rec["lower"]))
+    return lines
+
+
 def _require_text(args):
     if args.format in ("csv", "svg"):
         raise ParseError("--format %s is only available for honeycomb plot2d" % args.format)
@@ -179,48 +185,47 @@ def _check_box(box):
         raise ParseError("--box must be nonnegative")
 
 
+# Commands: each returns its records and the renderer of its text, and an
+# exit code when that is not 0.
+
+
+def _lp_text(recs):
+    rec = recs[0]
+    return ["trop: %s" % rec["value"], "l1: %s" % rec["l1"], "linf: %s" % rec["linf"]]
+
+
 def cmd_dist(args):
-    _require_text(args)
     x, px = _parse_any(args.x)
     y, py = _parse_any(args.y)
     if px != py:
         raise ParseError("mix of projective and plain coordinates")
     if px:
-        value = dist_proj(x, y)
-        rec = {"op": "dist_proj", "value": format_number(value)}
-        lines = [format_number(value)]
-    else:
-        value = dist(x, y)
-        rec = {"op": "dist", "value": format_number(value)}
-        lines = [format_number(value)]
-        if args.lp:
-            d1, dinf = lp_distances(x, y)
-            rec["l1"] = format_number(d1)
-            rec["linf"] = format_number(dinf)
-            lines = [
-                "trop: %s" % format_number(value),
-                "l1: %s" % format_number(d1),
-                "linf: %s" % format_number(dinf),
-            ]
-    _emit(args, lines, [rec])
-    return 0
+        return [{"op": "dist_proj", "value": format_number(dist_proj(x, y))}], _answer
+    rec = {"op": "dist", "value": format_number(dist(x, y))}
+    if not args.lp:
+        return [rec], _answer
+    d1, dinf = lp_distances(x, y)
+    rec["l1"] = format_number(d1)
+    rec["linf"] = format_number(dinf)
+    return [rec], _lp_text
 
 
 def cmd_norm(args):
-    _require_text(args)
     x, proj = _parse_any(args.x)
     value = norm_proj(x) if proj else norm(x)
     op = "norm_proj" if proj else "norm"
-    _emit(args, [format_number(value)], [{"op": op, "value": format_number(value)}])
-    return 0
+    return [{"op": op, "value": format_number(value)}], _answer
+
+
+def _segment_text(recs):
+    lines = ["apex: %s" % recs[0]["apex"]]
+    lines += ["vertex: %s" % rec["point"] for rec in recs[1:]]
+    lines.append("length: %s" % recs[0]["length"])
+    return lines
 
 
 def cmd_segment(args):
-    _require_text(args)
     seg = segment(parse_point(args.x), parse_point(args.y), mode=args.mode)
-    lines = ["apex: %s" % format_point(seg.apex)]
-    lines += ["vertex: %s" % format_point(v) for v in seg.vertices]
-    lines.append("length: %s" % format_number(seg.length()))
     recs = [
         {
             "op": "segment",
@@ -233,19 +238,15 @@ def cmd_segment(args):
         {"kind": "vertex", "index": i, "point": format_point(v)}
         for i, v in enumerate(seg.vertices)
     ]
-    _emit(args, lines, recs)
-    return 0
+    return recs, _segment_text
 
 
 def cmd_length(args):
-    _require_text(args)
     value = _geo.polyline_length(_gather_points(args))
-    _emit(args, [format_number(value)], [{"op": "length", "value": format_number(value)}])
-    return 0
+    return [{"op": "length", "value": format_number(value)}], _answer
 
 
 def cmd_circle_length(args):
-    _require_text(args)
     if args.radius <= 0:
         raise ParseError("radius must be positive")
     cx, cy = parse_point(args.center) if args.center else (0.0, 0.0)
@@ -255,238 +256,173 @@ def cmd_circle_length(args):
         return (cx + args.radius * math.cos(ang), cy + args.radius * math.sin(ang))
 
     value = _geo.curve_length(circle, tol=args.tol)
-    _emit(
-        args,
-        [format_number(value)],
-        [{"op": "circle-length", "radius": format_number(args.radius), "value": format_number(value)}],
-    )
-    return 0
+    rec = {"op": "circle-length", "radius": format_number(args.radius), "value": format_number(value)}
+    return [rec], _answer
 
 
 def cmd_geodesic_check(args):
-    _require_text(args)
     ok = _geo.is_geodesic(_gather_points(args), eps=args.eps)
-    _emit(args, [_bool_text(ok)], [{"op": "geodesic-check", "result": _bool_text(ok)}])
-    return 0
+    return [{"op": "geodesic-check", "result": _bool_text(ok)}], _answer
 
 
 def cmd_between(args):
-    _require_text(args)
     ok = _geo.is_between(
         parse_point(args.x), parse_point(args.z), parse_point(args.y), eps=args.eps
     )
-    _emit(args, [_bool_text(ok)], [{"op": "between", "result": _bool_text(ok)}])
-    return 0
+    return [{"op": "between", "result": _bool_text(ok)}], _answer
 
 
 def cmd_hull(args):
-    _require_text(args)
-    pts = _gather_points(args)
-    region = _geo.hull(pts, eps=args.eps)
-    lines = _region_lines(region)
-    recs = _region_records(region)
-    if args.oracle_samples:
-        sampled = _geo.hull_iterate_oracle(
-            pts, depth=args.oracle_depth, samples=args.oracle_samples, seed=args.seed
-        )
-        for p in sampled[len(pts):]:
-            lines.append("sample: %s" % format_point(p))
-            recs.append({"kind": "sample", "point": format_point(p)})
-    _emit(args, lines, recs)
-    return 0
+    return _region_records(_geo.hull(_gather_points(args), eps=args.eps)), _region_text
 
 
 def cmd_region_contains(args):
-    _require_text(args)
     region = _geo.hull(_read_points_file(args.file), eps=args.eps)
-    ok = _geo.region_contains(region, parse_point(args.point), eps=args.eps)
-    _emit(args, [_bool_text(ok)], [{"op": "region-contains", "result": _bool_text(ok)}])
-    return 0
+    ok = region.contains(parse_point(args.point), eps=args.eps)
+    return [{"op": "region-contains", "result": _bool_text(ok)}], _answer
 
 
 def cmd_classify2d(args):
-    _require_text(args)
     lower = (args.a, args.b)
     upper = (args.a2, args.b2)
     diff = ((0.0, -args.c2), (args.c, 0.0))
     region = _geo.GeodesicRegion(lower, upper, diff, eps=args.eps)
     shape = _geo.classify2d(region, eps=args.eps)
-    edge_names = " ".join(_geo.EDGE_NAMES[k] for k in shape.present_edges)
-    lines = [
-        "kind: %s" % shape.kind,
-        "edges: %s" % edge_names,
-        "edge_count: %d" % shape.edge_count,
-        "canonical_id: %d" % shape.canonical_id,
-    ]
-    recs = [
-        {
-            "op": "classify2d",
-            "kind": shape.kind,
-            "edges": edge_names,
-            "edge_count": shape.edge_count,
-            "canonical_id": shape.canonical_id,
-        }
-    ]
-    _emit(args, lines, recs)
-    return 0
+    rec = {
+        "op": "classify2d",
+        "kind": shape.kind,
+        "edges": " ".join(_geo.EDGE_NAMES[k] for k in shape.present_edges),
+        "edge_count": shape.edge_count,
+        "canonical_id": shape.canonical_id,
+    }
+    return [rec], _fields
 
 
 def cmd_ball_vertices(args):
-    _require_text(args)
     verts = _ball.vertices(args.dim)
-    lines = [format_point(v) for v in verts]
     recs = [{"op": "vertices", "dim": args.dim, "count": len(verts)}]
     recs += [{"kind": "vertex", "index": i, "point": format_point(v)} for i, v in enumerate(verts)]
-    _emit(args, lines, recs)
-    return 0
+    return recs, _items
+
+
+def _facets_text(recs):
+    return [
+        "%s opposite %s" % (_ball.FacetId(rec["kind"], rec["i"], rec.get("j")), rec["opposite"])
+        for rec in recs[1:]
+    ]
 
 
 def cmd_ball_facets(args):
-    _require_text(args)
     fs = _ball.facets(args.dim)
-    lines = ["%s opposite %s" % (f, _ball.opposite(f)) for f in fs]
     recs = [{"op": "facets", "dim": args.dim, "count": len(fs)}]
     for f in fs:
         rec = {"kind": f.kind, "i": f.i, "opposite": str(_ball.opposite(f))}
         if f.j is not None:
             rec["j"] = f.j
         recs.append(rec)
-    _emit(args, lines, recs)
-    return 0
+    return recs, _facets_text
 
 
 def cmd_ball_hrep(args):
-    _require_text(args)
     center = parse_point(args.center) if args.center else (0.0,) * args.dim
     if len(center) != args.dim:
         raise ParseError("--center does not match --dim")
     region = _ball.hrep(_ball.Ball(center, args.radius), eps=args.eps)
-    _emit(args, _region_lines(region), _region_records(region))
-    return 0
+    return _region_records(region), _region_text
+
+
+def _decompose_text(recs):
+    rec = recs[0]
+    n = len(parse_point(rec["point"]))
+    return [
+        "point: %s" % rec["point"],
+        "orthant: %s" % rec["orthant"],
+        "orthant_coords: omit=%d %s" % (rec["orthant_omit"], rec["orthant_values"]),
+        "minkowski: %s" % rec["minkowski"],
+        "generators: %s" % " ".join(format_point(g) for g in _ball.neg_units(n)),
+        "generator_coeffs: %s" % rec["generator_coeffs"],
+        "recomposed: %s" % rec["recomposed"],
+        "max_error: %s" % rec["max_error"],
+    ]
 
 
 def cmd_ball_decompose(args):
-    _require_text(args)
     x = parse_point(args.point)
     n = len(x)
     if not _ball.contains(_ball.unit_ball(n), x, eps=args.eps):
         raise TropgeoError("point lies outside the unit ball")
     mk = _ball.minkowski_coeffs(x, eps=args.eps)
     gc = _ball.generator_coeffs(x, eps=args.eps)
-    gens = _ball.neg_units(n)
-    recomposed = _ball.eval_trop_combination(gc, gens)
+    recomposed = _ball.eval_trop_combination(gc, _ball.neg_units(n))
     err = max(
         max(abs(a - b) for a, b in zip(recomposed, x)),
         max(abs(a - b) for a, b in zip(_ball.zonotope_point(mk), x)),
     )
     oc = to_orthant_coords(embed(x))
-    orth = _ball.orthant_of(x, eps=args.eps)
-    lines = [
-        "point: %s" % format_point(x),
-        "orthant: %s" % ",".join(str(k) for k in orth),
-        "orthant_coords: omit=%d %s" % (oc.omitted_index, format_point(oc.values)),
-        "minkowski: %s" % format_point(mk),
-        "generators: %s" % " ".join(format_point(g) for g in gens),
-        "generator_coeffs: %s" % format_point(gc),
-        "recomposed: %s" % format_point(recomposed),
-        "max_error: %s" % format_number(err),
-    ]
-    recs = [
-        {
-            "op": "decompose",
-            "point": format_point(x),
-            "orthant": ",".join(str(k) for k in orth),
-            "orthant_omit": oc.omitted_index,
-            "orthant_values": format_point(oc.values),
-            "minkowski": format_point(mk),
-            "generator_coeffs": format_point(gc),
-            "recomposed": format_point(recomposed),
-            "max_error": format_number(err),
-        }
-    ]
-    _emit(args, lines, recs)
-    return 0
+    rec = {
+        "op": "decompose",
+        "point": format_point(x),
+        "orthant": ",".join(str(k) for k in _ball.orthant_of(x, eps=args.eps)),
+        "orthant_omit": oc.omitted_index,
+        "orthant_values": format_point(oc.values),
+        "minkowski": format_point(mk),
+        "generator_coeffs": format_point(gc),
+        "recomposed": format_point(recomposed),
+        "max_error": format_number(err),
+    }
+    return [rec], _decompose_text
 
 
 def cmd_sphere_poles(args):
-    _require_text(args)
     x = parse_point(args.point)
-    fs = _ball.facet_of(x, eps=args.eps)
     d_plus, d_minus = _ball.pole_distances(x, eps=args.eps)
-    lines = [
-        "point: %s" % format_point(x),
-        "facets: %s" % " ".join(str(f) for f in fs),
-        "d_plus: %s" % format_number(d_plus),
-        "d_minus: %s" % format_number(d_minus),
-    ]
-    recs = [
-        {
-            "op": "poles",
-            "point": format_point(x),
-            "facets": " ".join(str(f) for f in fs),
-            "d_plus": format_number(d_plus),
-            "d_minus": format_number(d_minus),
-        }
-    ]
-    _emit(args, lines, recs)
-    return 0
+    rec = {
+        "op": "poles",
+        "point": format_point(x),
+        "facets": " ".join(str(f) for f in _ball.facet_of(x, eps=args.eps)),
+        "d_plus": format_number(d_plus),
+        "d_minus": format_number(d_minus),
+    }
+    return [rec], _fields
 
 
 def cmd_sphere_angle(args):
-    _require_text(args)
     value = _ball.angle_2d(
         parse_point(args.at), parse_point(args.v1), parse_point(args.v2), eps=args.eps
     )
-    _emit(args, [format_number(value)], [{"op": "angle", "value": format_number(value)}])
-    return 0
+    return [{"op": "angle", "value": format_number(value)}], _answer
 
 
 def cmd_sphere_distance(args):
-    _require_text(args)
     center = parse_point(args.center) if args.center else (0.0, 0.0)
     value = _ball.intrinsic_distance_2d(
         center, parse_point(args.x), parse_point(args.y), eps=args.eps
     )
-    _emit(args, [format_number(value)], [{"op": "sphere-distance", "value": format_number(value)}])
-    return 0
+    return [{"op": "sphere-distance", "value": format_number(value)}], _answer
 
 
 def cmd_sphere_diametral(args):
-    _require_text(args)
     center = parse_point(args.center) if args.center else None
     p = parse_point(args.p)
     q = parse_point(args.q)
     b = _ball.Ball(center if center else (0.0,) * len(p), args.radius)
     ok = _ball.is_diametral_pair(b, p, q, eps=args.eps)
-    _emit(args, [_bool_text(ok)], [{"op": "diametral", "result": _bool_text(ok)}])
-    return 0
+    return [{"op": "diametral", "result": _bool_text(ok)}], _answer
 
 
 def cmd_honeycomb_locate(args):
-    _require_text(args)
     res = _honey.locate(parse_point(args.point), eps=args.eps)
-    all_text = " ".join(format_point(c) for c in res.all_centers)
-    lines = [
-        "center: %s" % format_point(res.center),
-        "status: %s" % res.status,
-        "distance: %s" % format_number(res.distance),
-        "all_centers: %s" % all_text,
-    ]
-    recs = [
-        {
-            "op": "locate",
-            "center": format_point(res.center),
-            "status": res.status,
-            "distance": format_number(res.distance),
-            "all_centers": all_text,
-        }
-    ]
-    _emit(args, lines, recs)
-    return 0
+    rec = {
+        "op": "locate",
+        "center": format_point(res.center),
+        "status": res.status,
+        "distance": format_number(res.distance),
+        "all_centers": " ".join(format_point(c) for c in res.all_centers),
+    }
+    return [rec], _fields
 
 
 def cmd_honeycomb_verify(args):
-    _require_text(args)
     _check_box(args.box)
     report = _honey.verify_tiling(
         args.dim,
@@ -495,49 +431,46 @@ def cmd_honeycomb_verify(args):
         seed=args.seed,
         eps=args.eps,
     )
-    pairs = [
-        ("n", report.n),
-        ("samples", report.samples),
-        ("box", format_number(report.box_halfwidth)),
-        ("seed", report.seed),
-        ("interior", report.interior),
-        ("boundary", report.boundary),
-        ("mismatches", report.mismatches),
-    ]
-    lines = ["%s: %s" % (k, v) for k, v in pairs]
-    recs = [dict([("op", "verify")] + pairs)]
-    _emit(args, lines, recs)
-    return 3 if report.mismatches else 0
+    rec = {
+        "op": "verify",
+        "n": report.n,
+        "samples": report.samples,
+        "box": format_number(report.box_halfwidth),
+        "seed": report.seed,
+        "interior": report.interior,
+        "boundary": report.boundary,
+        "mismatches": report.mismatches,
+    }
+    return [rec], _fields, 3 if report.mismatches else 0
 
 
 def cmd_honeycomb_neighbors(args):
-    _require_text(args)
     center = _honey.as_center(parse_point(args.center))
     if not _honey.in_lattice(center):
         raise TropgeoError("center %s is not in the tiling lattice" % format_point(center))
     ns = _honey.neighbors(center, eps=args.eps)
-    lines = [format_point(c) for c in ns]
     recs = [{"op": "neighbors", "center": format_point(center), "count": len(ns)}]
     recs += [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]
-    _emit(args, lines, recs)
-    return 0
+    return recs, _items
+
+
+def _basis_text(recs):
+    return [
+        "%s: %s" % (rec["kind"], rec["vector"]) if "vector" in rec
+        else "same_lattice: %s" % rec["same_lattice"]
+        for rec in recs[1:]
+    ]
 
 
 def cmd_honeycomb_basis(args):
-    _require_text(args)
     basis = _honey.lattice_basis(args.dim)
-    lines = ["basis: %s" % format_point(v) for v in basis]
     recs = [{"op": "basis", "dim": args.dim}]
     recs += [{"kind": "basis", "index": i, "vector": format_point(v)} for i, v in enumerate(basis)]
     if args.dim == 2:
+        recs += [{"kind": "hex_basis", "vector": format_point(v)} for v in _honey.HEX_BASIS_2D]
         same = _honey.spans_same_lattice(basis, _honey.HEX_BASIS_2D)
-        for v in _honey.HEX_BASIS_2D:
-            lines.append("hex_basis: %s" % format_point(v))
-            recs.append({"kind": "hex_basis", "vector": format_point(v)})
-        lines.append("same_lattice: %s" % _bool_text(same))
         recs.append({"kind": "check", "same_lattice": _bool_text(same)})
-    _emit(args, lines, recs)
-    return 0
+    return recs, _basis_text
 
 
 def _render_svg(rings, w):
@@ -648,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull", help="smallest geodesically closed region containing points")
     p.add_argument("points", nargs="*")
     p.add_argument("--file")
-    p.add_argument("--oracle-samples", type=int, default=0, help="also print Monte-Carlo betweenness samples")
-    p.add_argument("--oracle-depth", type=int, default=1)
     p.set_defaults(handler=cmd_hull)
 
     p = sub.add_parser("region-contains", help="membership in the hull of a point file")
@@ -736,7 +667,12 @@ def main(argv=None) -> int:
         print("error: --eps must be a positive real", file=sys.stderr)
         return 2
     try:
-        return args.handler(args)
+        if args.handler is cmd_honeycomb_plot2d:
+            return cmd_honeycomb_plot2d(args)
+        _require_text(args)
+        recs, text, *code = args.handler(args)
+        _emit(args, recs, text)
+        return code[0] if code else 0
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -73,8 +73,8 @@ def curve_length(curve, tol: float = 1e-6, max_depth: int = 24) -> float:
     estimates) if ``max_depth`` doublings do not stabilize.  Converges for
     piecewise linear curves and for smooth curves of bounded turning.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tol must be positive and finite")
     depth = 2
     pts = [as_point(curve(i / 2**depth)) for i in range(2**depth + 1)]
     n = len(pts[0])
@@ -335,29 +335,6 @@ def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
     return GeodesicRegion(lo, up, diff, eps=eps)
 
 
-def pair_hull(x, y, eps: float = DEFAULT_EPS) -> GeodesicRegion:
-    """Region of all points lying between x and y; equals hull([x, y])."""
-    px, py = as_point(x), as_point(y)
-    if len(px) != len(py):
-        raise DimensionMismatch("endpoints have different dimensions")
-    return hull([px, py], eps=eps)
-
-
-def region_contains(region: GeodesicRegion, x, eps: float = DEFAULT_EPS) -> bool:
-    return region.contains(x, eps=eps)
-
-
-def is_tropically_geodesic(lower, upper, diff_lb=None, *, eps: float = DEFAULT_EPS) -> bool:
-    """Feasibility of a bound system: nonempty implies compact and closed
-    under geodesics for systems of this shape.  Pass a region's stored
-    bounds to re-validate an existing instance."""
-    try:
-        GeodesicRegion(lower, upper, diff_lb, eps=eps)
-    except EmptyRegionError:
-        return False
-    return True
-
-
 EDGE_NAMES = ("x=a'", "y=b'", "y-x=c'", "x=a", "y=b", "y-x=c")
 
 POINT_ID = -1
@@ -425,28 +402,3 @@ def classify2d(region: GeodesicRegion, eps: float = DEFAULT_EPS) -> Shape2DType:
             )
     mask = sum(1 << k for k in missing)
     return Shape2DType("polygon", present, len(present), mask)
-
-
-def hull_iterate_oracle(points, depth: int, samples: int, seed: int = 0):
-    """Monte-Carlo betweenness closure, used as an independent hull oracle.
-
-    Starting from the input points, each round draws ``samples`` random
-    pairs from the current set and adds a random point lying between them.
-    Every output lies in hull(points); with enough rounds the samples press
-    into the whole hull.
-    """
-    import random
-
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise DomainError("oracle needs at least one point")
-    rng = random.Random(seed)
-    current = list(pts)
-    for _ in range(depth):
-        fresh = []
-        for _ in range(samples):
-            x = current[rng.randrange(len(current))]
-            y = current[rng.randrange(len(current))]
-            fresh.append(pair_hull(x, y).sample(rng))
-        current.extend(fresh)
-    return current

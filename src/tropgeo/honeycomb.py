@@ -153,8 +153,6 @@ def lattice_basis(n: int) -> list[Center]:
     last = [0] * n
     last[n - 1] = n + 1
     basis.append(tuple(last))
-    if n == 2 and not spans_same_lattice(basis, HEX_BASIS_2D):
-        raise TropgeoError("hexagonal basis desynchronized from lattice basis")
     return basis
 
 
@@ -289,6 +287,10 @@ def verify_tiling(
         raise DomainError("shard_size must be at least 1")
     if not (math.isfinite(box_halfwidth) and box_halfwidth >= 0):
         raise DomainError("box halfwidth must be finite and nonnegative")
+    if box_halfwidth > 2**53:
+        # beyond 2^53 float64 no longer holds every integer, so floors and
+        # lattice offsets of the samples are no longer exact
+        raise DomainError("box halfwidth must be at most 2**53")
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be a positive real")
     interior = boundary = mismatches = 0

@@ -1,6 +1,7 @@
 """Shared samplers and independent oracles for the test suite."""
 
 import itertools
+import random
 
 import numpy as np
 
@@ -93,3 +94,26 @@ def containing_count_oracle(X, F, eps):
         ok &= cdist <= 1.0 + eps
         count += ok
     return count
+
+
+def hull_iterate_oracle(points, depth, samples, seed=0):
+    """Monte-Carlo betweenness closure, an independent hull oracle.
+
+    Starting from the input points, each round draws ``samples`` random
+    pairs from the current set and adds a random point lying between them.
+    Every output lies in hull(points); with enough rounds the samples press
+    into the whole hull.
+    """
+    pts = [tg.as_point(p) for p in points]
+    if not pts:
+        raise tg.DomainError("oracle needs at least one point")
+    rng = random.Random(seed)
+    current = list(pts)
+    for _ in range(depth):
+        fresh = []
+        for _ in range(samples):
+            x = current[rng.randrange(len(current))]
+            y = current[rng.randrange(len(current))]
+            fresh.append(tg.hull([x, y]).sample(rng))
+        current.extend(fresh)
+    return current

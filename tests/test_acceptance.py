@@ -73,10 +73,10 @@ def test_criterion_03_planar_class_census():
     assert by_edges == {3: 2, 4: 9, 5: 6, 6: 1}
 
     # degenerate shapes are classified too, alongside the 18 polygon classes
-    assert tg.classify2d(tg.pair_hull((1, 1), (1, 1))).kind == "point"
-    assert tg.classify2d(tg.pair_hull((0, 0), (2, 0))).kind == "segment-x"
-    assert tg.classify2d(tg.pair_hull((0, 0), (0, 2))).kind == "segment-y"
-    assert tg.classify2d(tg.pair_hull((0, 0), (2, 2))).kind == "segment-diag"
+    assert tg.classify2d(tg.hull([(1, 1), (1, 1)])).kind == "point"
+    assert tg.classify2d(tg.hull([(0, 0), (2, 0)])).kind == "segment-x"
+    assert tg.classify2d(tg.hull([(0, 0), (0, 2)])).kind == "segment-y"
+    assert tg.classify2d(tg.hull([(0, 0), (2, 2)])).kind == "segment-diag"
 
     dt = time.perf_counter() - t0
     assert dt < 10.0

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import tropgeo
-from tropgeo import honeycomb
+from tropgeo import geodesy, honeycomb
 from tropgeo.cli import OPERATION_COMMANDS, build_parser, main
 
 
@@ -113,6 +113,18 @@ def test_circle_length_rejects_bad_radius(capsys):
     assert "radius" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_circle_length_rejects_non_finite_tol(capsys, monkeypatch, tol):
+    # the check must run before any refinement, which a NaN tol never stops
+    def refine(points):
+        raise AssertionError("curve refined before tol was checked")
+
+    monkeypatch.setattr(geodesy, "polyline_length", refine)
+    code, out, err = run(capsys, "circle-length", "--radius", "1", "--tol=" + tol)
+    assert (code, out) == (1, "")
+    assert err == "error: tol must be positive and finite\n"
+
+
 def test_geodesic_check(capsys):
     code, out, _ = run(capsys, "geodesic-check", "0,0", "1,1", "1,2")
     assert (code, out) == (0, "true\n")
@@ -134,15 +146,6 @@ def test_hull_region_output(capsys):
     assert "0 <= x2 <= 2" in lines
     assert "x2 - x1 >= 0" in lines
     assert "x1 - x2 >= -1" in lines
-
-
-def test_hull_oracle_samples_deterministic(capsys):
-    args = ("--seed", "7", "hull", "0,0", "3,1", "--oracle-samples", "5")
-    code, first, _ = run(capsys, *args)
-    assert code == 0
-    assert sum(1 for ln in first.splitlines() if ln.startswith("sample: ")) == 5
-    _, second, _ = run(capsys, *args)
-    assert first == second
 
 
 def test_region_contains(tmp_path, capsys):

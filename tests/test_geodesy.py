@@ -14,7 +14,7 @@ from tropgeo.geodesy import (
     GeodesicRegion,
 )
 
-from helpers import independent_masks, random_pl_geodesic
+from helpers import hull_iterate_oracle, independent_masks, random_pl_geodesic
 
 # lengths
 
@@ -80,8 +80,14 @@ def test_curve_length_zero_refinement_budget():
 
 
 def test_curve_length_rejects_bad_tol():
-    with pytest.raises(tg.DomainError):
-        tg.curve_length(lambda t: (t,), tol=0.0)
+    # a NaN tol never stops the refinement, which then holds 2^max_depth
+    # points, so the curve must not be sampled before tol is checked
+    def curve(t):
+        raise AssertionError("curve sampled before tol was checked")
+
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(tg.DomainError):
+            tg.curve_length(curve, tol=tol)
 
 
 # geodesic predicates
@@ -125,7 +131,7 @@ def test_is_between_worked_values():
 
 
 def test_pair_hull_parallelogram():
-    reg = tg.pair_hull((0, 0), (1, 2))
+    reg = tg.hull([(0, 0), (1, 2)])
     assert reg.lower == (0.0, 0.0)
     assert reg.upper == (1.0, 2.0)
     # 0 <= y - x <= 1
@@ -136,7 +142,7 @@ def test_pair_hull_parallelogram():
 
 
 def test_pair_hull_rectangle_with_redundant_diagonals():
-    reg = tg.pair_hull((0, 2), (3, 0))
+    reg = tg.hull([(0, 2), (3, 0)])
     assert reg.lower == (0.0, 0.0)
     assert reg.upper == (3.0, 2.0)
     # diagonal bounds don't cut into the box
@@ -145,7 +151,7 @@ def test_pair_hull_rectangle_with_redundant_diagonals():
 
 
 def test_pair_hull_of_equal_points_is_a_point():
-    reg = tg.pair_hull((1.5, -2.0), (1.5, -2.0))
+    reg = tg.hull([(1.5, -2.0), (1.5, -2.0)])
     assert reg.affine_dim() == 0
     assert reg.witness() == (1.5, -2.0)
 
@@ -159,7 +165,7 @@ def test_pair_hull_matches_betweenness_in_low_dimensions():
             x = tuple(rng.uniform(-3, 3, n))
             y = tuple(rng.uniform(-3, 3, n))
             z = tuple(rng.uniform(-4, 4, n))
-            assert tg.pair_hull(x, y).contains(z) == tg.is_between(x, z, y)
+            assert tg.hull([x, y]).contains(z) == tg.is_between(x, z, y)
 
 
 def test_pair_hull_members_are_between_in_all_dimensions():
@@ -169,7 +175,7 @@ def test_pair_hull_members_are_between_in_all_dimensions():
         for _ in range(800):
             x = tuple(rng.uniform(-3, 3, n))
             y = tuple(rng.uniform(-3, 3, n))
-            reg = tg.pair_hull(x, y)
+            reg = tg.hull([x, y])
             assert tg.is_between(x, reg.sample(r), y, eps=1e-8)
             assert tg.is_between(x, reg.witness(), y, eps=1e-8)
 
@@ -183,7 +189,7 @@ def test_betweenness_is_strictly_wider_than_the_pair_hull_for_n3():
     assert tg.dist(w, y) == 5.0
     assert tg.dist(x, y) == 8.0
     assert tg.is_between(x, w, y)
-    assert not tg.pair_hull(x, y).contains(w)
+    assert not tg.hull([x, y]).contains(w)
 
 
 # finite-set hulls
@@ -208,10 +214,10 @@ def test_hull_simplex_golden():
 
 
 def test_region_contains_simplex_examples():
-    assert tg.region_contains(SIMPLEX, (0.5, 0.2, 0.1))
-    assert not tg.region_contains(SIMPLEX, (0.1, 0.5, 0.2))
+    assert SIMPLEX.contains((0.5, 0.2, 0.1))
+    assert not SIMPLEX.contains((0.1, 0.5, 0.2))
     for gen in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        assert tg.region_contains(SIMPLEX, gen)
+        assert SIMPLEX.contains(gen)
 
 
 def test_hull_bounds_are_extrema_of_the_generators():
@@ -257,14 +263,13 @@ def test_segments_between_region_members_stay_inside():
                 assert reg.contains(vert, eps=1e-7)
 
 
-def test_is_tropically_geodesic():
-    assert tg.is_tropically_geodesic(SIMPLEX.lower, SIMPLEX.upper, SIMPLEX.diff_lb)
+def test_feasible_bound_systems_are_regions():
+    assert GeodesicRegion(SIMPLEX.lower, SIMPLEX.upper, SIMPLEX.diff_lb) == SIMPLEX
     # contradictory bounds: y - x >= 2 inside the unit square
-    assert not tg.is_tropically_geodesic(
-        (0, 0), (1, 1), ((0, 0), (2, 0))
-    )
+    with pytest.raises(tg.EmptyRegionError):
+        GeodesicRegion((0, 0), (1, 1), ((0, 0), (2, 0)))
     ball = tg.hrep(tg.unit_ball(2))
-    assert tg.is_tropically_geodesic(ball.lower, ball.upper, ball.diff_lb)
+    assert GeodesicRegion(ball.lower, ball.upper, ball.diff_lb) == ball
 
 
 # the region type itself
@@ -288,9 +293,9 @@ def test_closure_propagates_difference_chains():
 
 
 def test_region_equality_and_hash():
-    a = tg.pair_hull((0, 0), (1, 2))
-    b = tg.pair_hull((0, 0), (1, 2))
-    c = tg.pair_hull((0, 0), (1, 3))
+    a = tg.hull([(0, 0), (1, 2)])
+    b = tg.hull([(0, 0), (1, 2)])
+    c = tg.hull([(0, 0), (1, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a.isclose(b)
@@ -298,7 +303,7 @@ def test_region_equality_and_hash():
 
 
 def test_region_is_immutable():
-    reg = tg.pair_hull((0, 0), (1, 2))
+    reg = tg.hull([(0, 0), (1, 2)])
     with pytest.raises(AttributeError):
         reg.lower = (5.0, 5.0)
 
@@ -360,12 +365,12 @@ def test_classify_triangle():
 
 
 def test_classify_degenerates():
-    assert tg.classify2d(tg.pair_hull((1, 1), (1, 1))).canonical_id == POINT_ID
-    assert tg.classify2d(tg.pair_hull((0, 0), (2, 0))).canonical_id == SEGMENT_X_ID
-    assert tg.classify2d(tg.pair_hull((0, 0), (0, 2))).canonical_id == SEGMENT_Y_ID
-    assert tg.classify2d(tg.pair_hull((0, 0), (2, 2))).canonical_id == SEGMENT_DIAG_ID
-    assert tg.classify2d(tg.pair_hull((1, 1), (1, 1))).kind == "point"
-    assert tg.classify2d(tg.pair_hull((0, 0), (2, 0))).kind == "segment-x"
+    assert tg.classify2d(tg.hull([(1, 1), (1, 1)])).canonical_id == POINT_ID
+    assert tg.classify2d(tg.hull([(0, 0), (2, 0)])).canonical_id == SEGMENT_X_ID
+    assert tg.classify2d(tg.hull([(0, 0), (0, 2)])).canonical_id == SEGMENT_Y_ID
+    assert tg.classify2d(tg.hull([(0, 0), (2, 2)])).canonical_id == SEGMENT_DIAG_ID
+    assert tg.classify2d(tg.hull([(1, 1), (1, 1)])).kind == "point"
+    assert tg.classify2d(tg.hull([(0, 0), (2, 0)])).kind == "segment-x"
 
 
 def test_classify_requires_two_dimensions():
@@ -397,12 +402,12 @@ def test_classified_missing_edges_never_adjacent():
 
 def test_oracle_depth_zero_returns_input():
     pts = [(0.0, 0.0), (1.0, 2.0)]
-    assert tg.hull_iterate_oracle(pts, depth=0, samples=50) == pts
+    assert hull_iterate_oracle(pts, depth=0, samples=50) == pts
 
 
 def test_oracle_outputs_stay_in_hull():
     pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
-    out = tg.hull_iterate_oracle(pts, depth=2, samples=120, seed=5)
+    out = hull_iterate_oracle(pts, depth=2, samples=120, seed=5)
     assert len(out) == 4 + 120 + 120
     for p in out:
         assert SIMPLEX.contains(p, eps=1e-9)
@@ -410,7 +415,7 @@ def test_oracle_outputs_stay_in_hull():
 
 def test_oracle_reaches_the_interior():
     pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
-    out = tg.hull_iterate_oracle(pts, depth=2, samples=200, seed=5)
+    out = hull_iterate_oracle(pts, depth=2, samples=200, seed=5)
     slack = []
     for x, y, z in out:
         slack.append(min(x - y, y - z, z - 0.0, 1.0 - x))
@@ -430,6 +435,6 @@ def test_interior_witness_line_of_the_simplex():
 
 def test_oracle_deterministic_under_seed():
     pts = [(0.0, 0.0), (3.0, 1.0)]
-    a = tg.hull_iterate_oracle(pts, depth=1, samples=30, seed=9)
-    b = tg.hull_iterate_oracle(pts, depth=1, samples=30, seed=9)
+    a = hull_iterate_oracle(pts, depth=1, samples=30, seed=9)
+    b = hull_iterate_oracle(pts, depth=1, samples=30, seed=9)
     assert a == b

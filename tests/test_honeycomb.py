@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import tracemalloc
 
@@ -257,6 +258,8 @@ def test_verify_tiling_rejects_bad_arguments():
         {"box_halfwidth": -1.0},
         {"box_halfwidth": math.nan},
         {"box_halfwidth": math.inf},
+        {"box_halfwidth": 1e16},
+        {"box_halfwidth": 1e19},
         {"eps": 0.0},
         {"eps": -1.0},
         {"eps": math.nan},
@@ -269,6 +272,14 @@ def test_verify_tiling_rejects_bad_input(kwargs):
     # front; a shard_size below 1 would otherwise never finish
     with pytest.raises(tg.DomainError):
         tg.verify_tiling(2, samples=0, **kwargs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_verify_tiling_is_exact_up_to_the_box_limit(n, caplog):
+    # 2^53 is the largest box in which float64 holds every integer
+    report = tg.verify_tiling(n, box_halfwidth=2.0**53, samples=3000, seed=1)
+    assert report.mismatches == 0
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def _snapped_floors(X, eps):
