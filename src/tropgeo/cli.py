@@ -1,7 +1,9 @@
 """Command line front door for the min-plus geometry toolkit.
 
 Every library operation is reachable from exactly one subcommand; the
-mapping lives in OPERATION_COMMANDS.  Global flags come before the
+mapping lives in OPERATION_COMMANDS.  Each command returns its result as
+records; ``--format records`` prints them as ``key=value`` blocks and the
+text format is rendered from them.  Global flags come before the
 subcommand: ``tropgeo --format records norm -- -3,-2,1``.  Exit codes:
 0 success, 1 domain violation, 2 usage or parse failure, 3 verification
 failure.
