@@ -153,6 +153,30 @@ def test_locate_translation_covariance():
                 assert shifted.distance == base.distance
 
 
+def _integer_point_centers(p):
+    """Centers within distance 1 of the integer point p, in exact integers."""
+    n = len(p)
+    out = set()
+    for delta in itertools.product((-1, 0, 1), repeat=n):
+        norm = max(max(delta), 0) - min(min(delta), 0)
+        c = tuple(a + b for a, b in zip(p, delta))
+        if norm <= 1 and sum(c) % (n + 1) == 0:
+            out.add(c)
+    return out
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**52, 2.0**53, 1e16, 1e17], ids=repr)
+def test_locate_is_exact_at_every_magnitude(s, caplog):
+    # (s, 3) is an integer point off the lattice: a vertex of three hexagons,
+    # however large s is
+    res = tg.locate((s, 3.0))
+    assert set(res.all_centers) == _integer_point_centers((int(s), 3))
+    assert len(res.all_centers) == 3
+    assert res.status == "boundary"
+    assert res.distance == 1.0
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
 def test_neighbors_golden_2d():
     assert set(tg.neighbors((0, 0))) == {
         (2, 1), (1, 2), (-1, 1), (1, -1), (-2, -1), (-1, -2),
