@@ -58,6 +58,12 @@ def as_point(coords) -> Point:
     return pt
 
 
+def check_eps(eps: float) -> None:
+    """Raise DomainError unless the tolerance eps is positive and finite."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError("eps must be a positive real")
+
+
 def _pair(x, y) -> tuple[Point, Point]:
     px, py = as_point(x), as_point(y)
     if len(px) != len(py):

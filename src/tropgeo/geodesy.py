@@ -2,10 +2,14 @@
 
 A compact set is geodesically closed for the min-plus metric exactly when it
 is cut out by bounds ``a_i <= x_i <= a'_i`` together with difference bounds
-``x_i - x_j >= b_ij``.  ``GeodesicRegion`` stores such a system in canonical
-(tightest-bounds) form; ``hull`` builds the smallest one containing a point
-set, and ``classify2d`` names the polygon shapes these systems cut out in the
-plane.
+``x_i - x_j >= b_ij``.  Such a system is one (n+1) x (n+1) difference-bound
+matrix L, with node 0 standing for the constant 0 and L[i, j] a lower bound
+on x_i - x_j.  ``GeodesicRegion`` stores its canonical form, the max-plus
+Kleene star of L (every bound tightened to the value the system implies),
+computed in float64; ``==`` compares that form exactly, so two systems equal
+in exact arithmetic can differ in the last bits after rounding.  ``hull``
+builds the smallest region containing a point set, and ``classify2d`` names
+the polygon shapes these systems cut out in the plane.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .core import (
     EmptyRegionError,
     Point,
     as_point,
+    check_eps,
     dist,
 )
 
@@ -115,45 +120,46 @@ def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
     return dist(x, z) + dist(z, y) <= dist(x, y) + eps
 
 
-def _close_bounds(lower, upper, diff_lb):
-    """Tighten a bound system by propagating all chained consequences.
+def _close_bounds(lower, upper, diff):
+    """The canonical matrix of the system ``lower <= x <= upper``,
+    ``x_i - x_j >= diff[i][j]``.
 
-    Node 0 stands for the constant 0, node i for x_i; entry L[i][j] is the
-    best known lower bound on x_i - x_j.  Returns the closed matrix.
+    Node 0 stands for the constant 0 and node i for x_i; entry L[i, j] is
+    the best lower bound on x_i - x_j.  Floyd-Warshall in max-plus, one
+    vectorized pass per node, returns the Kleene star of L: every bound
+    raised to the tightest value its chains imply.  A positive diagonal
+    entry is a contradictory cycle.
     """
     n = len(lower)
-    m = n + 1
-    L = [[0.0] * m for _ in range(m)]
-    for i in range(1, m):
-        L[i][0] = lower[i - 1]
-        L[0][i] = -upper[i - 1]
-        row = diff_lb[i - 1]
-        for j in range(1, m):
-            if i != j:
-                L[i][j] = row[j - 1]
-    for k in range(m):
-        Lk = L[k]
-        for i in range(m):
-            Li = L[i]
-            lik = Li[k]
-            for j in range(m):
-                v = lik + Lk[j]
-                if v > Li[j]:
-                    Li[j] = v
+    L = np.empty((n + 1, n + 1))
+    L[1:, 1:] = diff
+    L[1:, 0] = lower
+    L[0, 1:] = [-v for v in upper]
+    L.flat[:: n + 2] = 0.0  # x_i - x_i >= 0, whatever diff's diagonal holds
+    for k in range(n + 1):
+        np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
     return L
 
 
 class GeodesicRegion:
     """Canonical compact region ``{a_i <= x_i <= a'_i, x_i - x_j >= b_ij}``.
 
-    Construction tightens every bound to the value actually attained on the
-    region and raises EmptyRegionError when the system has no solution.
-    Instances are immutable and compare by their canonical bounds.
+    The canonical form is the max-plus Kleene star of the (n+1) x (n+1)
+    difference-bound matrix whose node 0 is the constant 0 (see
+    ``_close_bounds``): construction tightens every bound to the value the
+    system implies, and raises EmptyRegionError when a cycle of bounds
+    contradicts itself by more than eps.  Rounding can leave a feasible
+    system's cycle excess a few ulps above 0; that passes the eps check,
+    and its bounds are kept as computed.  ``lower``, ``upper`` and
+    ``diff_lb`` are tuples of floats read off the closed matrix, with a 0
+    diagonal and every zero stored as 0.0; instances are immutable, and
+    ``==`` and ``hash`` compare these canonical bounds exactly.
     """
 
     __slots__ = ("lower", "upper", "diff_lb")
 
     def __init__(self, lower, upper, diff_lb=None, *, eps: float = DEFAULT_EPS):
+        check_eps(eps)
         lo = as_point(lower)
         up = as_point(upper)
         n = len(lo)
@@ -161,32 +167,31 @@ class GeodesicRegion:
             raise DimensionMismatch("lower and upper bounds differ in length")
         if diff_lb is None:
             # loosest box-consistent difference bounds
-            diff = [[lo[i] - up[j] for j in range(n)] for i in range(n)]
+            diff = np.subtract.outer(lo, up)
         else:
-            diff = [[float(v) for v in row] for row in diff_lb]
-            if len(diff) != n or any(len(row) != n for row in diff):
+            try:
+                diff = np.array(diff_lb, dtype=float)
+            except ValueError as exc:
+                raise DimensionMismatch("diff_lb must be an n by n table of numbers") from exc
+            if diff.shape != (n, n):
                 raise DimensionMismatch("diff_lb must be an n by n table")
-            for row in diff:
-                for v in row:
-                    if not math.isfinite(v):
-                        raise DomainError("difference bounds must be finite")
+            if not np.isfinite(diff).all():
+                raise DomainError("difference bounds must be finite")
         L = _close_bounds(lo, up, diff)
-        m = n + 1
-        worst = max(L[k][k] for k in range(m))
+        # np.maximum breaks a tie of -0.0 and 0.0 either way, so every zero
+        # is stored as 0.0
+        L += 0.0
+        rows = L.tolist()
+        worst = max(rows[k][k] for k in range(n + 1))
         if worst > eps:
             raise EmptyRegionError(
                 "bound system is infeasible (cycle excess %g)" % worst
             )
-        object.__setattr__(self, "lower", tuple(L[i][0] for i in range(1, m)))
-        object.__setattr__(self, "upper", tuple(-L[0][i] for i in range(1, m)))
-        object.__setattr__(
-            self,
-            "diff_lb",
-            tuple(
-                tuple(L[i][j] if i != j else 0.0 for j in range(1, m))
-                for i in range(1, m)
-            ),
-        )
+        for k, row in enumerate(rows):
+            row[k] = 0.0
+        object.__setattr__(self, "lower", tuple(row[0] for row in rows[1:]))
+        object.__setattr__(self, "upper", tuple(0.0 - v for v in rows[0][1:]))
+        object.__setattr__(self, "diff_lb", tuple(tuple(row[1:]) for row in rows[1:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeodesicRegion is immutable")
@@ -213,20 +218,6 @@ class GeodesicRegion:
             self.upper,
             self.diff_lb,
         )
-
-    def isclose(self, other: "GeodesicRegion", eps: float = DEFAULT_EPS) -> bool:
-        if self.dim != other.dim:
-            return False
-        n = self.dim
-        pairs = [(self.lower, other.lower), (self.upper, other.upper)]
-        for a, b in pairs:
-            if any(abs(u - v) > eps for u, v in zip(a, b)):
-                return False
-        for i in range(n):
-            for j in range(n):
-                if abs(self.diff_lb[i][j] - other.diff_lb[i][j]) > eps:
-                    return False
-        return True
 
     def contains(self, x, eps: float = DEFAULT_EPS) -> bool:
         px = as_point(x)
@@ -261,18 +252,10 @@ class GeodesicRegion:
         """Intersection, recanonicalized; raises EmptyRegionError if empty."""
         if self.dim != other.dim:
             raise DimensionMismatch("regions have different dimensions")
-        n = self.dim
-        lo = tuple(max(a, b) for a, b in zip(self.lower, other.lower))
-        up = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
-        diff = [
-            [max(self.diff_lb[i][j], other.diff_lb[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
+        lo = tuple(map(max, self.lower, other.lower))
+        up = tuple(map(min, self.upper, other.upper))
+        diff = [tuple(map(max, a, b)) for a, b in zip(self.diff_lb, other.diff_lb)]
         return GeodesicRegion(lo, up, diff, eps=eps)
-
-    def witness(self) -> Point:
-        """A feasible point: the canonical lower-bound vector."""
-        return self.lower
 
     def affine_dim(self, eps: float = DEFAULT_EPS) -> int:
         """Dimension of the affine hull of the region."""
@@ -326,13 +309,10 @@ def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
     for p in pts:
         if len(p) != n:
             raise DimensionMismatch("hull points have mixed dimensions")
-    lo = tuple(min(p[i] for p in pts) for i in range(n))
-    up = tuple(max(p[i] for p in pts) for i in range(n))
-    diff = [
-        [min(p[i] - p[j] for p in pts) if i != j else 0.0 for j in range(n)]
-        for i in range(n)
-    ]
-    return GeodesicRegion(lo, up, diff, eps=eps)
+    P = np.array(pts)
+    # row i holds min over the points of p_i - p_j, one m x n pass per i
+    diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(n)])
+    return GeodesicRegion(P.min(axis=0), P.max(axis=0), diff, eps=eps)
 
 
 EDGE_NAMES = ("x=a'", "y=b'", "y-x=c'", "x=a", "y=b", "y-x=c")

@@ -29,6 +29,7 @@ from .core import (
     Point,
     TropgeoError,
     as_point,
+    check_eps,
     dist,
 )
 from .ball import Ball, hrep, _HEX_RING
@@ -76,7 +77,11 @@ class LocateResult:
 
 
 def _fast_center(x, eps: float):
-    """Case analysis on floors: returns (center, snapped_any)."""
+    """Case analysis on floors: returns (center, dist(center, x), snapped_any).
+
+    The distance is taken between the 0/1 raises and x minus its floors,
+    both exact, so it is exact at every magnitude.
+    """
     n = len(x)
     floors = []
     snapped = False
@@ -84,33 +89,42 @@ def _fast_center(x, eps: float):
         r = round(v)
         if abs(v - r) <= eps:
             snapped = True
-            floors.append(int(r))
+            floors.append(r)
         else:
-            floors.append(int(math.floor(v)))
+            floors.append(math.floor(v))
     k = sum(floors) % (n + 1)
-    if k == 0:
-        return tuple(floors), snapped
-    if k == 1:
-        return tuple(f + 1 for f in floors), snapped
     fracs = [v - f for v, f in zip(x, floors)]
-    order = sorted(range(n), key=lambda i: (fracs[i], i))
-    keep = set(order[: k - 1])
-    return tuple(f if i in keep else f + 1 for i, f in enumerate(floors)), snapped
+    # raise no coordinate when k == 0, else all but the k - 1 with the
+    # smallest fractional parts (a stable sort breaks ties by index)
+    raised = [0 if k == 0 else 1] * n
+    if k > 1:
+        for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
+            raised[i] = 0
+    return tuple(f + b for f, b in zip(floors, raised)), dist(raised, fracs), snapped
+
+
+def _local_frame(px: Point) -> tuple[Center, Point]:
+    """The floors F of x and x - F, both exact at every magnitude: centers
+    near x are F plus small offsets, so no distance rounds a lattice point."""
+    F = tuple(math.floor(v) for v in px)
+    return F, tuple(v - f for v, f in zip(px, F))
 
 
 def locate_bruteforce(x, eps: float = DEFAULT_EPS) -> list[Center]:
     """All tiling centers whose closed ball contains x, by enumeration."""
     px = as_point(x)
     n = len(px)
+    F, u = _local_frame(px)
+    r = -sum(F) % (n + 1)
     ranges = [
-        range(math.ceil(v - 1.0 - eps), math.floor(v + 1.0 + eps) + 1) for v in px
+        range(math.ceil(v - 1.0 - eps), math.floor(v + 1.0 + eps) + 1) for v in u
     ]
     out = []
-    for cand in itertools.product(*ranges):
-        if sum(cand) % (n + 1) != 0:
+    for off in itertools.product(*ranges):
+        if sum(off) % (n + 1) != r:
             continue
-        if dist(cand, px) <= 1.0 + eps:
-            out.append(cand)
+        if dist(off, u) <= 1.0 + eps:
+            out.append(tuple(f + o for f, o in zip(F, off)))
     return out
 
 
@@ -122,11 +136,12 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
     fractional parts.  The resulting distance is the certificate: below
     1 - eps the point is interior and the center unique.  Near-integer
     coordinates or a certificate at 1 or above engage the brute-force
-    enumeration.
+    enumeration.  Distances are taken relative to the floors of x, so the
+    answer is exact at every magnitude.
     """
     px = as_point(x)
-    c, snapped = _fast_center(px, eps)
-    d = dist(c, px)
+    check_eps(eps)
+    c, d, snapped = _fast_center(px, eps)
     if not snapped and d < 1.0 - eps:
         return LocateResult(c, "interior", (c,), d)
     all_centers = locate_bruteforce(px, eps)
@@ -134,8 +149,8 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
         log.warning("fast-path center %r missed for %r; using nearest", c, px)
         if not all_centers:
             raise DomainError("no tiling ball contains %r" % (px,))
-        c = min(all_centers, key=lambda cc: dist(cc, px))
-        d = dist(c, px)
+        F, u = _local_frame(px)
+        d, c = min((dist([a - f for a, f in zip(cc, F)], u), cc) for cc in all_centers)
     status = "interior" if (d < 1.0 - eps and len(all_centers) == 1) else "boundary"
     return LocateResult(c, status, tuple(all_centers), d)
 
@@ -206,6 +221,7 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
     out to n(n+1); anything else widens the window once and then fails."""
     cc = as_center(c)
     n = len(cc)
+    check_eps(eps)
     if not in_lattice(cc):
         raise DomainError("center %r is not in the tiling lattice" % (cc,))
     expected = n * (n + 1)
@@ -291,8 +307,7 @@ def verify_tiling(
         # beyond 2^53 float64 no longer holds every integer, so floors and
         # lattice offsets of the samples are no longer exact
         raise DomainError("box halfwidth must be at most 2**53")
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError("eps must be a positive real")
+    check_eps(eps)
     interior = boundary = mismatches = 0
     done = 0
     shard = 0
@@ -333,30 +348,20 @@ def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
     d = np.maximum(diffs.max(axis=1), 0.0) - np.minimum(diffs.min(axis=1), 0.0)
 
     count = _containing_counts(X, F, eps)
-
+    # rows with a coordinate within eps of an integer are not complete in the
+    # floor-plus-0/1 count, so scalar locate answers for them
     clean = ~snapped.any(axis=1)
-    is_interior = clean & (d < 1.0 - eps)
-    is_boundary = clean & ~is_interior
-    interior = int(is_interior.sum())
-    boundary = int(is_boundary.sum())
-    bad_interior = is_interior & (count != 1)
-    near_one = np.abs(d - 1.0) <= eps
-    bad_boundary = is_boundary & ((d > 1.0 + eps) | ((count < 2) & ~near_one))
-    mismatches = int(bad_interior.sum()) + int(bad_boundary.sum())
-
     for idx in np.nonzero(~clean)[0]:
         res = locate(tuple(X[idx]), eps)
-        if res.status == "interior":
-            interior += 1
-            if len(res.all_centers) != 1:
-                mismatches += 1
-        else:
-            boundary += 1
-            if res.distance > 1.0 + eps or (
-                len(res.all_centers) < 2 and abs(res.distance - 1.0) > eps
-            ):
-                mismatches += 1
-    return interior, boundary, mismatches
+        d[idx] = res.distance
+        count[idx] = len(res.all_centers)
+
+    # locate's status rule, and the mismatch rule for each status
+    is_interior = (d < 1.0 - eps) & (clean | (count == 1))
+    bad_boundary = (d > 1.0 + eps) | ((count < 2) & (np.abs(d - 1.0) > eps))
+    mismatches = int(np.where(is_interior, count != 1, bad_boundary).sum())
+    interior = int(is_interior.sum())
+    return interior, len(X) - interior, mismatches
 
 
 # Element budget of each temporary array in _containing_counts (2 MiB of

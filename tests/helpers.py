@@ -96,6 +96,36 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
+def close_bounds_oracle(lower, upper, diff_lb):
+    """Tighten a bound system by propagating all chained consequences.
+
+    Node 0 stands for the constant 0, node i for x_i; entry L[i][j] is the
+    best known lower bound on x_i - x_j.  Returns the closed matrix.  A
+    pure-Python Floyd-Warshall over lists, updating in place, as an
+    independent route to the library's vectorized closure.
+    """
+    n = len(lower)
+    m = n + 1
+    L = [[0.0] * m for _ in range(m)]
+    for i in range(1, m):
+        L[i][0] = lower[i - 1]
+        L[0][i] = -upper[i - 1]
+        row = diff_lb[i - 1]
+        for j in range(1, m):
+            if i != j:
+                L[i][j] = row[j - 1]
+    for k in range(m):
+        Lk = L[k]
+        for i in range(m):
+            Li = L[i]
+            lik = Li[k]
+            for j in range(m):
+                v = lik + Lk[j]
+                if v > Li[j]:
+                    Li[j] = v
+    return L
+
+
 def hull_iterate_oracle(points, depth, samples, seed=0):
     """Monte-Carlo betweenness closure, an independent hull oracle.
 

@@ -315,3 +315,23 @@ def test_format_parse_round_trip(x):
 
 def test_point_text_round_trip_examples():
     assert core.format_point((1.0, -2.5, 0.0)) == "1,-2.5,0"
+
+
+EPS_CALLS = {
+    "GeodesicRegion": lambda eps: tg.GeodesicRegion((1,), (0,), eps=eps),
+    "hull": lambda eps: tg.hull([(0, 0)], eps=eps),
+    "hrep": lambda eps: tg.hrep(tg.unit_ball(2), eps=eps),
+    "intersect": lambda eps: tg.hull([(0, 0)]).intersect(tg.hull([(0, 0)]), eps=eps),
+    "locate": lambda eps: tg.locate((0.5, 0.25), eps=eps),
+    "neighbors": lambda eps: tg.neighbors((0, 0), eps=eps),
+    "verify_tiling": lambda eps: tg.verify_tiling(2, samples=0, eps=eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("call", sorted(EPS_CALLS))
+def test_every_entry_point_rejects_a_bad_eps(call, eps, caplog):
+    with pytest.raises(tg.DomainError, match="eps must be a positive real"):
+        EPS_CALLS[call](eps)
+    assert not caplog.records
+

@@ -14,7 +14,12 @@ from tropgeo.geodesy import (
     GeodesicRegion,
 )
 
-from helpers import hull_iterate_oracle, independent_masks, random_pl_geodesic
+from helpers import (
+    close_bounds_oracle,
+    hull_iterate_oracle,
+    independent_masks,
+    random_pl_geodesic,
+)
 
 # lengths
 
@@ -153,7 +158,7 @@ def test_pair_hull_rectangle_with_redundant_diagonals():
 def test_pair_hull_of_equal_points_is_a_point():
     reg = tg.hull([(1.5, -2.0), (1.5, -2.0)])
     assert reg.affine_dim() == 0
-    assert reg.witness() == (1.5, -2.0)
+    assert reg.lower == (1.5, -2.0)
 
 
 def test_pair_hull_matches_betweenness_in_low_dimensions():
@@ -177,7 +182,7 @@ def test_pair_hull_members_are_between_in_all_dimensions():
             y = tuple(rng.uniform(-3, 3, n))
             reg = tg.hull([x, y])
             assert tg.is_between(x, reg.sample(r), y, eps=1e-8)
-            assert tg.is_between(x, reg.witness(), y, eps=1e-8)
+            assert tg.is_between(x, reg.lower, y, eps=1e-8)
 
 
 def test_betweenness_is_strictly_wider_than_the_pair_hull_for_n3():
@@ -198,7 +203,7 @@ def test_betweenness_is_strictly_wider_than_the_pair_hull_for_n3():
 def test_hull_single_point():
     reg = tg.hull([(2.0, -1.0)])
     assert reg.affine_dim() == 0
-    assert reg.witness() == (2.0, -1.0)
+    assert reg.lower == (2.0, -1.0)
 
 
 SIMPLEX = tg.hull([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
@@ -272,6 +277,96 @@ def test_feasible_bound_systems_are_regions():
     assert GeodesicRegion(ball.lower, ball.upper, ball.diff_lb) == ball
 
 
+def _random_system(rng, n, integral):
+    """Bounds of a random point cloud's hull, each moved by its own slack.
+
+    Positive slack loosens a bound and keeps the system feasible; negative
+    slack tightens it and can make the system contradict itself.  Integral
+    systems hit exact ties, zeros of both signs among them.
+    """
+    m = int(rng.integers(1, 8))
+    shapes = (n, n, (n, n))
+    if integral:
+        P = rng.integers(-3, 4, (m, n)).astype(float)
+        slack = [rng.integers(-1, 2, shape) for shape in shapes]
+    else:
+        P = rng.uniform(-5, 5, (m, n))
+        slack = [rng.uniform(-0.4, 1.0, shape) for shape in shapes]
+    lo = P.min(axis=0) - slack[0]
+    up = P.max(axis=0) + slack[1]
+    diff = (P[:, :, None] - P[:, None, :]).min(axis=0) - slack[2]
+    return tuple(lo.tolist()), tuple(up.tolist()), diff.tolist()
+
+
+def _oracle_region(lower, upper, diff):
+    """The closed system by the pure-Python oracle, or None when it is empty.
+
+    Bounds are read off as the library stores them, with every zero as 0.0.
+    """
+    L = close_bounds_oracle(lower, upper, diff)
+    m = len(L)
+    if max(L[k][k] for k in range(m)) > tg.DEFAULT_EPS:
+        return None, L
+    lo = tuple(L[i][0] + 0.0 for i in range(1, m))
+    up = tuple(0.0 - L[0][i] for i in range(1, m))
+    dl = tuple(tuple(L[i][j] + 0.0 if i != j else 0.0 for j in range(1, m)) for i in range(1, m))
+    return (lo, up, dl), L
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["real", "integral"])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [60])
+def test_closure_matches_the_oracle_bit_for_bit(n, integral):
+    rng = np.random.default_rng([n, integral])
+    verdicts = set()
+    for _ in range(200 if n <= 12 else 4):
+        lower, upper, diff = _random_system(rng, n, integral)
+        want, L = _oracle_region(lower, upper, diff)
+        verdicts.add(want is None)
+        if want is None:
+            with pytest.raises(tg.EmptyRegionError):
+                GeodesicRegion(lower, upper, diff)
+            continue
+        reg = GeodesicRegion(lower, upper, diff)
+        if max(L[k][k] for k in range(n + 1)) <= 0.0:
+            # compared as bytes, so the sign of a zero counts too
+            assert _bits(reg.lower) == _bits(want[0])
+            assert _bits(reg.upper) == _bits(want[1])
+            assert _bits(reg.diff_lb) == _bits(want[2])
+    assert verdicts == {True, False}
+
+
+def test_cycle_excess_is_held_to_eps():
+    # a lower bound t above the upper bound closes to a diagonal of 2t, as
+    # the positive cycle is walked twice
+    with pytest.raises(tg.EmptyRegionError):
+        GeodesicRegion((2e-9,), (0.0,))
+    assert GeodesicRegion((2e-9,), (0.0,), eps=1e-8).dim == 1
+    assert GeodesicRegion((0.25e-9,), (0.0,)).dim == 1
+
+
+def test_every_zero_bound_is_stored_as_positive_zero():
+    # inside the closure a tie of -0.0 and 0.0 may fall either way
+    for n in range(1, 13):
+        reg = GeodesicRegion((-0.0,) * n, (0.0,) * n, [[-0.0] * n] * n)
+        bounds = reg.lower + reg.upper + sum(reg.diff_lb, ())
+        assert all(math.copysign(1.0, v) == 1.0 for v in bounds)
+
+
+def test_hull_matches_pure_python_bounds():
+    rng = np.random.default_rng(34)
+    for _ in range(100):
+        n = int(rng.integers(1, 13))
+        pts = [tuple(rng.uniform(-4, 4, n)) for _ in range(int(rng.integers(1, 60)))]
+        lo = [min(p[i] for p in pts) for i in range(n)]
+        up = [max(p[i] for p in pts) for i in range(n)]
+        diff = [[min(p[i] - p[j] for p in pts) for j in range(n)] for i in range(n)]
+        assert tg.hull(pts) == GeodesicRegion(lo, up, diff)
+
+
 # the region type itself
 
 
@@ -298,7 +393,6 @@ def test_region_equality_and_hash():
     c = tg.hull([(0, 0), (1, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != c
-    assert a.isclose(b)
     assert "GeodesicRegion" in repr(a)
 
 
@@ -306,6 +400,22 @@ def test_region_is_immutable():
     reg = tg.hull([(0, 0), (1, 2)])
     with pytest.raises(AttributeError):
         reg.lower = (5.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "diff, error",
+    [
+        (((0, 0), (0,)), tg.DimensionMismatch),
+        (((0, 0, 0), (0, 0, 0)), tg.DimensionMismatch),
+        ((0, 0), tg.DimensionMismatch),
+        (((0, math.nan), (0, 0)), tg.DomainError),
+        (((0, 0), (-math.inf, 0)), tg.DomainError),
+    ],
+    ids=repr,
+)
+def test_region_rejects_a_malformed_difference_table(diff, error):
+    with pytest.raises(error):
+        GeodesicRegion((0, 0), (1, 1), diff)
 
 
 def test_region_intersect():

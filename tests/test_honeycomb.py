@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,27 +154,32 @@ def test_locate_translation_covariance():
                 assert shifted.distance == base.distance
 
 
-def _integer_point_centers(p):
-    """Centers within distance 1 of the integer point p, in exact integers."""
-    n = len(p)
-    out = set()
-    for delta in itertools.product((-1, 0, 1), repeat=n):
-        norm = max(max(delta), 0) - min(min(delta), 0)
-        c = tuple(a + b for a, b in zip(p, delta))
-        if norm <= 1 and sum(c) % (n + 1) == 0:
-            out.add(c)
+def _exact_centers(x):
+    """Each center within distance 1 of the rational point x, with its
+    distance, in exact arithmetic."""
+    n = len(x)
+    out = {}
+    for delta in itertools.product((-1, 0, 1, 2), repeat=n):
+        c = tuple(math.floor(v) + b for v, b in zip(x, delta))
+        diff = [a - v for a, v in zip(c, x)]
+        d = max(max(diff), 0) - min(min(diff), 0)
+        if d <= 1 and sum(c) % (n + 1) == 0:
+            out[c] = d
     return out
 
 
+@pytest.mark.parametrize("y", [3.0, 3.25, 3.5, 3.75])
 @pytest.mark.parametrize("s", [1.0, 2.0**52, 2.0**53, 1e16, 1e17], ids=repr)
-def test_locate_is_exact_at_every_magnitude(s, caplog):
-    # (s, 3) is an integer point off the lattice: a vertex of three hexagons,
-    # however large s is
-    res = tg.locate((s, 3.0))
-    assert set(res.all_centers) == _integer_point_centers((int(s), 3))
-    assert len(res.all_centers) == 3
-    assert res.status == "boundary"
-    assert res.distance == 1.0
+def test_locate_is_exact_at_every_magnitude(s, y, caplog):
+    # (s, 3) is a vertex of three hexagons however large s is; past 2^53 a
+    # center one step from x rounds onto x's own coordinate, so distances
+    # taken in the global frame come out too short
+    want = _exact_centers((Fraction(s), Fraction(y)))
+    res = tg.locate((s, y))
+    assert set(res.all_centers) == set(want)
+    assert y != 3.0 or len(want) == 3
+    assert res.distance == float(want[res.center])
+    assert (res.status == "interior") == (len(want) == 1 and want[res.center] < 1)
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
@@ -304,6 +310,17 @@ def test_verify_tiling_is_exact_up_to_the_box_limit(n, caplog):
     report = tg.verify_tiling(n, box_halfwidth=2.0**53, samples=3000, seed=1)
     assert report.mismatches == 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize(
+    "n, box, seed, interior, boundary",
+    [(2, 0.7, 1, 4794, 206), (3, 3.0, 7, 4322, 678), (5, 10.0, 1, 3861, 1139)],
+)
+def test_verify_tiling_report_with_a_wide_eps(n, box, seed, interior, boundary):
+    # eps = 0.05 sends a tenth of the coordinates to the scalar locate path,
+    # so these pinned counts hold the batch and the scalar rows to one rule
+    report = tg.verify_tiling(n, box_halfwidth=box, samples=5000, seed=seed, eps=0.05)
+    assert (report.interior, report.boundary, report.mismatches) == (interior, boundary, 0)
 
 
 def _snapped_floors(X, eps):
