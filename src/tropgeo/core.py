@@ -260,7 +260,10 @@ def _parse_coords(text: str, sep: str) -> Point:
 
 
 def format_number(v: float) -> str:
-    """Shortest faithful decimal; integral values print without a dot."""
+    """Shortest faithful decimal; integral values print without a dot, and
+    an int, such as a lattice coordinate, prints every digit."""
+    if isinstance(v, int):
+        return str(v)
     f = float(v)
     if f.is_integer() and abs(f) < 1e15:
         return str(int(f))
@@ -268,4 +271,6 @@ def format_number(v: float) -> str:
 
 
 def format_point(p) -> str:
-    return ",".join(format_number(v) for v in as_point(p))
+    p = tuple(p)
+    as_point(p)  # a point is nonempty and finite, whatever its entry type
+    return ",".join(format_number(v) for v in p)

@@ -7,13 +7,19 @@ finds it in O(n log n) from floors and sorted fractional parts, with a
 distance certificate and a brute-force fallback near boundaries.
 
 verify_tiling checks that locator on random samples against an independent
-count.  A floor-plus-0/1 candidate F + b is a center exactly when |b| is
-r = (-sum F) mod (n+1), so only the C(n, r) offsets of that weight are
-evaluated, in numpy broadcasts cut to a fixed element budget.
+count.  It works on each shard of samples as one coordinate-major (n, m)
+array, so every numpy reduction runs over the leading coordinate axis: the
+batch locator takes the floors, their sum mod n+1 and a stable rank of the
+fractional parts written out as one comparison per pair of coordinates.
+A floor-plus-0/1 candidate F + b is a center exactly when |b| is
+r = (-sum F) mod (n+1), so the count evaluates only the C(n, r) offsets of
+that weight, taken from cached read-only bool blocks, in numpy broadcasts
+cut to a fixed element budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -287,13 +293,18 @@ def verify_tiling(
     the substream seeded by (seed, s), so reports are reproducible for a
     given (seed, samples, shard_size).
 
+    Each shard is transposed once to an (n, m) array, one sample per
+    column.  The batch locator is the fast path of ``locate`` on every
+    column, with the stable sort of the fractional parts replaced by a rank
+    from pairwise comparisons; it gives the same centers and distances.
     The enumeration tests, for each sample, every floor-plus-0/1 candidate
     that is a lattice point: the C(n, r) offsets of weight
     r = (-sum of floors) mod (n+1), about 2^n / (n+1) per sample rather than
-    2^n.  Samples with a coordinate within eps of an integer go through
-    ``locate`` instead.  The candidates are evaluated in numpy broadcasts
-    cut into chunks of at most 2^18 elements (2 MiB of float64) each, so
-    memory beyond the shard itself does not grow with C(n, r).
+    2^n, read from cached read-only bool blocks.  Samples with a coordinate
+    within eps of an integer go through ``locate`` instead.  The candidates
+    are evaluated in numpy broadcasts cut into chunks of at most 2^18
+    elements (2 MiB of float64) each, so memory beyond the shard itself does
+    not grow with C(n, r).
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
@@ -333,85 +344,139 @@ def verify_tiling(
 
 
 def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
-    n = X.shape[1]
-    R = np.round(X)
-    snapped = np.abs(X - R) <= eps
-    Xs = np.where(snapped, R, X)
-    F = np.floor(Xs)
-    k = F.sum(axis=1).astype(np.int64) % (n + 1)
-    frac = X - F
-    order = np.argsort(frac, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    inc = (rank >= (k[:, None] - 1)) & (k[:, None] != 0)
-    C = F + inc
-    diffs = X - C
-    d = np.maximum(diffs.max(axis=1), 0.0) - np.minimum(diffs.min(axis=1), 0.0)
-
-    count = _containing_counts(X, F, eps)
+    # one transpose per shard: every kernel below reduces over the leading
+    # coordinate axis of this (n, m) copy, never over a short trailing one
+    XT = np.ascontiguousarray(X.T)
+    F, _, d, snapped = _locate_rows(XT, eps)
+    count = _containing_counts(XT, F, eps)
     # rows with a coordinate within eps of an integer are not complete in the
     # floor-plus-0/1 count, so scalar locate answers for them
-    clean = ~snapped.any(axis=1)
-    for idx in np.nonzero(~clean)[0]:
+    for idx in np.nonzero(snapped)[0]:
         res = locate(tuple(X[idx]), eps)
         d[idx] = res.distance
         count[idx] = len(res.all_centers)
 
     # locate's status rule, and the mismatch rule for each status
-    is_interior = (d < 1.0 - eps) & (clean | (count == 1))
+    is_interior = (d < 1.0 - eps) & (~snapped | (count == 1))
     bad_boundary = (d > 1.0 + eps) | ((count < 2) & (np.abs(d - 1.0) > eps))
     mismatches = int(np.where(is_interior, count != 1, bad_boundary).sum())
     interior = int(is_interior.sum())
     return interior, len(X) - interior, mismatches
 
 
+def _locate_rows(
+    XT: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_fast_center on every column of XT, an (n, m) array of m points.
+
+    Returns (F, inc, d, snapped): the floors after snapping, the 0/1 raises,
+    so that column j's center is F[:, j] + inc[:, j], the distance d[j] to
+    it, and whether any coordinate of column j snapped to an integer.  Each
+    entry equals _fast_center's on the same point while |x| <= 2^53, where
+    the floors and x - F are exact.
+    """
+    R = np.rint(XT)
+    near = np.abs(XT - R) <= eps
+    F = np.floor(XT)
+    np.copyto(F, R, where=near)
+    k = _floor_sum_residue(F)
+    diffs = XT - F
+    inc = (_stable_rank(diffs) >= k - 1) & (k != 0)
+    # x - F is exact, so taking inc off it rounds once, to the same
+    # doubles as x - (F + inc) and as _fast_center's dist
+    diffs -= inc
+    d = np.maximum(diffs.max(axis=0), 0.0) - np.minimum(diffs.min(axis=0), 0.0)
+    return F, inc, d, near.any(axis=0)
+
+
+def _floor_sum_residue(F: np.ndarray) -> np.ndarray:
+    """Per column of the (n, m) floors F, (sum of F) mod (n+1), as int64.
+
+    Summed in int64, so exact while n * max|F| < 2^63.  The remainder is
+    spelled with floor division, which numpy vectorizes for a scalar
+    divisor while its integer % is several times slower.
+    """
+    p = F.shape[0] + 1
+    s = F.sum(axis=0, dtype=np.int64)
+    return s - s // p * p
+
+
+def _stable_rank(f: np.ndarray) -> np.ndarray:
+    """Per column of the (n, m) array f, each entry's position in a stable
+    ascending sort of that column: #{j < i : f_j <= f_i} + #{j > i : f_j < f_i}.
+
+    Written as one comparison per pair of coordinates, each across all m
+    columns, which beats two argsorts along short rows.
+    """
+    n, m = f.shape
+    # row i starts at i, as if every earlier entry sorted first; then each
+    # pair i < j with f_j < f_i moves i up one place and j down one, so
+    # every partial rank stays in [0, n)
+    rank = np.empty((n, m), dtype=np.min_scalar_type(n))
+    rank[...] = np.arange(n, dtype=rank.dtype)[:, None]
+    for i in range(n):
+        for j in range(i + 1, n):
+            later_smaller = f[j] < f[i]
+            rank[i] += later_smaller
+            rank[j] -= later_smaller
+    return rank
+
+
 # Element budget of each temporary array in _containing_counts (2 MiB of
-# float64): the (n, rows, candidates) broadcast is cut along the row and the
-# candidate axes so that memory stays flat however large C(n, r) or the
+# float64): the (n, candidates, rows) broadcast is cut along the candidate
+# and the row axes so that memory stays flat however large C(n, r) or the
 # shard is.
 _BROADCAST_BUDGET = 1 << 18
 
 
-def _containing_counts(X: np.ndarray, F: np.ndarray, eps: float) -> np.ndarray:
-    """Per row, the number of tiling centers F + b, b in {0,1}^n, within 1 + eps.
+def _containing_counts(XT: np.ndarray, FT: np.ndarray, eps: float) -> np.ndarray:
+    """Per column of XT, the number of tiling centers F + b, b in {0,1}^n,
+    within 1 + eps.
 
-    F + b has coordinate sum divisible by n+1 exactly when the weight |b|
-    equals r = (-sum F) mod (n+1), because |b| lies in [0, n].  So each row
-    is tested against the C(n, r) weight-r vectors only, and every one of
-    them is tested: the count comes from evaluating dist, not from the
-    sorted fractional parts the locator uses.  Complete whenever no
-    coordinate sits within eps of an integer.
+    XT holds m points as columns, shape (n, m), and FT their floors.  F + b
+    has coordinate sum divisible by n+1 exactly when the weight |b| equals
+    r = (-sum F) mod (n+1), because |b| lies in [0, n].  So each point is
+    tested against the C(n, r) weight-r vectors only, and every one of them
+    is tested: the count comes from evaluating dist, not from the sorted
+    fractional parts the locator uses.  Complete whenever no coordinate
+    sits within eps of an integer.
     """
-    m, n = X.shape
-    weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
+    n, m = XT.shape
+    k = _floor_sum_residue(FT)
     count = np.zeros(m, dtype=np.int64)
     for r in range(n + 1):
-        rows = np.nonzero(weight == r)[0]
-        if rows.size == 0:
+        cols = np.nonzero(k == -r % (n + 1))[0]
+        if cols.size == 0:
             continue
-        Xr = X[rows].T[:, :, None]
-        Fr = F[rows].T[:, :, None]
+        # take, unlike XT[:, cols], gives C order, so each broadcast below
+        # is laid out (n, candidates, rows) and reduces over whole slabs
+        Xr = XT.take(cols, axis=1)[:, None, :]
+        Fr = FT.take(cols, axis=1)[:, None, :]
         for B in _weight_vectors(n, r, max(1, _BROADCAST_BUDGET // n)):
             step = max(1, _BROADCAST_BUDGET // B.size)
-            for lo in range(0, rows.size, step):
-                # C order keeps the coordinate axis outermost, so max and
-                # min reduce whole slabs instead of n-long runs per candidate
-                cd = np.subtract(Xr[:, lo : lo + step], Fr[:, lo : lo + step] + B, order="C")
+            for lo in range(0, cols.size, step):
+                cd = Xr[:, :, lo : lo + step] - (Fr[:, :, lo : lo + step] + B)
                 cdist = np.maximum(cd.max(axis=0), 0.0) - np.minimum(cd.min(axis=0), 0.0)
-                count[rows[lo : lo + step]] += (cdist <= 1.0 + eps).sum(axis=1)
+                count[cols[lo : lo + step]] += (cdist <= 1.0 + eps).sum(axis=0)
     return count
 
 
-def _weight_vectors(n: int, r: int, cap: int):
+@functools.lru_cache(maxsize=64)
+def _weight_vectors(n: int, r: int, cap: int) -> tuple[np.ndarray, ...]:
     """The 0/1 vectors of length n and weight r, in blocks of at most cap.
 
-    Each block has shape (n, 1, k): one column per vector, ready to
-    broadcast against (n, rows, 1) coordinates.
+    Each block is a read-only bool array of shape (n, k, 1): one vector
+    per slot of the middle axis, ready to broadcast against (n, 1, rows)
+    floors.  Cached, since every shard asks for the same blocks.
     """
     combos = itertools.combinations(range(n), r)
+    blocks = []
     while chunk := list(itertools.islice(combos, cap)):
-        B = np.zeros((n, 1, len(chunk)))
-        B[np.array(chunk, dtype=np.intp).T, 0, np.arange(len(chunk))] = 1.0
-        yield B
+        B = np.zeros((n, len(chunk), 1), dtype=bool)
+        B[np.array(chunk, dtype=np.intp).T, np.arange(len(chunk)), 0] = True
+        B.flags.writeable = False
+        blocks.append(B)
+    return tuple(blocks)
 
 
 def hexagon_rings(box_halfwidth: float) -> list[tuple[Center, tuple[Point, ...]]]:

@@ -256,6 +256,17 @@ def test_honeycomb_locate(capsys):
     assert "status: interior" in lines
 
 
+@pytest.mark.parametrize(
+    "fmt, prefix", [("text", "all_centers: "), ("records", "all_centers=")]
+)
+def test_honeycomb_locate_prints_large_centers_exactly(capsys, fmt, prefix):
+    # three distinct centers a float rendering would print as 1e+17
+    code, out, _ = run(capsys, "--format", fmt, "honeycomb", "locate", "--point", "1e17,3")
+    assert code == 0
+    want = "99999999999999999,3 100000000000000000,2 100000000000000001,4"
+    assert prefix + want in out.splitlines()
+
+
 def test_honeycomb_verify(capsys):
     code, out, _ = run(
         capsys, "--seed", "2", "honeycomb", "verify", "--dim", "2", "--samples", "2000", "--box", "4"

@@ -342,13 +342,32 @@ def _count_cases(n, rng):
     return np.vstack([uniform, tied, quarters, eighths, snapping])
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batch_locator_matches_fast_center_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    scale = 2.0 ** rng.integers(0, 54, (200, n))
+    X = np.vstack([
+        _count_cases(n, rng),
+        rng.uniform(-1, 1, (200, n)) * scale,
+        rng.uniform(-(2.0**53), 2.0**53, (50, n)),
+    ])
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        F, inc, d, snapped = honeycomb._locate_rows(X.T.copy(), eps)
+        centers = (F + inc).T.astype(np.int64).tolist()
+        for j, row in enumerate(X.tolist()):
+            c, dj, sj = honeycomb._fast_center(row, eps)
+            assert tuple(centers[j]) == c
+            assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
+            assert bool(snapped[j]) == sj
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_containing_counts_match_the_exhaustive_oracle(n):
     rng = np.random.default_rng(100 + n)
     X = _count_cases(n, rng)
     for eps in (tg.DEFAULT_EPS, 0.05):
         F = _snapped_floors(X, eps)
-        got = honeycomb._containing_counts(X, F, eps)
+        got = honeycomb._containing_counts(X.T.copy(), F.T.copy(), eps)
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
 
 
@@ -359,7 +378,7 @@ def test_containing_counts_cross_row_chunks_at_n12():
     weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
     rows_per_chunk = [honeycomb._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
     assert any((weight == r).sum() > rows_per_chunk[r] for r in range(n + 1))
-    got = honeycomb._containing_counts(X, F, tg.DEFAULT_EPS)
+    got = honeycomb._containing_counts(X.T.copy(), F.T.copy(), tg.DEFAULT_EPS)
     assert np.array_equal(got, containing_count_oracle(X, F, tg.DEFAULT_EPS))
 
 
@@ -368,21 +387,30 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
     rng = np.random.default_rng(7)
     for n in range(1, 7):
         X = _count_cases(n, rng)[::10]
-        F = _snapped_floors(X, tg.DEFAULT_EPS)
-        want = honeycomb._containing_counts(X, F, tg.DEFAULT_EPS)
+        XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
+        want = honeycomb._containing_counts(XT, FT, tg.DEFAULT_EPS)
         monkeypatch.setattr(honeycomb, "_BROADCAST_BUDGET", 2 * n)
-        assert np.array_equal(honeycomb._containing_counts(X, F, tg.DEFAULT_EPS), want)
+        assert np.array_equal(honeycomb._containing_counts(XT, FT, tg.DEFAULT_EPS), want)
         monkeypatch.undo()
 
 
 def test_weight_vectors_enumerate_each_weight_once():
     for n in range(1, 7):
         for r in range(n + 1):
-            blocks = list(honeycomb._weight_vectors(n, r, 4))
-            assert all(B.shape[:2] == (n, 1) and 1 <= B.shape[2] <= 4 for B in blocks)
-            vecs = np.concatenate([B[:, 0, :].T for B in blocks])
-            want = [b for b in itertools.product((0.0, 1.0), repeat=n) if sum(b) == r]
+            blocks = honeycomb._weight_vectors(n, r, 4)
+            assert all(B.dtype == bool for B in blocks)
+            assert all(B.shape[::2] == (n, 1) and 1 <= B.shape[1] <= 4 for B in blocks)
+            vecs = np.concatenate([B[:, :, 0].T for B in blocks]).astype(int)
+            want = [b for b in itertools.product((0, 1), repeat=n) if sum(b) == r]
             assert sorted(map(tuple, vecs)) == sorted(want)
+
+
+def test_weight_vector_blocks_are_read_only():
+    # the blocks are cached and shared by every call, so none may be written
+    (B,) = honeycomb._weight_vectors(3, 2, 8)
+    assert honeycomb._weight_vectors(3, 2, 8)[0] is B
+    with pytest.raises(ValueError):
+        B[0, 0, 0] = False
 
 
 def test_verify_tiling_memory_stays_bounded():
