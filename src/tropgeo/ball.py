@@ -10,6 +10,7 @@ e_1 ... e_n and -(1,...,1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -34,8 +35,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise DomainError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError("radius must be a positive real")
 
 
 def unit_ball(n: int) -> Ball:

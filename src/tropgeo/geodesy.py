@@ -9,15 +9,15 @@ Kleene star of L (every bound tightened to the value the system implies),
 computed in float64; ``==`` compares that form exactly, so two systems equal
 in exact arithmetic can differ in the last bits after rounding.  ``hull``
 builds the smallest region containing a point set, and ``classify2d`` names
-the polygon shapes these systems cut out in the plane.
+the polygon shapes these systems cut out in the plane.  The array kernels
+(closure, ``hull``'s reductions, ``contains_batch``) live in ``_batch``, the
+one module that imports numpy, and are loaded on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     DEFAULT_EPS,
@@ -120,35 +120,14 @@ def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
     return dist(x, z) + dist(z, y) <= dist(x, y) + eps
 
 
-def _close_bounds(lower, upper, diff):
-    """The canonical matrix of the system ``lower <= x <= upper``,
-    ``x_i - x_j >= diff[i][j]``.
-
-    Node 0 stands for the constant 0 and node i for x_i; entry L[i, j] is
-    the best lower bound on x_i - x_j.  Floyd-Warshall in max-plus, one
-    vectorized pass per node, returns the Kleene star of L: every bound
-    raised to the tightest value its chains imply.  A positive diagonal
-    entry is a contradictory cycle.
-    """
-    n = len(lower)
-    L = np.empty((n + 1, n + 1))
-    L[1:, 1:] = diff
-    L[1:, 0] = lower
-    L[0, 1:] = [-v for v in upper]
-    L.flat[:: n + 2] = 0.0  # x_i - x_i >= 0, whatever diff's diagonal holds
-    for k in range(n + 1):
-        np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
-    return L
-
-
 class GeodesicRegion:
     """Canonical compact region ``{a_i <= x_i <= a'_i, x_i - x_j >= b_ij}``.
 
     The canonical form is the max-plus Kleene star of the (n+1) x (n+1)
     difference-bound matrix whose node 0 is the constant 0 (see
-    ``_close_bounds``): construction tightens every bound to the value the
-    system implies, and raises EmptyRegionError when a cycle of bounds
-    contradicts itself by more than eps.  Rounding can leave a feasible
+    ``_batch._close_bounds``): construction tightens every bound to the
+    value the system implies, and raises EmptyRegionError when a cycle of
+    bounds contradicts itself by more than eps.  Rounding can leave a feasible
     system's cycle excess a few ulps above 0; that passes the eps check,
     and its bounds are kept as computed.  ``lower``, ``upper`` and
     ``diff_lb`` are tuples of floats read off the closed matrix, with a 0
@@ -165,23 +144,9 @@ class GeodesicRegion:
         n = len(lo)
         if len(up) != n:
             raise DimensionMismatch("lower and upper bounds differ in length")
-        if diff_lb is None:
-            # loosest box-consistent difference bounds
-            diff = np.subtract.outer(lo, up)
-        else:
-            try:
-                diff = np.array(diff_lb, dtype=float)
-            except ValueError as exc:
-                raise DimensionMismatch("diff_lb must be an n by n table of numbers") from exc
-            if diff.shape != (n, n):
-                raise DimensionMismatch("diff_lb must be an n by n table")
-            if not np.isfinite(diff).all():
-                raise DomainError("difference bounds must be finite")
-        L = _close_bounds(lo, up, diff)
-        # np.maximum breaks a tie of -0.0 and 0.0 either way, so every zero
-        # is stored as 0.0
-        L += 0.0
-        rows = L.tolist()
+        from . import _batch
+
+        rows = _batch._closed_rows(lo, up, diff_lb)
         worst = max(rows[k][k] for k in range(n + 1))
         if worst > eps:
             raise EmptyRegionError(
@@ -220,6 +185,7 @@ class GeodesicRegion:
         )
 
     def contains(self, x, eps: float = DEFAULT_EPS) -> bool:
+        check_eps(eps)
         px = as_point(x)
         if len(px) != self.dim:
             raise DimensionMismatch("point dimension does not match region")
@@ -235,18 +201,10 @@ class GeodesicRegion:
 
     def contains_batch(self, X, eps: float = DEFAULT_EPS):
         """Vectorized membership for an (m, n) array; returns a bool array."""
-        A = np.asarray(X, dtype=float)
-        if A.ndim != 2 or A.shape[1] != self.dim:
-            raise DimensionMismatch("expected an (m, %d) array" % self.dim)
-        lo = np.array(self.lower)
-        up = np.array(self.upper)
-        ok = np.all(A >= lo - eps, axis=1) & np.all(A <= up + eps, axis=1)
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    ok &= (A[:, i] - A[:, j]) >= (self.diff_lb[i][j] - eps)
-        return ok
+        check_eps(eps)
+        from . import _batch
+
+        return _batch._contains_batch(self, X, eps)
 
     def intersect(self, other: "GeodesicRegion", eps: float = DEFAULT_EPS):
         """Intersection, recanonicalized; raises EmptyRegionError if empty."""
@@ -259,6 +217,7 @@ class GeodesicRegion:
 
     def affine_dim(self, eps: float = DEFAULT_EPS) -> int:
         """Dimension of the affine hull of the region."""
+        check_eps(eps)
         n = self.dim
         parent = list(range(n + 1))
 
@@ -309,10 +268,10 @@ def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
     for p in pts:
         if len(p) != n:
             raise DimensionMismatch("hull points have mixed dimensions")
-    P = np.array(pts)
-    # row i holds min over the points of p_i - p_j, one m x n pass per i
-    diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(n)])
-    return GeodesicRegion(P.min(axis=0), P.max(axis=0), diff, eps=eps)
+    from . import _batch
+
+    lo, up, diff = _batch._hull_bounds(pts)
+    return GeodesicRegion(lo, up, diff, eps=eps)
 
 
 EDGE_NAMES = ("x=a'", "y=b'", "y-x=c'", "x=a", "y=b", "y-x=c")
@@ -348,6 +307,7 @@ def classify2d(region: GeodesicRegion, eps: float = DEFAULT_EPS) -> Shape2DType:
     recorded as missing.  Missing edges are never adjacent on the boundary
     cycle, which leaves 18 polygon types.
     """
+    check_eps(eps)
     if region.dim != 2:
         raise DimensionMismatch("classify2d needs a planar region")
     a, b = region.lower

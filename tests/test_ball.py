@@ -16,6 +16,14 @@ def test_ball_validation():
         tg.Ball((0.0, 0.0), -1.0)
 
 
+@pytest.mark.parametrize("radius", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_ball_rejects_a_radius_that_is_not_a_positive_real(radius):
+    # unchecked, an infinite radius fails only later, in hrep, with a
+    # message about infinite coordinates
+    with pytest.raises(tg.DomainError, match="radius must be a positive real"):
+        tg.Ball((0.0, 0.0), radius)
+
+
 def test_contains_worked_values():
     b1 = tg.unit_ball(1)
     assert tg.contains(b1, (1.0,))

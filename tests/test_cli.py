@@ -335,6 +335,13 @@ def test_csv_format_is_plot_only(capsys):
     assert "plot2d" in err
 
 
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_ball_hrep_rejects_a_radius_that_is_not_a_positive_real(capsys, radius):
+    code, out, err = run(capsys, "ball", "hrep", "--dim", "2", "--radius", radius)
+    assert (code, out) == (1, "")
+    assert "radius must be a positive real" in err
+
+
 def test_bad_eps_is_usage_error(capsys):
     code, _, err = run(capsys, "--eps", "-1", "dist", "0,0", "1,1")
     assert code == 2

@@ -325,6 +325,12 @@ EPS_CALLS = {
     "locate": lambda eps: tg.locate((0.5, 0.25), eps=eps),
     "neighbors": lambda eps: tg.neighbors((0, 0), eps=eps),
     "verify_tiling": lambda eps: tg.verify_tiling(2, samples=0, eps=eps),
+    # the region predicates: unchecked, a nan eps admits every point and a
+    # negative one rejects the hull's own vertices
+    "contains": lambda eps: tg.hull([(0, 0), (1, 1)]).contains((5, 5), eps=eps),
+    "contains_batch": lambda eps: tg.hull([(0, 0), (1, 1)]).contains_batch([(0, 0)], eps=eps),
+    "affine_dim": lambda eps: tg.hull([(0, 0), (1, 1)]).affine_dim(eps=eps),
+    "classify2d": lambda eps: tg.classify2d(tg.hull([(0, 0), (1, 1)]), eps=eps),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tropgeo as tg
-from tropgeo import honeycomb
+from tropgeo import _batch, honeycomb
 from tropgeo.honeycomb import HEX_BASIS_2D, as_center, hexagon_rings
 
 from helpers import batch_dist, containing_count_oracle
@@ -352,7 +352,7 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
         rng.uniform(-(2.0**53), 2.0**53, (50, n)),
     ])
     for eps in (tg.DEFAULT_EPS, 0.05):
-        F, inc, d, snapped = honeycomb._locate_rows(X.T.copy(), eps)
+        F, inc, d, snapped = _batch._locate_rows(X.T.copy(), eps)
         centers = (F + inc).T.astype(np.int64).tolist()
         for j, row in enumerate(X.tolist()):
             c, dj, sj = honeycomb._fast_center(row, eps)
@@ -367,7 +367,7 @@ def test_containing_counts_match_the_exhaustive_oracle(n):
     X = _count_cases(n, rng)
     for eps in (tg.DEFAULT_EPS, 0.05):
         F = _snapped_floors(X, eps)
-        got = honeycomb._containing_counts(X.T.copy(), F.T.copy(), eps)
+        got = _batch._containing_counts(X.T.copy(), F.T.copy(), eps)
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
 
 
@@ -376,9 +376,9 @@ def test_containing_counts_cross_row_chunks_at_n12():
     X = np.random.default_rng(12).uniform(-10, 10, (600, n))
     F = _snapped_floors(X, tg.DEFAULT_EPS)
     weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
-    rows_per_chunk = [honeycomb._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
+    rows_per_chunk = [_batch._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
     assert any((weight == r).sum() > rows_per_chunk[r] for r in range(n + 1))
-    got = honeycomb._containing_counts(X.T.copy(), F.T.copy(), tg.DEFAULT_EPS)
+    got = _batch._containing_counts(X.T.copy(), F.T.copy(), tg.DEFAULT_EPS)
     assert np.array_equal(got, containing_count_oracle(X, F, tg.DEFAULT_EPS))
 
 
@@ -388,16 +388,16 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
     for n in range(1, 7):
         X = _count_cases(n, rng)[::10]
         XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
-        want = honeycomb._containing_counts(XT, FT, tg.DEFAULT_EPS)
-        monkeypatch.setattr(honeycomb, "_BROADCAST_BUDGET", 2 * n)
-        assert np.array_equal(honeycomb._containing_counts(XT, FT, tg.DEFAULT_EPS), want)
+        want = _batch._containing_counts(XT, FT, tg.DEFAULT_EPS)
+        monkeypatch.setattr(_batch, "_BROADCAST_BUDGET", 2 * n)
+        assert np.array_equal(_batch._containing_counts(XT, FT, tg.DEFAULT_EPS), want)
         monkeypatch.undo()
 
 
 def test_weight_vectors_enumerate_each_weight_once():
     for n in range(1, 7):
         for r in range(n + 1):
-            blocks = honeycomb._weight_vectors(n, r, 4)
+            blocks = _batch._weight_vectors(n, r, 4)
             assert all(B.dtype == bool for B in blocks)
             assert all(B.shape[::2] == (n, 1) and 1 <= B.shape[1] <= 4 for B in blocks)
             vecs = np.concatenate([B[:, :, 0].T for B in blocks]).astype(int)
@@ -407,8 +407,8 @@ def test_weight_vectors_enumerate_each_weight_once():
 
 def test_weight_vector_blocks_are_read_only():
     # the blocks are cached and shared by every call, so none may be written
-    (B,) = honeycomb._weight_vectors(3, 2, 8)
-    assert honeycomb._weight_vectors(3, 2, 8)[0] is B
+    (B,) = _batch._weight_vectors(3, 2, 8)
+    assert _batch._weight_vectors(3, 2, 8)[0] is B
     with pytest.raises(ValueError):
         B[0, 0, 0] = False
 
