@@ -19,6 +19,7 @@ from .core import (
     DomainError,
     Point,
     as_point,
+    check_eps,
     dist,
     norm,
 )
@@ -60,6 +61,7 @@ def neg_units(n: int) -> tuple[Point, ...]:
 
 
 def contains(ball: Ball, x, eps: float = DEFAULT_EPS) -> bool:
+    check_eps(eps)
     return dist(ball.center, x) <= ball.radius + eps
 
 
@@ -145,6 +147,7 @@ def opposite(f: FacetId) -> FacetId:
 
 def facet_contains(f: FacetId, x, eps: float = DEFAULT_EPS) -> bool:
     """Membership of x in one closed facet of the unit sphere."""
+    check_eps(eps)
     px = as_point(x)
     n = len(px)
     if f.i > n or (f.j is not None and f.j > n):
@@ -170,6 +173,7 @@ def facet_contains(f: FacetId, x, eps: float = DEFAULT_EPS) -> bool:
 
 def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
     """All facets through a point of the unit sphere, in facets() order."""
+    check_eps(eps)
     px = as_point(x)
     if abs(norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
@@ -178,6 +182,7 @@ def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
 
 def is_diametral_pair(ball: Ball, p, q, eps: float = DEFAULT_EPS) -> bool:
     """True when two sphere points realize the diameter 2R."""
+    check_eps(eps)
     dp = dist(ball.center, p)
     dq = dist(ball.center, q)
     if abs(dp - ball.radius) > eps or abs(dq - ball.radius) > eps:
@@ -191,6 +196,7 @@ def minkowski_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     The last coefficient weights the all -1 direction.  Fails for points
     outside the unit ball at the origin.
     """
+    check_eps(eps)
     px = as_point(x)
     if norm(px) > 1.0 + eps:
         raise DomainError("point lies outside the unit ball")
@@ -214,6 +220,7 @@ def orthant_of(x, eps: float = DEFAULT_EPS) -> tuple[int, ...]:
     n+1 means 0 does.  Interior points of the ball pieces give a single
     index; ties list every minimizer.
     """
+    check_eps(eps)
     px = as_point(x)
     h = px + (0.0,)
     m = min(h)
@@ -223,6 +230,7 @@ def orthant_of(x, eps: float = DEFAULT_EPS) -> tuple[int, ...]:
 def generator_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     """Weights l_1 ... l_{n+1} expressing x as a min-plus combination of
     neg_units(n): x_k = min_i (l_i + neg_units[i][k])."""
+    check_eps(eps)
     px = as_point(x)
     if norm(px) > 1.0 + eps:
         raise DomainError("point lies outside the unit ball")
@@ -249,6 +257,7 @@ def eval_trop_combination(coeffs, generators, mode: str = "min") -> Point:
 def pole_distances(x, eps: float = DEFAULT_EPS) -> tuple[float, float]:
     """Intrinsic sphere distances from x to the poles (1,...,1) and
     (-1,...,-1).  The two always sum to 3."""
+    check_eps(eps)
     px = as_point(x)
     if abs(norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
@@ -268,6 +277,7 @@ def sphere_position_2d(x, center=(0.0, 0.0), eps: float = DEFAULT_EPS) -> float:
     The hexagon boundary is traversed from (1,0) through (1,1), (0,1),
     (-1,0), (-1,-1), (0,-1); every edge has min-plus length 1.
     """
+    check_eps(eps)
     px = as_point(x)
     pc = as_point(center)
     if len(px) != 2 or len(pc) != 2:

@@ -109,6 +109,7 @@ def curve_length(curve, tol: float = 1e-6, max_depth: int = 24) -> float:
 
 def is_geodesic(points, eps: float = DEFAULT_EPS) -> bool:
     """True when the polyline realizes the distance between its endpoints."""
+    check_eps(eps)
     pts = [as_point(p) for p in points]
     if len(pts) < 2:
         return True
@@ -117,6 +118,7 @@ def is_geodesic(points, eps: float = DEFAULT_EPS) -> bool:
 
 def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
     """True when z lies on some geodesic from x to y."""
+    check_eps(eps)
     return dist(x, z) + dist(z, y) <= dist(x, y) + eps
 
 

@@ -4,7 +4,9 @@ The centers are the integer vectors whose coordinate sum is divisible by
 n+1.  Closed unit balls on these centers cover R^n and overlap only on
 boundaries, so almost every point has exactly one containing ball.  locate
 finds it in O(n log n) from floors and sorted fractional parts, with a
-distance certificate and a brute-force fallback near boundaries.
+distance certificate and a brute-force fallback near boundaries.  The
+facet neighbors of a ball are its center plus the roots of A_n, each
+checked to share a facet with it.
 
 verify_tiling checks that locator on random samples against an independent
 count of the containing centers.  Its batch locator and count are numpy
@@ -214,46 +216,33 @@ def spans_same_lattice(basis_a, basis_b) -> bool:
 def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
     """Tiling centers whose ball shares a full facet with the ball at c.
 
-    Searches the moves with entries in [-2, 2]; each candidate must meet the
-    ball at c in a region of affine dimension n-1.  The count always comes
-    out to n(n+1); anything else widens the window once and then fails."""
+    These are the n(n+1) translates c + u_i - u_j, i != j, over the unit
+    directions u = e_1, ..., e_n, -(1, ..., 1): the roots of A_n.  Each is
+    checked to meet the ball at c in a region of affine dimension n-1; a
+    translate that fails breaks the tiling theorem and raises TropgeoError.
+    The check runs in the frame of c, so it is exact at every magnitude.
+    Returned sorted."""
     cc = as_center(c)
     n = len(cc)
     check_eps(eps)
     if not in_lattice(cc):
         raise DomainError("center %r is not in the tiling lattice" % (cc,))
-    expected = n * (n + 1)
-    for halfwidth in (2, 3):
-        found = _facet_neighbors(cc, halfwidth, eps)
-        if len(found) == expected:
-            return found
-        log.warning(
-            "neighbor search at window %d found %d of %d", halfwidth, len(found), expected
-        )
-    raise TropgeoError(
-        "neighbor count %d does not match n(n+1) = %d for %r"
-        % (len(found), expected, cc)
-    )
-
-
-def _facet_neighbors(cc: Center, halfwidth: int, eps: float) -> list[Center]:
-    n = len(cc)
-    own = hrep(Ball(cc))
+    u = [tuple(int(i == k) for k in range(n)) for i in range(n)] + [(-1,) * n]
+    own = hrep(Ball((0,) * n))
     found = []
-    for delta in itertools.product(range(-halfwidth, halfwidth + 1), repeat=n):
-        if not any(delta):
-            continue
-        if sum(delta) % (n + 1) != 0:
-            continue
-        other = tuple(a + b for a, b in zip(cc, delta))
-        try:
-            shared = own.intersect(hrep(Ball(other)), eps=eps)
-        except EmptyRegionError:
-            continue
-        if shared.affine_dim(eps) == n - 1:
-            found.append(other)
-    found.sort()
-    return found
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j:
+                continue
+            root = tuple(a - b for a, b in zip(u[i], u[j]))
+            found.append(tuple(v + r for v, r in zip(cc, root)))
+            try:
+                shared = own.intersect(hrep(Ball(root)), eps=eps)
+            except EmptyRegionError:
+                shared = None
+            if shared is None or shared.affine_dim(eps) != n - 1:
+                raise TropgeoError("balls at %r and %r share no facet" % (cc, found[-1]))
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -337,10 +326,13 @@ def verify_tiling(
 
 
 def hexagon_rings(box_halfwidth: float) -> list[tuple[Center, tuple[Point, ...]]]:
-    """Hexagon outlines of the planar tiling with centers inside the box."""
+    """Hexagon outlines of the planar tiling with centers inside the box.
+
+    The list grows with the box squared, so the box is capped at 100: about
+    13k rings in 13 MB."""
     w = float(box_halfwidth)
-    if w < 0:
-        raise DomainError("box halfwidth must be nonnegative")
+    if not (math.isfinite(w) and 0 <= w <= 100):
+        raise DomainError("box halfwidth must be finite and in [0, 100]")
     hi = math.floor(w)
     out = []
     for cx in range(-hi, hi + 1):

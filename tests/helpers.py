@@ -96,6 +96,31 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
+def facet_neighbors_oracle(c, halfwidth=2, eps=tg.DEFAULT_EPS):
+    """Lattice centers whose ball meets the ball at c in an (n-1)-dim region.
+
+    Searches every move with entries in [-halfwidth, halfwidth], builds the
+    intersection of the two balls and keeps the moves where it has affine
+    dimension n-1: a search over (2 halfwidth + 1)^n candidates, an
+    independent route to the closed-form neighbors.  Returned sorted.
+    """
+    cc = tuple(c)
+    n = len(cc)
+    own = tg.hrep(tg.Ball(cc))
+    found = []
+    for delta in itertools.product(range(-halfwidth, halfwidth + 1), repeat=n):
+        if not any(delta) or sum(delta) % (n + 1) != 0:
+            continue
+        other = tuple(a + b for a, b in zip(cc, delta))
+        try:
+            shared = own.intersect(tg.hrep(tg.Ball(other)), eps=eps)
+        except tg.EmptyRegionError:
+            continue
+        if shared.affine_dim(eps) == n - 1:
+            found.append(other)
+    return sorted(found)
+
+
 def close_bounds_oracle(lower, upper, diff_lb):
     """Tighten a bound system by propagating all chained consequences.
 

@@ -361,6 +361,12 @@ def test_bad_box_is_usage_error(capsys, command, box, message):
     assert "Traceback" not in err
 
 
+def test_plot2d_rejects_a_box_above_100(capsys):
+    code, out, err = run(capsys, "honeycomb", "plot2d", "--box", "1e9")
+    assert (code, out) == (1, "")
+    assert err == "error: box halfwidth must be finite and in [0, 100]\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "dist", "0,0", "abc")
     assert code == 2

@@ -331,6 +331,19 @@ EPS_CALLS = {
     "contains_batch": lambda eps: tg.hull([(0, 0), (1, 1)]).contains_batch([(0, 0)], eps=eps),
     "affine_dim": lambda eps: tg.hull([(0, 0), (1, 1)]).affine_dim(eps=eps),
     "classify2d": lambda eps: tg.classify2d(tg.hull([(0, 0), (1, 1)]), eps=eps),
+    # the ball and geodesy predicates: unchecked, a nan eps answered False
+    "ball_contains": lambda eps: tg.contains(tg.unit_ball(2), (5, 5), eps=eps),
+    "facet_contains": lambda eps: tg.facet_contains(tg.FacetId("upper", 1), (1, 0), eps=eps),
+    "facet_of": lambda eps: tg.facet_of((1, 0), eps=eps),
+    "is_diametral_pair": lambda eps: tg.is_diametral_pair(
+        tg.unit_ball(2), (1, 0), (-1, 0), eps=eps),
+    "minkowski_coeffs": lambda eps: tg.minkowski_coeffs((0.5, 0.25), eps=eps),
+    "orthant_of": lambda eps: tg.orthant_of((0.5, 0.25), eps=eps),
+    "generator_coeffs": lambda eps: tg.generator_coeffs((0.5, 0.25), eps=eps),
+    "pole_distances": lambda eps: tg.pole_distances((1, 0), eps=eps),
+    "sphere_position_2d": lambda eps: tg.sphere_position_2d((1, 0), eps=eps),
+    "is_geodesic": lambda eps: tg.is_geodesic([(0, 0), (1, 1)], eps=eps),
+    "is_between": lambda eps: tg.is_between((0, 0), (5, 5), (1, 1), eps=eps),
 }
 
 

@@ -11,7 +11,7 @@ import tropgeo as tg
 from tropgeo import _batch, honeycomb
 from tropgeo.honeycomb import HEX_BASIS_2D, as_center, hexagon_rings
 
-from helpers import batch_dist, containing_count_oracle
+from helpers import batch_dist, containing_count_oracle, facet_neighbors_oracle
 
 
 def lattice_window(n, halfwidth):
@@ -211,6 +211,42 @@ def test_neighbors_translation_covariance():
     base = set(tg.neighbors((0, 0)))
     c = (2, 1)
     assert set(tg.neighbors(c)) == {(a + c[0], b + c[1]) for a, b in base}
+
+
+def random_lattice_center(n, rng):
+    c = [int(v) for v in rng.integers(-50, 51, n)]
+    c[-1] -= sum(c) % (n + 1)
+    return tuple(c)
+
+
+NEIGHBOR_ORACLE_CASES = [
+    (n, k) for n in range(1, 6) for k in range(3)
+] + [(6, 1)]
+
+
+@pytest.mark.parametrize("n, k", NEIGHBOR_ORACLE_CASES)
+def test_neighbors_equal_the_window_search(n, k):
+    # k = 0 is the origin, k > 0 a random lattice center
+    c = (0,) * n if k == 0 else random_lattice_center(n, np.random.default_rng([n, k]))
+    assert tg.in_lattice(c)
+    assert tg.neighbors(c) == facet_neighbors_oracle(c)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_neighbors_at_high_dimension(n, shifted):
+    c = random_lattice_center(n, np.random.default_rng(n)) if shifted else (0,) * n
+    nbs = tg.neighbors(c)
+    assert len(nbs) == len(set(nbs)) == n * (n + 1)
+    for nb in nbs:
+        assert tg.in_lattice(nb)
+        assert tg.dist(c, nb) == 2.0
+
+
+@pytest.mark.parametrize("c", [(2**52, -2**52), (2**53 + 3, -(2**53)), (3 * 10**20, 0)])
+def test_neighbors_are_exact_at_every_magnitude(c):
+    base = tg.neighbors((0, 0))
+    assert tg.neighbors(c) == sorted(tuple(a + b for a, b in zip(c, r)) for r in base)
 
 
 def test_neighbors_rejects_non_lattice_centers():
@@ -445,6 +481,16 @@ def test_hexagon_rings():
         assert len(ring) == 6
         for (ox, oy), v in zip(offsets, ring):
             assert v == (c[0] + ox, c[1] + oy)
+
+
+@pytest.mark.parametrize("box", [math.nan, math.inf, -1.0, 101.0], ids=repr)
+def test_hexagon_rings_rejects_a_box_outside_0_to_100(box):
+    with pytest.raises(tg.DomainError, match="box halfwidth must be finite and in"):
+        hexagon_rings(box)
+
+
+def test_hexagon_rings_accepts_the_largest_box():
+    assert len(hexagon_rings(100)) == len(list(lattice_window(2, 100)))
 
 
 def test_locate_result_is_frozen():
