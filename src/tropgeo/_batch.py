@@ -15,6 +15,13 @@ A floor-plus-0/1 candidate F + b is a center exactly when |b| is
 r = (-sum F) mod (n+1), so the count evaluates only the C(n, r) offsets of
 that weight, taken from cached read-only bool blocks, in numpy broadcasts
 cut to a fixed element budget.
+
+contains_batch is coordinate-major too: it copies the rows, a chunk under a
+fixed element budget at a time, into one reused (n, k) buffer, tests the box
+bounds with one comparison per coordinate row, and the difference bounds
+with one subtraction per pair i < j, compared against the pair's bound in
+each direction.  Every result is written with ``out=`` into reused buffers,
+so no call allocates a temporary.
 """
 
 from __future__ import annotations
@@ -73,19 +80,62 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
     return L.tolist()
 
 
+# Element budget of the coordinate-major chunk in _contains_batch (256 KiB of
+# float64): its buffers are reused across chunks, so memory stays flat in the
+# number of rows.  A larger chunk spreads the per-call cost of its
+# 4n + 5 n(n-1)/2 numpy calls over more rows but raises peak memory; 256 KiB
+# is about what a row-major pass over 20000 rows at n = 12 held at once.
+_CONTAINS_BUDGET = 1 << 15
+
+
 def _contains_batch(region, X, eps: float):
-    """GeodesicRegion.contains_batch: a bool array over the rows of X."""
-    A = np.asarray(X, dtype=float)
-    if A.ndim != 2 or A.shape[1] != region.dim:
-        raise DimensionMismatch("expected an (m, %d) array" % region.dim)
-    lo = np.array(region.lower)
-    up = np.array(region.upper)
-    ok = np.all(A >= lo - eps, axis=1) & np.all(A <= up + eps, axis=1)
+    """GeodesicRegion.contains_batch: a bool array over the rows of X.
+
+    The rows go through in chunks of at most _CONTAINS_BUDGET elements, each
+    transposed once into a reused C-contiguous (n, k) buffer, so every test
+    below reads whole contiguous rows.  A pair i < j takes one subtraction
+    t = x_i - x_j for both of its difference bounds: x_i - x_j >= D[i][j] - eps
+    is t >= D[i][j] - eps, and x_j - x_i >= D[j][i] - eps is t <= eps - D[j][i],
+    since round-to-nearest subtraction is antisymmetric (fl(b - a) = -fl(a - b)).
+    So the mask equals the one from all n(n-1) ordered differences, bit for
+    bit.  Every comparison with a NaN is False, and an infinite entry fails
+    its box bound, so such rows test False.
+    """
     n = region.dim
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ok &= (A[:, i] - A[:, j]) >= (region.diff_lb[i][j] - eps)
+    try:
+        A = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch("expected an (m, %d) array of numbers" % n) from exc
+    if A.ndim != 2 or A.shape[1] != n:
+        raise DimensionMismatch("expected an (m, %d) array" % n)
+    m = len(A)
+    lo = [v - eps for v in region.lower]
+    up = [v + eps for v in region.upper]
+    D = region.diff_lb
+    pairs = [(i, j, D[i][j] - eps, eps - D[j][i]) for i in range(n) for j in range(i + 1, n)]
+    ok = np.empty(m, dtype=bool)
+    step = max(1, _CONTAINS_BUDGET // n)
+    AT = np.empty((n, min(step, m)))
+    t = np.empty(AT.shape[1])
+    hit = np.empty(AT.shape[1], dtype=bool)
+    for s in range(0, m, step):
+        k = min(step, m - s)
+        rows = AT[:, :k]
+        np.copyto(rows, A[s : s + k].T)
+        x = list(rows)
+        tk, hk, okk = t[:k], hit[:k], ok[s : s + k]
+        okk.fill(True)
+        for i in range(n):
+            np.greater_equal(x[i], lo[i], out=hk)
+            okk &= hk
+            np.less_equal(x[i], up[i], out=hk)
+            okk &= hk
+        for i, j, ge, le in pairs:
+            np.subtract(x[i], x[j], out=tk)
+            np.greater_equal(tk, ge, out=hk)
+            okk &= hk
+            np.less_equal(tk, le, out=hk)
+            okk &= hk
     return ok
 
 
@@ -140,18 +190,32 @@ def _locate_rows(
     entry equals _fast_center's on the same point while |x| <= 2^53, where
     the floors and x - F are exact.
     """
+    # R and F are the only (n, m) float arrays; every step writes into one
+    # of them, since a fresh array that size can cost more to map in than
+    # the arithmetic that fills it
     R = np.rint(XT)
-    near = np.abs(XT - R) <= eps
-    F = np.floor(XT)
+    F = np.subtract(XT, R)
+    near = np.abs(F, out=F) <= eps
+    np.floor(XT, out=F)
     np.copyto(F, R, where=near)
     k = _floor_sum_residue(F)
-    diffs = XT - F
+    diffs = np.subtract(XT, F, out=R)
     inc = (_stable_rank(diffs) >= k - 1) & (k != 0)
     # x - F is exact, so taking inc off it rounds once, to the same
     # doubles as x - (F + inc) and as _fast_center's dist
     diffs -= inc
-    d = np.maximum(diffs.max(axis=0), 0.0) - np.minimum(diffs.min(axis=0), 0.0)
-    return F, inc, d, near.any(axis=0)
+    return F, inc, _norms(diffs), near.any(axis=0)
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    """max(0, max D) - min(0, min D) over axis 0 of D: the norm of each
+    column, in one fresh array."""
+    hi = D.max(axis=0)
+    np.maximum(hi, 0.0, out=hi)
+    lo = D.min(axis=0)
+    np.minimum(lo, 0.0, out=lo)
+    hi -= lo
+    return hi
 
 
 def _floor_sum_residue(F: np.ndarray) -> np.ndarray:
@@ -163,7 +227,10 @@ def _floor_sum_residue(F: np.ndarray) -> np.ndarray:
     """
     p = F.shape[0] + 1
     s = F.sum(axis=0, dtype=np.int64)
-    return s - s // p * p
+    q = s // p
+    q *= p
+    s -= q
+    return s
 
 
 def _stable_rank(f: np.ndarray) -> np.ndarray:
@@ -220,9 +287,9 @@ def _containing_counts(XT: np.ndarray, FT: np.ndarray, eps: float) -> np.ndarray
         for B in _weight_vectors(n, r, max(1, _BROADCAST_BUDGET // n)):
             step = max(1, _BROADCAST_BUDGET // B.size)
             for lo in range(0, cols.size, step):
-                cd = Xr[:, :, lo : lo + step] - (Fr[:, :, lo : lo + step] + B)
-                cdist = np.maximum(cd.max(axis=0), 0.0) - np.minimum(cd.min(axis=0), 0.0)
-                count[cols[lo : lo + step]] += (cdist <= 1.0 + eps).sum(axis=0)
+                cd = np.add(Fr[:, :, lo : lo + step], B)
+                np.subtract(Xr[:, :, lo : lo + step], cd, out=cd)
+                count[cols[lo : lo + step]] += (_norms(cd) <= 1.0 + eps).sum(axis=0)
     return count
 
 

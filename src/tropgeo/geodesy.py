@@ -202,7 +202,17 @@ class GeodesicRegion:
         return True
 
     def contains_batch(self, X, eps: float = DEFAULT_EPS):
-        """Vectorized membership for an (m, n) array; returns a bool array."""
+        """Vectorized membership for an (m, n) array; returns a bool array.
+
+        On a finite row each entry equals ``contains`` with the same eps; a
+        row with a NaN or an infinite entry, which ``contains`` rejects,
+        tests False.  The rows are tested in chunks of bounded size,
+        coordinate-major, with one subtraction x_i - x_j per pair i < j
+        serving both of its difference bounds, so for a float64 X memory
+        beyond the result does not grow with m.  Raises DimensionMismatch
+        when X is not an (m, n) array of numbers, such as a ragged or
+        non-numeric sequence.
+        """
         check_eps(eps)
         from . import _batch
 

@@ -20,7 +20,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     DEFAULT_EPS,
@@ -177,6 +176,10 @@ HEX_BASIS_2D: tuple[Center, Center] = ((2, 1), (-1, 1))
 def _solve_fraction(A, B):
     """Solve A X = B over the rationals; A, B are square integer matrices.
     Returns X as Fractions or None when A is singular."""
+    # imported here: fractions pulls in decimal and numbers, a cost every
+    # CLI process would pay for this one rarely used helper
+    from fractions import Fraction
+
     n = len(A)
     M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(B[i][j]) for j in range(n)]
          for i in range(n)]

@@ -151,6 +151,24 @@ def close_bounds_oracle(lower, upper, diff_lb):
     return L
 
 
+def contains_batch_oracle(region, X, eps):
+    """Row-major bulk membership: every ordered pair i != j tested with its
+    own difference, across all rows at once, as an independent route to the
+    library's chunked, coordinate-major contains_batch.  A bool array."""
+    A = np.asarray(X, dtype=float)
+    if A.ndim != 2 or A.shape[1] != region.dim:
+        raise tg.DimensionMismatch("expected an (m, %d) array" % region.dim)
+    lo = np.array(region.lower)
+    up = np.array(region.upper)
+    ok = np.all(A >= lo - eps, axis=1) & np.all(A <= up + eps, axis=1)
+    n = region.dim
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ok &= (A[:, i] - A[:, j]) >= (region.diff_lb[i][j] - eps)
+    return ok
+
+
 def hull_iterate_oracle(points, depth, samples, seed=0):
     """Monte-Carlo betweenness closure, an independent hull oracle.
 

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tropgeo as tg
+from tropgeo import _batch
 from tropgeo.geodesy import (
     EDGE_NAMES,
     POINT_ID,
@@ -16,6 +18,7 @@ from tropgeo.geodesy import (
 
 from helpers import (
     close_bounds_oracle,
+    contains_batch_oracle,
     hull_iterate_oracle,
     independent_masks,
     random_pl_geodesic,
@@ -444,6 +447,95 @@ def test_contains_batch_matches_scalar():
     got = reg.contains_batch(X)
     want = np.array([reg.contains(tuple(row)) for row in X])
     assert np.array_equal(got, want)
+
+
+class _EndpointRng:
+    """An rng for GeodesicRegion.sample that draws only the end of each
+    interval it is offered, so every sample lies on the region's boundary."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self, lo, up):
+        return up if self.rng.random() < 0.5 else lo
+
+
+def _membership_rows(rng, regions, points, eps):
+    """Rows that probe a region's bounds: random rows, boundary samples with
+    and without an offset of about eps, the hull's own points, and rows with
+    a NaN or an infinity."""
+    n = points.shape[1]
+    ends = _EndpointRng(rng)
+    edge = np.array([reg.sample(ends) for reg in regions for _ in range(40)])
+    shifts = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], edge.shape) * eps
+    bad = rng.uniform(-1.0, 1.0, (6, n))
+    bad[np.arange(6), rng.integers(0, n, 6)] = [np.nan, np.inf, -np.inf] * 2
+    return np.concatenate([
+        rng.uniform(-2.5, 2.5, (120, n)),
+        edge,
+        edge + shifts,
+        points,
+        bad,
+    ])
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.05])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_contains_batch_matches_the_row_major_oracle(n, eps):
+    rng = np.random.default_rng([n, int(eps * 100)])
+    # both clouds hold the origin, so their hulls meet
+    a = np.vstack([np.zeros(n), rng.uniform(-2.0, 1.0, (n + 2, n))])
+    b = np.vstack([np.zeros(n), rng.uniform(-1.0, 2.0, (n + 2, n))])
+    ha = tg.hull(a.tolist())
+    regions = [ha, ha.intersect(tg.hull(b.tolist())), tg.hrep(tg.unit_ball(n))]
+    pool = _membership_rows(rng, regions, a, eps)
+    finite = np.isfinite(pool).all(axis=1)
+    chunk = max(1, _batch._CONTAINS_BUDGET // n)
+    seen = set()
+    for reg in regions:
+        mask = reg.contains_batch(pool, eps=eps)
+        assert np.array_equal(mask, contains_batch_oracle(reg, pool, eps))
+        scalar = [reg.contains(tuple(row), eps=eps) for row in pool[finite].tolist()]
+        assert mask[finite].tolist() == scalar
+        assert not mask[~finite].any()
+        seen.update(mask.tolist())
+        # rows drawn from the pool, so every chunk edge falls between two
+        # unrelated rows
+        for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+            X = pool[rng.integers(0, len(pool), m)]
+            assert np.array_equal(reg.contains_batch(X, eps=eps), contains_batch_oracle(reg, X, eps))
+        wide = np.zeros((len(X), n + 3))
+        wide[:, 1 : n + 1] = X
+        ints = np.rint(np.nan_to_num(X, posinf=3.0, neginf=-3.0)).astype(np.int64)
+        for Y in (np.asfortranarray(X), wide[:, 1 : n + 1], X[::3], ints):
+            assert np.array_equal(reg.contains_batch(Y, eps=eps), contains_batch_oracle(reg, Y, eps))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "X", [[(0, 0), (1,)], [("a", "b")], [({}, 1)]], ids=["ragged", "non-numeric", "non-number"]
+)
+def test_contains_batch_rejects_a_malformed_array(X):
+    with pytest.raises(tg.DimensionMismatch):
+        tg.hull([(0, 0), (1, 1)]).contains_batch(X)
+
+
+def test_contains_batch_memory_does_not_grow_with_the_rows():
+    # numpy reports its buffers to tracemalloc; the row-major kernel peaked
+    # at about 1.3 and 5.2 MB above its output here
+    reg = tg.hrep(tg.unit_ball(12))
+    rng = np.random.default_rng(5)
+    peaks = []
+    for m in (100_000, 400_000):
+        X = rng.uniform(-1.5, 1.5, (m, 12))
+        tracemalloc.start()
+        try:
+            mask = reg.contains_batch(X)
+            peaks.append(tracemalloc.get_traced_memory()[1] - mask.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 20
+    assert peaks[1] - peaks[0] < 1 << 14
 
 
 def test_sample_stays_inside():
