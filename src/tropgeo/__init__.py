@@ -3,157 +3,110 @@
 Distances and norms, canonical shortest chains, geodesically closed
 regions and hulls, the combinatorics of the unit ball, and the honeycomb
 tiling of space by unit balls, with a CLI front door in tropgeo.cli.
+
+``import tropgeo`` runs none of the submodules: each loads when one of its
+names is first used (PEP 562), so a CLI command loads only the modules it
+runs.
 """
 
-from .core import (
-    DEFAULT_EPS,
-    ConvergenceError,
-    DimensionMismatch,
-    DomainError,
-    EmptyRegionError,
-    OrthantCoords,
-    ParseError,
-    Point,
-    TropSegment,
-    TropgeoError,
-    as_point,
-    canon,
-    dist,
-    dist_proj,
-    embed,
-    format_number,
-    format_point,
-    lp_distances,
-    norm,
-    norm_proj,
-    orthant_to_projective,
-    parse_point,
-    parse_projective,
-    segment,
-    to_orthant_coords,
-)
-from .geodesy import (
-    EDGE_NAMES,
-    GeodesicRegion,
-    Shape2DType,
-    classify2d,
-    curve_length,
-    hull,
-    is_between,
-    is_geodesic,
-    polyline_evaluator,
-    polyline_length,
-)
-from .ball import (
-    Ball,
-    FacetId,
-    angle_2d,
-    contains,
-    eval_trop_combination,
-    facet_contains,
-    facet_of,
-    facets,
-    generator_coeffs,
-    hrep,
-    intrinsic_distance_2d,
-    is_diametral_pair,
-    iter_vertices,
-    minkowski_coeffs,
-    neg_units,
-    opposite,
-    orthant_of,
-    pole_distances,
-    sphere_position_2d,
-    unit_ball,
-    units,
-    vertices,
-    zonotope_point,
-)
-from .honeycomb import (
-    HEX_BASIS_2D,
-    LocateResult,
-    TilingReport,
-    hexagon_rings,
-    in_lattice,
-    lattice_basis,
-    locate,
-    locate_bruteforce,
-    neighbors,
-    spans_same_lattice,
-    verify_tiling,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_EPS",
-    "TropgeoError",
-    "DimensionMismatch",
-    "DomainError",
-    "ParseError",
-    "EmptyRegionError",
-    "ConvergenceError",
-    "Point",
-    "as_point",
-    "dist",
-    "dist_proj",
-    "norm",
-    "norm_proj",
-    "lp_distances",
-    "canon",
-    "embed",
-    "OrthantCoords",
-    "to_orthant_coords",
-    "orthant_to_projective",
-    "TropSegment",
-    "segment",
-    "parse_point",
-    "parse_projective",
-    "format_number",
-    "format_point",
-    "polyline_length",
-    "polyline_evaluator",
-    "curve_length",
-    "is_geodesic",
-    "is_between",
-    "GeodesicRegion",
-    "hull",
-    "EDGE_NAMES",
-    "Shape2DType",
-    "classify2d",
-    "Ball",
-    "unit_ball",
-    "units",
-    "neg_units",
-    "contains",
-    "hrep",
-    "iter_vertices",
-    "vertices",
-    "FacetId",
-    "facets",
-    "facet_contains",
-    "facet_of",
-    "opposite",
-    "is_diametral_pair",
-    "minkowski_coeffs",
-    "zonotope_point",
-    "orthant_of",
-    "generator_coeffs",
-    "eval_trop_combination",
-    "pole_distances",
-    "sphere_position_2d",
-    "intrinsic_distance_2d",
-    "angle_2d",
-    "in_lattice",
-    "LocateResult",
-    "locate",
-    "locate_bruteforce",
-    "neighbors",
-    "lattice_basis",
-    "HEX_BASIS_2D",
-    "spans_same_lattice",
-    "TilingReport",
-    "verify_tiling",
-    "hexagon_rings",
-    "__version__",
-]
+# Every public name, under the submodule that defines it.
+_EXPORTS = {
+    "core": (
+        "DEFAULT_EPS",
+        "TropgeoError",
+        "DimensionMismatch",
+        "DomainError",
+        "ParseError",
+        "EmptyRegionError",
+        "ConvergenceError",
+        "Point",
+        "as_point",
+        "dist",
+        "dist_proj",
+        "norm",
+        "norm_proj",
+        "lp_distances",
+        "canon",
+        "embed",
+        "OrthantCoords",
+        "to_orthant_coords",
+        "orthant_to_projective",
+        "TropSegment",
+        "segment",
+        "parse_point",
+        "parse_projective",
+        "format_number",
+        "format_point",
+    ),
+    "geodesy": (
+        "polyline_length",
+        "polyline_evaluator",
+        "curve_length",
+        "is_geodesic",
+        "is_between",
+        "GeodesicRegion",
+        "hull",
+        "EDGE_NAMES",
+        "Shape2DType",
+        "classify2d",
+    ),
+    "ball": (
+        "Ball",
+        "unit_ball",
+        "units",
+        "neg_units",
+        "contains",
+        "hrep",
+        "iter_vertices",
+        "vertices",
+        "FacetId",
+        "facets",
+        "facet_contains",
+        "facet_of",
+        "opposite",
+        "is_diametral_pair",
+        "minkowski_coeffs",
+        "zonotope_point",
+        "orthant_of",
+        "generator_coeffs",
+        "eval_trop_combination",
+        "pole_distances",
+        "sphere_position_2d",
+        "intrinsic_distance_2d",
+        "angle_2d",
+    ),
+    "honeycomb": (
+        "in_lattice",
+        "LocateResult",
+        "locate",
+        "locate_bruteforce",
+        "neighbors",
+        "lattice_basis",
+        "HEX_BASIS_2D",
+        "spans_same_lattice",
+        "TilingReport",
+        "verify_tiling",
+        "hexagon_rings",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -67,7 +67,7 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
     else:
         try:
             diff = np.array(diff_lb, dtype=float)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DimensionMismatch("diff_lb must be an n by n table of numbers") from exc
         if diff.shape != (n, n):
             raise DimensionMismatch("diff_lb must be an n by n table")

@@ -15,25 +15,17 @@ import argparse
 import math
 import sys
 
-from . import ball as _ball
-from . import geodesy as _geo
-from . import honeycomb as _honey
+# commands call the library through the package, which loads a module on
+# first use, so each command loads only the modules it runs
+import tropgeo as tg
 from .core import (
     DEFAULT_EPS,
     ParseError,
     TropgeoError,
-    dist,
-    dist_proj,
-    embed,
     format_number,
     format_point,
-    lp_distances,
-    norm,
-    norm_proj,
     parse_point,
     parse_projective,
-    segment,
-    to_orthant_coords,
 )
 
 OPERATION_COMMANDS = {
@@ -53,7 +45,7 @@ OPERATION_COMMANDS = {
     "hull": "hull",
     "classify2d": "classify2d",
     # ball
-    "contains": "ball decompose",
+    "contains": "ball decompose",  # its outside-the-ball error
     "hrep": "ball hrep",
     "vertices": "ball vertices",
     "facets": "ball facets",
@@ -202,11 +194,11 @@ def cmd_dist(args):
     if px != py:
         raise ParseError("mix of projective and plain coordinates")
     if px:
-        return [{"op": "dist_proj", "value": format_number(dist_proj(x, y))}], _answer
-    rec = {"op": "dist", "value": format_number(dist(x, y))}
+        return [{"op": "dist_proj", "value": format_number(tg.dist_proj(x, y))}], _answer
+    rec = {"op": "dist", "value": format_number(tg.dist(x, y))}
     if not args.lp:
         return [rec], _answer
-    d1, dinf = lp_distances(x, y)
+    d1, dinf = tg.lp_distances(x, y)
     rec["l1"] = format_number(d1)
     rec["linf"] = format_number(dinf)
     return [rec], _lp_text
@@ -214,7 +206,7 @@ def cmd_dist(args):
 
 def cmd_norm(args):
     x, proj = _parse_any(args.x)
-    value = norm_proj(x) if proj else norm(x)
+    value = tg.norm_proj(x) if proj else tg.norm(x)
     op = "norm_proj" if proj else "norm"
     return [{"op": op, "value": format_number(value)}], _answer
 
@@ -227,7 +219,7 @@ def _segment_text(recs):
 
 
 def cmd_segment(args):
-    seg = segment(parse_point(args.x), parse_point(args.y), mode=args.mode)
+    seg = tg.segment(parse_point(args.x), parse_point(args.y), mode=args.mode)
     recs = [
         {
             "op": "segment",
@@ -244,7 +236,7 @@ def cmd_segment(args):
 
 
 def cmd_length(args):
-    value = _geo.polyline_length(_gather_points(args))
+    value = tg.polyline_length(_gather_points(args))
     return [{"op": "length", "value": format_number(value)}], _answer
 
 
@@ -257,29 +249,29 @@ def cmd_circle_length(args):
         ang = 2.0 * math.pi * t
         return (cx + args.radius * math.cos(ang), cy + args.radius * math.sin(ang))
 
-    value = _geo.curve_length(circle, tol=args.tol)
+    value = tg.curve_length(circle, tol=args.tol)
     rec = {"op": "circle-length", "radius": format_number(args.radius), "value": format_number(value)}
     return [rec], _answer
 
 
 def cmd_geodesic_check(args):
-    ok = _geo.is_geodesic(_gather_points(args), eps=args.eps)
+    ok = tg.is_geodesic(_gather_points(args), eps=args.eps)
     return [{"op": "geodesic-check", "result": _bool_text(ok)}], _answer
 
 
 def cmd_between(args):
-    ok = _geo.is_between(
+    ok = tg.is_between(
         parse_point(args.x), parse_point(args.z), parse_point(args.y), eps=args.eps
     )
     return [{"op": "between", "result": _bool_text(ok)}], _answer
 
 
 def cmd_hull(args):
-    return _region_records(_geo.hull(_gather_points(args), eps=args.eps)), _region_text
+    return _region_records(tg.hull(_gather_points(args), eps=args.eps)), _region_text
 
 
 def cmd_region_contains(args):
-    region = _geo.hull(_read_points_file(args.file), eps=args.eps)
+    region = tg.hull(_read_points_file(args.file), eps=args.eps)
     ok = region.contains(parse_point(args.point), eps=args.eps)
     return [{"op": "region-contains", "result": _bool_text(ok)}], _answer
 
@@ -288,12 +280,12 @@ def cmd_classify2d(args):
     lower = (args.a, args.b)
     upper = (args.a2, args.b2)
     diff = ((0.0, -args.c2), (args.c, 0.0))
-    region = _geo.GeodesicRegion(lower, upper, diff, eps=args.eps)
-    shape = _geo.classify2d(region, eps=args.eps)
+    region = tg.GeodesicRegion(lower, upper, diff, eps=args.eps)
+    shape = tg.classify2d(region, eps=args.eps)
     rec = {
         "op": "classify2d",
         "kind": shape.kind,
-        "edges": " ".join(_geo.EDGE_NAMES[k] for k in shape.present_edges),
+        "edges": " ".join(tg.EDGE_NAMES[k] for k in shape.present_edges),
         "edge_count": shape.edge_count,
         "canonical_id": shape.canonical_id,
     }
@@ -301,7 +293,7 @@ def cmd_classify2d(args):
 
 
 def cmd_ball_vertices(args):
-    verts = _ball.vertices(args.dim)
+    verts = tg.vertices(args.dim)
     recs = [{"op": "vertices", "dim": args.dim, "count": len(verts)}]
     recs += [{"kind": "vertex", "index": i, "point": format_point(v)} for i, v in enumerate(verts)]
     return recs, _items
@@ -309,16 +301,16 @@ def cmd_ball_vertices(args):
 
 def _facets_text(recs):
     return [
-        "%s opposite %s" % (_ball.FacetId(rec["kind"], rec["i"], rec.get("j")), rec["opposite"])
+        "%s opposite %s" % (tg.FacetId(rec["kind"], rec["i"], rec.get("j")), rec["opposite"])
         for rec in recs[1:]
     ]
 
 
 def cmd_ball_facets(args):
-    fs = _ball.facets(args.dim)
+    fs = tg.facets(args.dim)
     recs = [{"op": "facets", "dim": args.dim, "count": len(fs)}]
     for f in fs:
-        rec = {"kind": f.kind, "i": f.i, "opposite": str(_ball.opposite(f))}
+        rec = {"kind": f.kind, "i": f.i, "opposite": str(tg.opposite(f))}
         if f.j is not None:
             rec["j"] = f.j
         recs.append(rec)
@@ -329,7 +321,7 @@ def cmd_ball_hrep(args):
     center = parse_point(args.center) if args.center else (0.0,) * args.dim
     if len(center) != args.dim:
         raise ParseError("--center does not match --dim")
-    region = _ball.hrep(_ball.Ball(center, args.radius), eps=args.eps)
+    region = tg.hrep(tg.Ball(center, args.radius), eps=args.eps)
     return _region_records(region), _region_text
 
 
@@ -341,7 +333,7 @@ def _decompose_text(recs):
         "orthant: %s" % rec["orthant"],
         "orthant_coords: omit=%d %s" % (rec["orthant_omit"], rec["orthant_values"]),
         "minkowski: %s" % rec["minkowski"],
-        "generators: %s" % " ".join(format_point(g) for g in _ball.neg_units(n)),
+        "generators: %s" % " ".join(format_point(g) for g in tg.neg_units(n)),
         "generator_coeffs: %s" % rec["generator_coeffs"],
         "recomposed: %s" % rec["recomposed"],
         "max_error: %s" % rec["max_error"],
@@ -351,20 +343,18 @@ def _decompose_text(recs):
 def cmd_ball_decompose(args):
     x = parse_point(args.point)
     n = len(x)
-    if not _ball.contains(_ball.unit_ball(n), x, eps=args.eps):
-        raise TropgeoError("point lies outside the unit ball")
-    mk = _ball.minkowski_coeffs(x, eps=args.eps)
-    gc = _ball.generator_coeffs(x, eps=args.eps)
-    recomposed = _ball.eval_trop_combination(gc, _ball.neg_units(n))
+    mk = tg.minkowski_coeffs(x, eps=args.eps)
+    gc = tg.generator_coeffs(x, eps=args.eps)
+    recomposed = tg.eval_trop_combination(gc, tg.neg_units(n))
     err = max(
         max(abs(a - b) for a, b in zip(recomposed, x)),
-        max(abs(a - b) for a, b in zip(_ball.zonotope_point(mk), x)),
+        max(abs(a - b) for a, b in zip(tg.zonotope_point(mk), x)),
     )
-    oc = to_orthant_coords(embed(x))
+    oc = tg.to_orthant_coords(tg.embed(x))
     rec = {
         "op": "decompose",
         "point": format_point(x),
-        "orthant": ",".join(str(k) for k in _ball.orthant_of(x, eps=args.eps)),
+        "orthant": ",".join(str(k) for k in tg.orthant_of(x, eps=args.eps)),
         "orthant_omit": oc.omitted_index,
         "orthant_values": format_point(oc.values),
         "minkowski": format_point(mk),
@@ -377,11 +367,11 @@ def cmd_ball_decompose(args):
 
 def cmd_sphere_poles(args):
     x = parse_point(args.point)
-    d_plus, d_minus = _ball.pole_distances(x, eps=args.eps)
+    d_plus, d_minus = tg.pole_distances(x, eps=args.eps)
     rec = {
         "op": "poles",
         "point": format_point(x),
-        "facets": " ".join(str(f) for f in _ball.facet_of(x, eps=args.eps)),
+        "facets": " ".join(str(f) for f in tg.facet_of(x, eps=args.eps)),
         "d_plus": format_number(d_plus),
         "d_minus": format_number(d_minus),
     }
@@ -389,7 +379,7 @@ def cmd_sphere_poles(args):
 
 
 def cmd_sphere_angle(args):
-    value = _ball.angle_2d(
+    value = tg.angle_2d(
         parse_point(args.at), parse_point(args.v1), parse_point(args.v2), eps=args.eps
     )
     return [{"op": "angle", "value": format_number(value)}], _answer
@@ -397,7 +387,7 @@ def cmd_sphere_angle(args):
 
 def cmd_sphere_distance(args):
     center = parse_point(args.center) if args.center else (0.0, 0.0)
-    value = _ball.intrinsic_distance_2d(
+    value = tg.intrinsic_distance_2d(
         center, parse_point(args.x), parse_point(args.y), eps=args.eps
     )
     return [{"op": "sphere-distance", "value": format_number(value)}], _answer
@@ -407,13 +397,13 @@ def cmd_sphere_diametral(args):
     center = parse_point(args.center) if args.center else None
     p = parse_point(args.p)
     q = parse_point(args.q)
-    b = _ball.Ball(center if center else (0.0,) * len(p), args.radius)
-    ok = _ball.is_diametral_pair(b, p, q, eps=args.eps)
+    b = tg.Ball(center if center else (0.0,) * len(p), args.radius)
+    ok = tg.is_diametral_pair(b, p, q, eps=args.eps)
     return [{"op": "diametral", "result": _bool_text(ok)}], _answer
 
 
 def cmd_honeycomb_locate(args):
-    res = _honey.locate(parse_point(args.point), eps=args.eps)
+    res = tg.locate(parse_point(args.point), eps=args.eps)
     rec = {
         "op": "locate",
         "center": format_point(res.center),
@@ -426,7 +416,7 @@ def cmd_honeycomb_locate(args):
 
 def cmd_honeycomb_verify(args):
     _check_box(args.box)
-    report = _honey.verify_tiling(
+    report = tg.verify_tiling(
         args.dim,
         box_halfwidth=args.box,
         samples=args.samples,
@@ -447,10 +437,12 @@ def cmd_honeycomb_verify(args):
 
 
 def cmd_honeycomb_neighbors(args):
-    center = _honey.as_center(parse_point(args.center))
-    if not _honey.in_lattice(center):
+    from .honeycomb import as_center
+
+    center = as_center(parse_point(args.center))
+    if not tg.in_lattice(center):
         raise TropgeoError("center %s is not in the tiling lattice" % format_point(center))
-    ns = _honey.neighbors(center, eps=args.eps)
+    ns = tg.neighbors(center, eps=args.eps)
     recs = [{"op": "neighbors", "center": format_point(center), "count": len(ns)}]
     recs += [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]
     return recs, _items
@@ -465,12 +457,12 @@ def _basis_text(recs):
 
 
 def cmd_honeycomb_basis(args):
-    basis = _honey.lattice_basis(args.dim)
+    basis = tg.lattice_basis(args.dim)
     recs = [{"op": "basis", "dim": args.dim}]
     recs += [{"kind": "basis", "index": i, "vector": format_point(v)} for i, v in enumerate(basis)]
     if args.dim == 2:
-        recs += [{"kind": "hex_basis", "vector": format_point(v)} for v in _honey.HEX_BASIS_2D]
-        same = _honey.spans_same_lattice(basis, _honey.HEX_BASIS_2D)
+        recs += [{"kind": "hex_basis", "vector": format_point(v)} for v in tg.HEX_BASIS_2D]
+        same = tg.spans_same_lattice(basis, tg.HEX_BASIS_2D)
         recs.append({"kind": "check", "same_lattice": _bool_text(same)})
     return recs, _basis_text
 
@@ -514,7 +506,7 @@ def cmd_honeycomb_plot2d(args):
     if fmt not in ("svg", "csv"):
         raise ParseError("plot2d supports --format svg or csv")
     _check_box(args.box)
-    rings = _honey.hexagon_rings(args.box)
+    rings = tg.hexagon_rings(args.box)
     payload = _render_svg(rings, args.box) if fmt == "svg" else _render_rings_csv(rings)
     if args.out:
         try:

@@ -17,7 +17,6 @@ pure Python.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .core import (
 )
 from .ball import Ball, hrep, _HEX_RING
 from .geodesy import EmptyRegionError
-
-log = logging.getLogger(__name__)
 
 Center = tuple[int, ...]
 
@@ -145,7 +142,13 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
         return LocateResult(c, "interior", (c,), d)
     all_centers = locate_bruteforce(px, eps)
     if c not in all_centers:
-        log.warning("fast-path center %r missed for %r; using nearest", c, px)
+        # imported here: a warning that should never fire is not worth the
+        # logging import every CLI process would pay
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "fast-path center %r missed for %r; using nearest", c, px
+        )
         if not all_centers:
             raise DomainError("no tiling ball contains %r" % (px,))
         F, u = _local_frame(px)

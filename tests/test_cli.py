@@ -286,7 +286,7 @@ def test_honeycomb_verify_mismatch_exit_code(capsys, monkeypatch):
             interior=samples - 1, boundary=0, mismatches=1,
         )
 
-    monkeypatch.setattr(honeycomb, "verify_tiling", fake)
+    monkeypatch.setattr(tropgeo, "verify_tiling", fake)
     code, out, _ = run(capsys, "honeycomb", "verify", "--dim", "2", "--samples", "10")
     assert code == 3
     assert "mismatches: 1" in out.splitlines()

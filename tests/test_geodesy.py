@@ -411,6 +411,7 @@ def test_region_is_immutable():
         (((0, 0), (0,)), tg.DimensionMismatch),
         (((0, 0, 0), (0, 0, 0)), tg.DimensionMismatch),
         ((0, 0), tg.DimensionMismatch),
+        (([{}, 0], [0, 0]), tg.DimensionMismatch),
         (((0, math.nan), (0, 0)), tg.DomainError),
         (((0, 0), (-math.inf, 0)), tg.DomainError),
     ],

@@ -1,9 +1,10 @@
-"""numpy stays off the scalar path.
+"""numpy stays off the scalar path, and each module loads on first use.
 
 Only ``tropgeo._batch`` imports numpy, and only the batch entry points
 (region construction, ``hull``, ``contains_batch``, ``verify_tiling``)
-import ``_batch``.  Each test runs a fresh interpreter, since this process
-has numpy loaded already.
+import ``_batch``.  ``import tropgeo`` loads no submodule; a CLI command
+loads only the modules it runs.  Each test runs a fresh interpreter, since
+this process has every module loaded already.
 """
 
 import os
@@ -34,6 +35,26 @@ NUMPY_FREE_EXAMPLES = [
     ["honeycomb", "locate", "--point", "1.2,0.7"],
     ["--format", "csv", "honeycomb", "plot2d", "--box", "3"],
 ]
+
+# prints the exit code and which of the space-separated modules in argv[1]
+# a CLI command (the rest of argv) leaves loaded
+LOADED_BY_CLI = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from tropgeo.cli import main\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[2:])\n"
+    "print(code, sorted(set(sys.argv[1].split()) & set(sys.modules)))\n"
+)
+
+# runs its code after asserting that import tropgeo loaded no submodule
+LAZY_PACKAGE = (
+    "import sys\n"
+    "import tropgeo\n"
+    "def submodules():\n"
+    "    return sorted(m for m in sys.modules if m.startswith('tropgeo.'))\n"
+    "assert submodules() == [], submodules()\n"
+)
 
 BATCH_EXAMPLES = [
     ["hull", "0,0,0", "1,0,0", "1,1,0", "1,1,1"],
@@ -80,3 +101,54 @@ def test_batch_commands_run_with_numpy(capsys, argv):
     proc = python("-m", "tropgeo.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert (0, proc.stdout) == in_process(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["dist", "0,0", "1,2"],
+         ["tropgeo.geodesy", "tropgeo.ball", "tropgeo.honeycomb", "logging", "numpy"]),
+        (["honeycomb", "locate", "--point", "1.2,0.7"], ["logging", "numpy"]),
+    ],
+    ids=["dist", "honeycomb locate"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+
+def test_star_import_binds_every_public_name():
+    proc = python("-c", LAZY_PACKAGE + (
+        "ns = {}\n"
+        "exec('from tropgeo import *', ns)\n"
+        "print(sorted(set(tropgeo.__all__) - set(ns)))\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_public_name_is_its_modules_object_and_named_once():
+    proc = python("-c", LAZY_PACKAGE + (
+        "named = [x for names in tropgeo._EXPORTS.values() for x in names]\n"
+        "assert sorted(named + ['__version__']) == sorted(set(tropgeo.__all__))\n"
+        "print([x for m, names in tropgeo._EXPORTS.items() for x in names\n"
+        "       if getattr(getattr(tropgeo, m), x) is not getattr(tropgeo, x)])\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_dir_lists_every_public_name_and_loads_nothing():
+    proc = python("-c", LAZY_PACKAGE + (
+        "print(sorted(set(tropgeo.__all__) - set(dir(tropgeo))), submodules())\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (0, "[] []\n"), proc.stderr
+
+
+def test_an_unknown_attribute_raises_and_loads_nothing():
+    proc = python("-c", LAZY_PACKAGE + (
+        "try:\n"
+        "    tropgeo.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc, submodules())\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'tropgeo' has no attribute 'no_such_name' []\n"
