@@ -73,15 +73,23 @@ def _pair(x, y) -> tuple[Point, Point]:
     return px, py
 
 
+def _finite(value: float) -> float:
+    """value, or DomainError when finite input has overflowed float64."""
+    if not math.isfinite(value):
+        raise DomainError("the distance overflows float64")
+    return value
+
+
 def dist(x, y) -> float:
     """Min-plus distance between two points of R^n.
 
     Equals the longest coordinate rise minus the deepest coordinate drop of
-    x - y, with zero always included among the candidates.
+    x - y, with zero always included among the candidates.  Raises
+    DomainError when that overflows float64, as for (1e308,) and (-1e308,).
     """
     px, py = _pair(x, y)
     deltas = [a - b for a, b in zip(px, py)]
-    return max(max(deltas), 0.0) - min(min(deltas), 0.0)
+    return _finite(max(max(deltas), 0.0) - min(min(deltas), 0.0))
 
 
 def dist_proj(x, y) -> float:
@@ -90,13 +98,13 @@ def dist_proj(x, y) -> float:
     if len(px) < 2:
         raise DomainError("projective input needs at least two entries")
     deltas = [a - b for a, b in zip(px, py)]
-    return max(deltas) - min(deltas)
+    return _finite(max(deltas) - min(deltas))
 
 
 def norm(x) -> float:
-    """Distance from x to the origin."""
+    """Distance from x to the origin; DomainError when it overflows float64."""
     px = as_point(x)
-    return max(max(px), 0.0) - min(min(px), 0.0)
+    return _finite(max(max(px), 0.0) - min(min(px), 0.0))
 
 
 def norm_proj(x) -> float:
@@ -104,7 +112,7 @@ def norm_proj(x) -> float:
     px = as_point(x)
     if len(px) < 2:
         raise DomainError("projective input needs at least two entries")
-    return max(px) - min(px)
+    return _finite(max(px) - min(px))
 
 
 def lp_distances(x, y) -> tuple[float, float]:

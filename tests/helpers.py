@@ -96,6 +96,35 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
+def tiling_report_oracle(n, box_halfwidth, samples, seed, eps, shard_size):
+    """verify_tiling's report from the scalar locate and the exhaustive count.
+
+    Draws each shard whole with ``uniform`` from the substream (seed,
+    shard), takes each sample's status and distance from ``tg.locate``, and
+    its number of containing centers from containing_count_oracle, or from
+    locate's all_centers when a coordinate is within eps of an integer, as
+    verify_tiling does.  Then applies verify_tiling's mismatch rule.
+    """
+    interior = mismatches = 0
+    for shard, start in enumerate(range(0, samples, shard_size)):
+        m = min(shard_size, samples - start)
+        X = np.random.default_rng([seed, shard]).uniform(-box_halfwidth, box_halfwidth, (m, n))
+        R = np.round(X)
+        near = np.abs(X - R) <= eps
+        counts = containing_count_oracle(X, np.floor(np.where(near, R, X)), eps)
+        for row, snapped, count in zip(X.tolist(), near.any(axis=1), counts.tolist()):
+            res = tg.locate(row, eps)
+            if snapped:
+                count = len(res.all_centers)
+            if res.status == "interior":
+                interior += 1
+                mismatches += count != 1
+            else:
+                d = res.distance
+                mismatches += d > 1.0 + eps or (count < 2 and abs(d - 1.0) > eps)
+    return tg.TilingReport(n, samples, box_halfwidth, seed, interior, samples - interior, mismatches)
+
+
 def facet_neighbors_oracle(c, halfwidth=2, eps=tg.DEFAULT_EPS):
     """Lattice centers whose ball meets the ball at c in an (n-1)-dim region.
 

@@ -153,6 +153,33 @@ def test_dimension_mismatch_raises():
         tg.lp_distances((1,), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tg.dist((1e308,), (-1e308,)),
+        lambda: tg.dist((1e308, 0.0), (0.0, 1e308)),
+        lambda: tg.dist_proj((1e308, 0.0), (-1e308, 0.0)),
+        lambda: tg.dist_proj((1e308, 1e308), (-1e308, -1e308)),
+        lambda: tg.norm((1e308, -1e308)),
+        lambda: tg.norm_proj((1e308, -1e308)),
+    ],
+    ids=["dist", "dist-two-coordinates", "dist_proj", "dist_proj-inf-minus-inf", "norm", "norm_proj"],
+)
+def test_metric_overflow_is_a_domain_error(call):
+    # finite input whose distance overflows float64 raises, never returns
+    # inf or (for dist_proj, as inf - inf) nan
+    with pytest.raises(tg.DomainError, match="the distance overflows float64"):
+        call()
+
+
+def test_metric_keeps_the_largest_finite_distances():
+    big = 1.7976931348623157e308
+    assert tg.dist((big,), (0.0,)) == big
+    assert tg.norm((big / 2, -big / 2)) == big
+    assert tg.norm_proj((big, 0.0)) == big
+    assert tg.dist_proj((big, 0.0), (0.0, 0.0)) == big
+
+
 def test_as_point_rejects_bad_values():
     with pytest.raises(tg.DomainError):
         core.as_point((1.0, float("inf")))

@@ -1,6 +1,8 @@
 import itertools
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,12 @@ import tropgeo as tg
 from tropgeo import _batch, honeycomb
 from tropgeo.honeycomb import HEX_BASIS_2D, as_center, hexagon_rings
 
-from helpers import batch_dist, containing_count_oracle, facet_neighbors_oracle
+from helpers import (
+    batch_dist,
+    containing_count_oracle,
+    facet_neighbors_oracle,
+    tiling_report_oracle,
+)
 
 
 def lattice_window(n, halfwidth):
@@ -424,7 +431,8 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
     for n in range(1, 7):
         X = _count_cases(n, rng)[::10]
         XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
-        want = _batch._containing_counts(XT, FT, tg.DEFAULT_EPS)
+        # the result is a workspace view that the next call overwrites
+        want = _batch._containing_counts(XT, FT, tg.DEFAULT_EPS).copy()
         monkeypatch.setattr(_batch, "_BROADCAST_BUDGET", 2 * n)
         assert np.array_equal(_batch._containing_counts(XT, FT, tg.DEFAULT_EPS), want)
         monkeypatch.undo()
@@ -458,6 +466,115 @@ def test_verify_tiling_memory_stays_bounded():
         tracemalloc.stop()
     assert rep.mismatches == 0
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("box", [0.0, 0.7, 3.0, 10.0, 1e-300, 2.0**53])
+@pytest.mark.parametrize("budget", [1, 7, 13, _batch._TILING_BUDGET])
+def test_sample_blocks_are_uniform_byte_for_byte(monkeypatch, box, budget):
+    # verify_tiling's samples are the substream's uniform draws, however the
+    # blocks cut them; m is never a multiple of the block, so the last block
+    # is always shorter
+    monkeypatch.setattr(_batch, "_TILING_BUDGET", budget)
+    for n, m in [(1, 61), (3, 101), (5, 43)]:
+        rows = max(1, budget // n)
+        blocks = [X.copy() for X in _batch._sample_blocks(11, 2, m, n, box)]
+        assert [len(X) for X in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        want = np.random.default_rng([11, 2]).uniform(-box, box, (m, n))
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n):
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        for shard_size, samples in [(1, 30), (7, 150), (1500, 150), (65_536, 150)]:
+            kw = dict(box_halfwidth=3.0, samples=samples, seed=4, eps=eps, shard_size=shard_size)
+            want = tiling_report_oracle(n, **kw)
+            for budget in (1, 7, 13 * n, _batch._TILING_BUDGET):
+                monkeypatch.setattr(_batch, "_TILING_BUDGET", budget)
+                assert tg.verify_tiling(n, **kw) == want, (eps, shard_size, budget)
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, so with an empty workspace."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def _workspace_bytes():
+    return sum(buf.nbytes for buf in _batch._WS.buffers.values())
+
+
+def test_verify_tiling_threads_get_the_serial_reports():
+    # more threads than cores, each cycling through blocks of other shapes
+    # than its neighbours, with frequent switches between them
+    jobs = [(3, 24_000), (6, 3_400), (9, 480), (2, 70_000), (4, 900)]
+    want = [tg.verify_tiling(n, samples=s, seed=s) for n, s in jobs]
+    start = threading.Barrier(4)
+    got = {}
+
+    def run(k):
+        start.wait(timeout=60)
+        order = list(range(k, len(jobs))) + list(range(k))
+        got[k] = [(i, tg.verify_tiling(jobs[i][0], samples=jobs[i][1], seed=jobs[i][1])) for i in order * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for runs in got.values():
+        assert len(runs) == 2 * len(jobs)
+        assert all(rep == want[i] for i, rep in runs)
+
+
+def test_verify_tiling_allocates_its_workspace_once():
+    def peaks():
+        out = []
+        for samples in (20_000, 20_000, 200_000):
+            tracemalloc.start()
+            try:
+                rep = tg.verify_tiling(3, samples=samples, seed=2, shard_size=20_000)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.mismatches == 0
+        return out
+
+    first, second, ten_shards = _in_fresh_thread(peaks)
+    # the first call maps in the workspace; later calls, one shard or ten,
+    # draw only small transients next to it
+    assert second <= first and ten_shards <= first
+    assert max(second, ten_shards) < first / 4
+
+
+def test_verify_tiling_workspace_is_bounded_by_the_budget():
+    def retained(n):
+        block = _batch._TILING_BUDGET // n
+        sizes = []
+        for samples, shard_size in [(block, 65_536), (3 * block + 5, 3 * block), (block, block)]:
+            for _ in range(2):
+                tg.verify_tiling(n, samples=samples, seed=3, shard_size=shard_size)
+                sizes.append(_workspace_bytes())
+        return sizes
+
+    for n in (1, 3):
+        sizes = _in_fresh_thread(lambda: retained(n))
+        # once a full block has been checked, nothing grows
+        assert len(set(sizes[2:])) == 1
+        # n = 1 has the most rows per block, and reserves 17.5 MiB
+        assert max(sizes) <= 20 * 8 * _batch._TILING_BUDGET
 
 
 def test_batch_engine_agrees_with_scalar_locate():
