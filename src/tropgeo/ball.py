@@ -237,10 +237,8 @@ def generator_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     return tuple(1.0 + v for v in px) + (0.0,)
 
 
-def eval_trop_combination(coeffs, generators, mode: str = "min") -> Point:
+def eval_trop_combination(coeffs, generators) -> Point:
     """Evaluate a min-plus combination: coordinatewise min of coeff + generator."""
-    if mode != "min":
-        raise DomainError("only min mode combinations are supported")
     a = [float(v) for v in coeffs]
     gens = [as_point(g) for g in generators]
     if len(a) != len(gens):

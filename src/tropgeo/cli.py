@@ -1,12 +1,10 @@
 """Command line front door for the min-plus geometry toolkit.
 
-Every library operation is reachable from exactly one subcommand; the
-mapping lives in OPERATION_COMMANDS.  Each command returns its result as
-records; ``--format records`` prints them as ``key=value`` blocks and the
-text format is rendered from them.  Global flags come before the
-subcommand: ``tropgeo --format records norm -- -3,-2,1``.  Exit codes:
-0 success, 1 domain violation, 2 usage or parse failure, 3 verification
-failure.
+Each command returns its result as records; ``--format records`` prints
+them as ``key=value`` blocks and the text format is rendered from them.
+Global flags come before the subcommand:
+``tropgeo --format records norm -- -3,-2,1``.  Exit codes: 0 success,
+1 domain violation, 2 usage or parse failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -27,46 +25,6 @@ from .core import (
     parse_point,
     parse_projective,
 )
-
-OPERATION_COMMANDS = {
-    # core
-    "dist": "dist",
-    "dist_proj": "dist",
-    "lp_distances": "dist",
-    "norm": "norm",
-    "norm_proj": "norm",
-    "segment": "segment",
-    "to_orthant_coords": "ball decompose",
-    # geodesy
-    "polyline_length": "length",
-    "curve_length": "circle-length",
-    "is_geodesic": "geodesic-check",
-    "is_between": "between",
-    "hull": "hull",
-    "classify2d": "classify2d",
-    # ball
-    "contains": "ball decompose",  # its outside-the-ball error
-    "hrep": "ball hrep",
-    "vertices": "ball vertices",
-    "facets": "ball facets",
-    "opposite": "ball facets",
-    "facet_of": "sphere poles",
-    "is_diametral_pair": "sphere diametral",
-    "minkowski_coeffs": "ball decompose",
-    "orthant_of": "ball decompose",
-    "generator_coeffs": "ball decompose",
-    "eval_trop_combination": "ball decompose",
-    "pole_distances": "sphere poles",
-    "intrinsic_distance_2d": "sphere distance",
-    "angle_2d": "sphere angle",
-    # honeycomb
-    "in_lattice": "honeycomb neighbors",
-    "locate": "honeycomb locate",
-    "locate_bruteforce": "honeycomb locate",
-    "neighbors": "honeycomb neighbors",
-    "verify_tiling": "honeycomb verify",
-    "lattice_basis": "honeycomb basis",
-}
 
 
 def _bool_text(v: bool) -> str:
@@ -431,9 +389,8 @@ def cmd_honeycomb_verify(args):
 def cmd_honeycomb_neighbors(args):
     from .honeycomb import as_center
 
+    # as_center keeps the entries ints, so large centers print exactly
     center = as_center(parse_point(args.center))
-    if not tg.in_lattice(center):
-        raise TropgeoError("center %s is not in the tiling lattice" % format_point(center))
     ns = tg.neighbors(center, eps=args.eps)
     recs = [{"op": "neighbors", "center": format_point(center), "count": len(ns)}]
     recs += [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]

@@ -116,10 +116,11 @@ def norm_proj(x) -> float:
 
 
 def lp_distances(x, y) -> tuple[float, float]:
-    """(l1, linf) distances, handy for sandwich bounds around dist."""
+    """(l1, linf) distances, handy for sandwich bounds around dist.  Raises
+    DomainError when either overflows float64, as dist does."""
     px, py = _pair(x, y)
     deltas = [abs(a - b) for a, b in zip(px, py)]
-    return sum(deltas), max(deltas)
+    return _finite(sum(deltas)), _finite(max(deltas))
 
 
 def canon(h) -> Point:

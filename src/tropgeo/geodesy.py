@@ -69,40 +69,42 @@ def polyline_evaluator(points):
     return curve
 
 
-def curve_length(curve, tol: float = 1e-6, max_depth: int = 24) -> float:
+# Doublings curve_length tries before it gives up: the last level samples
+# 2^24 + 1 points, one at a time.
+_MAX_DEPTH = 24
+
+
+def curve_length(curve, tol: float = 1e-6) -> float:
     """Length of a curve [0,1] -> R^n by dyadic refinement.
 
     Doubles the number of uniform samples until two successive polyline
     lengths differ by less than ``tol``; the sequence is nondecreasing, so the
     last value is returned.  Raises ConvergenceError (carrying the last two
-    estimates) if ``max_depth`` doublings do not stabilize.  Converges for
-    piecewise linear curves and for smooth curves of bounded turning.
+    estimates) if ``_MAX_DEPTH`` doublings do not stabilize.  Converges for
+    piecewise linear curves and for smooth curves of bounded turning.  Each
+    level's length is summed as its samples are taken, so memory does not
+    grow with the depth.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be positive and finite")
-    depth = 2
-    pts = [as_point(curve(i / 2**depth)) for i in range(2**depth + 1)]
-    n = len(pts[0])
-    for p in pts:
-        if len(p) != n:
-            raise DimensionMismatch("curve changes dimension along the way")
-    prev = cur = polyline_length(pts)
-    while depth < max_depth:
-        depth += 1
-        refined = []
+    start = as_point(curve(0.0))
+    prev = None
+    for depth in range(2, _MAX_DEPTH + 1):
+        # polyline_length of the samples i / 2^depth, in its order; dist
+        # raises DimensionMismatch if the curve changes dimension
         denom = 2**depth
-        for i, p in enumerate(pts[:-1]):
-            refined.append(p)
-            refined.append(as_point(curve((2 * i + 1) / denom)))
-        refined.append(pts[-1])
-        pts = refined
-        cur = polyline_length(pts)
-        if cur - prev < tol:
+        cur = 0.0
+        a = start
+        for i in range(1, denom + 1):
+            b = as_point(curve(i / denom))
+            cur += dist(a, b)
+            a = b
+        if prev is not None and cur - prev < tol:
             return cur
         prev = cur
     raise ConvergenceError(
         "curve length did not converge by depth %d (last bracket %r)"
-        % (max_depth, (prev, cur)),
+        % (_MAX_DEPTH, (prev, cur)),
         bracket=(prev, cur),
     )
 

@@ -251,6 +251,12 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
     return sorted(found)
 
 
+# Samples per shard of verify_tiling: shard s draws from the substream
+# seeded by (seed, s), so this fixes which stream each sample comes from.
+# Memory is bounded by _batch's block budget, not by the shard.
+_SHARD_SIZE = 65_536
+
+
 @dataclass(frozen=True)
 class TilingReport:
     """Summary of a randomized covering/disjointness check."""
@@ -270,15 +276,14 @@ def verify_tiling(
     samples: int = 100_000,
     seed: int = 0,
     eps: float = DEFAULT_EPS,
-    shard_size: int = 65_536,
 ) -> TilingReport:
     """Sample uniform points and check the fast locator against enumeration.
 
     A sample counts as a mismatch when an interior point has more or fewer
     than one containing center, or when a boundary point's fast-path center
-    is not among its containing centers.  Sampling is sharded; shard s uses
-    the substream seeded by (seed, s), so reports are reproducible for a
-    given (seed, samples, shard_size).
+    is not among its containing centers.  Sampling is sharded in
+    _SHARD_SIZE samples; shard s uses the substream seeded by (seed, s), so
+    a report depends only on (n, box, samples, seed, eps).
 
     Each shard is drawn and checked in blocks of at most 2^17 // n samples
     (the block budget, 1 MiB of float64), each transposed once to an (n, m)
@@ -297,17 +302,15 @@ def verify_tiling(
     Every array of a block lives in a workspace of the calling thread that
     is kept between calls and sized by those two budgets, so a call after
     the first allocates no large array and maps in no new pages.  Memory
-    does not grow with samples, shard_size, C(n, r) or the number of calls;
-    a thread retains about 8 MiB of address space after blocks of the
-    benchmark's sizes at n = 3, 6 and 9, and at most about 18 MiB, at n = 1.
+    does not grow with samples, C(n, r) or the number of calls; a thread
+    retains about 8 MiB of address space after blocks of the benchmark's
+    sizes at n = 3, 6 and 9, and at most about 18 MiB, at n = 1.
     Threads may call this at once; each has its own workspace.
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
     if samples < 0:
         raise DomainError("samples must be nonnegative")
-    if shard_size < 1:
-        raise DomainError("shard_size must be at least 1")
     if not (math.isfinite(box_halfwidth) and box_halfwidth >= 0):
         raise DomainError("box halfwidth must be finite and nonnegative")
     if box_halfwidth > 2**53:
@@ -318,8 +321,8 @@ def verify_tiling(
     from . import _batch
 
     interior = boundary = mismatches = 0
-    for shard, done in enumerate(range(0, samples, shard_size)):
-        m = min(shard_size, samples - done)
+    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
+        m = min(_SHARD_SIZE, samples - done)
         for X in _batch._sample_blocks(seed, shard, m, n, box_halfwidth):
             i_cnt, b_cnt, mm = _batch._verify_block(X, eps, locate)
             interior += i_cnt

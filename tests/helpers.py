@@ -6,6 +6,7 @@ import random
 import numpy as np
 
 import tropgeo as tg
+from tropgeo import honeycomb
 
 
 def ball_points(n, m, rng):
@@ -96,15 +97,17 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
-def tiling_report_oracle(n, box_halfwidth, samples, seed, eps, shard_size):
+def tiling_report_oracle(n, box_halfwidth, samples, seed, eps):
     """verify_tiling's report from the scalar locate and the exhaustive count.
 
-    Draws each shard whole with ``uniform`` from the substream (seed,
-    shard), takes each sample's status and distance from ``tg.locate``, and
-    its number of containing centers from containing_count_oracle, or from
-    locate's all_centers when a coordinate is within eps of an integer, as
-    verify_tiling does.  Then applies verify_tiling's mismatch rule.
+    Draws each shard of honeycomb._SHARD_SIZE samples whole with
+    ``uniform`` from the substream (seed, shard), takes each sample's status
+    and distance from ``tg.locate``, and its number of containing centers
+    from containing_count_oracle, or from locate's all_centers when a
+    coordinate is within eps of an integer, as verify_tiling does.  Then
+    applies verify_tiling's mismatch rule.
     """
+    shard_size = honeycomb._SHARD_SIZE
     interior = mismatches = 0
     for shard, start in enumerate(range(0, samples, shard_size)):
         m = min(shard_size, samples - start)

@@ -162,8 +162,11 @@ def test_dimension_mismatch_raises():
         lambda: tg.dist_proj((1e308, 1e308), (-1e308, -1e308)),
         lambda: tg.norm((1e308, -1e308)),
         lambda: tg.norm_proj((1e308, -1e308)),
+        lambda: tg.lp_distances((1e308, 1e308), (0.0, 0.0)),
+        lambda: tg.lp_distances((1e308,), (-1e308,)),
     ],
-    ids=["dist", "dist-two-coordinates", "dist_proj", "dist_proj-inf-minus-inf", "norm", "norm_proj"],
+    ids=["dist", "dist-two-coordinates", "dist_proj", "dist_proj-inf-minus-inf", "norm", "norm_proj",
+         "lp_distances-l1", "lp_distances-both"],
 )
 def test_metric_overflow_is_a_domain_error(call):
     # finite input whose distance overflows float64 raises, never returns
@@ -178,6 +181,7 @@ def test_metric_keeps_the_largest_finite_distances():
     assert tg.norm((big / 2, -big / 2)) == big
     assert tg.norm_proj((big, 0.0)) == big
     assert tg.dist_proj((big, 0.0), (0.0, 0.0)) == big
+    assert tg.lp_distances((big,), (0.0,)) == (big, big)
 
 
 def test_as_point_rejects_bad_values():

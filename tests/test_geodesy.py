@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tropgeo as tg
-from tropgeo import _batch
+from tropgeo import _batch, geodesy
 from tropgeo.geodesy import (
     EDGE_NAMES,
     POINT_ID,
@@ -67,35 +67,61 @@ def test_curve_length_polyline_exact_at_dyadic_breakpoints():
     assert tg.curve_length(curve, tol=1e-9) == tg.polyline_length(pts)
 
 
-def test_curve_length_reports_bracket_on_nonconvergence():
+def test_curve_length_reports_bracket_on_nonconvergence(monkeypatch):
+    monkeypatch.setattr(geodesy, "_MAX_DEPTH", 4)
+
     def shifted(t):
         return (math.cos(2 * math.pi * t + 0.3), math.sin(2 * math.pi * t + 0.3))
 
     # both refinement steps available below depth 4 still move the estimate
     # by ~0.2, so a 1e-12 tolerance cannot stabilize in time
     with pytest.raises(tg.ConvergenceError) as exc:
-        tg.curve_length(shifted, tol=1e-12, max_depth=4)
+        tg.curve_length(shifted, tol=1e-12)
     low, high = exc.value.bracket
     assert 0 < low <= high <= 4 + 2 * math.sqrt(2) + 1e-6
 
 
-def test_curve_length_zero_refinement_budget():
+def test_curve_length_zero_refinement_budget(monkeypatch):
+    monkeypatch.setattr(geodesy, "_MAX_DEPTH", 2)
+
     def circle(t):
         return (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
 
     with pytest.raises(tg.ConvergenceError):
-        tg.curve_length(circle, tol=1e-9, max_depth=2)
+        tg.curve_length(circle, tol=1e-9)
 
 
 def test_curve_length_rejects_bad_tol():
-    # a NaN tol never stops the refinement, which then holds 2^max_depth
-    # points, so the curve must not be sampled before tol is checked
+    # a NaN tol never stops the refinement, which then samples the curve
+    # 2^(_MAX_DEPTH + 1) times, so the curve must not be sampled before tol
+    # is checked
     def curve(t):
         raise AssertionError("curve sampled before tol was checked")
 
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(tg.DomainError):
             tg.curve_length(curve, tol=tol)
+
+
+def test_curve_length_memory_does_not_grow_with_the_depth(monkeypatch):
+    # sampled at the dyadics, this curve jumps about at every level, so its
+    # length never settles and every level up to _MAX_DEPTH is summed
+    def rough(t):
+        return (math.sin(1e9 * t), 0.0)
+
+    peaks = []
+    # the first call warms up the interpreter's own caches and is not compared
+    for depth in (10, 12, 16):
+        monkeypatch.setattr(geodesy, "_MAX_DEPTH", depth)
+        tracemalloc.start()
+        try:
+            with pytest.raises(tg.ConvergenceError):
+                tg.curve_length(rough, tol=1e-6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a level of 2^16 + 1 points held at once would take megabytes
+    assert peaks[2] <= peaks[1] + 4096, peaks
 
 
 # geodesic predicates

@@ -310,8 +310,9 @@ def test_verify_tiling_is_deterministic():
     assert c.mismatches == 0
 
 
-def test_verify_tiling_crosses_shard_boundaries():
-    rep = tg.verify_tiling(2, box_halfwidth=5.0, samples=3000, seed=3, shard_size=1024)
+def test_verify_tiling_crosses_shard_boundaries(monkeypatch):
+    monkeypatch.setattr(honeycomb, "_SHARD_SIZE", 1024)
+    rep = tg.verify_tiling(2, box_halfwidth=5.0, samples=3000, seed=3)
     assert rep.mismatches == 0
     assert rep.interior + rep.boundary == 3000
 
@@ -326,8 +327,6 @@ def test_verify_tiling_rejects_bad_arguments():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"shard_size": 0},
-        {"shard_size": -3},
         {"box_halfwidth": -1.0},
         {"box_halfwidth": math.nan},
         {"box_halfwidth": math.inf},
@@ -342,7 +341,7 @@ def test_verify_tiling_rejects_bad_arguments():
 )
 def test_verify_tiling_rejects_bad_input(kwargs):
     # with no samples no shard is drawn, so each input must be rejected up
-    # front; a shard_size below 1 would otherwise never finish
+    # front
     with pytest.raises(tg.DomainError):
         tg.verify_tiling(2, samples=0, **kwargs)
 
@@ -488,7 +487,8 @@ def test_sample_blocks_are_uniform_byte_for_byte(monkeypatch, box, budget):
 def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n):
     for eps in (tg.DEFAULT_EPS, 0.05):
         for shard_size, samples in [(1, 30), (7, 150), (1500, 150), (65_536, 150)]:
-            kw = dict(box_halfwidth=3.0, samples=samples, seed=4, eps=eps, shard_size=shard_size)
+            monkeypatch.setattr(honeycomb, "_SHARD_SIZE", shard_size)
+            kw = dict(box_halfwidth=3.0, samples=samples, seed=4, eps=eps)
             want = tiling_report_oracle(n, **kw)
             for budget in (1, 7, 13 * n, _batch._TILING_BUDGET):
                 monkeypatch.setattr(_batch, "_TILING_BUDGET", budget)
@@ -539,13 +539,15 @@ def test_verify_tiling_threads_get_the_serial_reports():
         assert all(rep == want[i] for i, rep in runs)
 
 
-def test_verify_tiling_allocates_its_workspace_once():
+def test_verify_tiling_allocates_its_workspace_once(monkeypatch):
+    monkeypatch.setattr(honeycomb, "_SHARD_SIZE", 20_000)
+
     def peaks():
         out = []
         for samples in (20_000, 20_000, 200_000):
             tracemalloc.start()
             try:
-                rep = tg.verify_tiling(3, samples=samples, seed=2, shard_size=20_000)
+                rep = tg.verify_tiling(3, samples=samples, seed=2)
                 out.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -559,13 +561,14 @@ def test_verify_tiling_allocates_its_workspace_once():
     assert max(second, ten_shards) < first / 4
 
 
-def test_verify_tiling_workspace_is_bounded_by_the_budget():
+def test_verify_tiling_workspace_is_bounded_by_the_budget(monkeypatch):
     def retained(n):
         block = _batch._TILING_BUDGET // n
         sizes = []
         for samples, shard_size in [(block, 65_536), (3 * block + 5, 3 * block), (block, block)]:
+            monkeypatch.setattr(honeycomb, "_SHARD_SIZE", shard_size)
             for _ in range(2):
-                tg.verify_tiling(n, samples=samples, seed=3, shard_size=shard_size)
+                tg.verify_tiling(n, samples=samples, seed=3)
                 sizes.append(_workspace_bytes())
         return sizes
 

@@ -33,6 +33,8 @@ NUMPY_FREE_EXAMPLES = [
     ["ball", "decompose", "--point=-0.4,0.3"],
     ["sphere", "poles", "--point", "0.2,1"],
     ["honeycomb", "locate", "--point", "1.2,0.7"],
+    # a boundary point: locate enumerates its centers
+    ["honeycomb", "locate", "--point", "1,0"],
     ["--format", "csv", "honeycomb", "plot2d", "--box", "3"],
 ]
 
