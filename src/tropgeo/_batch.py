@@ -83,7 +83,7 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
     else:
         try:
             diff = np.array(diff_lb, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch("diff_lb must be an n by n table of numbers") from exc
         if diff.shape != (n, n):
             raise DimensionMismatch("diff_lb must be an n by n table")
@@ -123,7 +123,7 @@ def _contains_batch(region, X, eps: float):
         # no dtype: an int or str array is cast chunk by chunk below, never
         # copied whole
         A = np.asarray(X)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(numbers) from exc
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionMismatch("expected an (m, %d) array" % n)
@@ -142,7 +142,7 @@ def _contains_batch(region, X, eps: float):
         rows = AT[:, :k]
         try:
             np.copyto(rows, A[s : s + k].T, casting="unsafe")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(numbers) from exc
         x = list(rows)
         tk, hk, okk = t[:k], hit[:k], ok[s : s + k]
@@ -161,12 +161,22 @@ def _contains_batch(region, X, eps: float):
     return ok
 
 
-def _hull_bounds(pts):
-    """(lower, upper, diff) of the hull of equal-length float tuples."""
-    P = np.array(pts)
-    n = P.shape[1]
+def _hull_bounds(points):
+    """(lower, upper, diff) of the hull of a sequence of points or an (m, n)
+    array, read here once as float64 and checked before any subtraction."""
+    try:
+        P = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch("hull points must be an (m, n) table of numbers") from exc
+    if P.shape[:1] == (0,):
+        raise DomainError("hull needs at least one point")
+    if P.ndim != 2:
+        raise DimensionMismatch("hull points must be an (m, n) table of numbers")
+    finite = np.isfinite(P).all(axis=1)
+    if not finite.all():  # inf - inf below would warn
+        raise DomainError("coordinates must be finite, got %r" % (tuple(P[~finite][0].tolist()),))
     # row i holds min over the points of p_i - p_j, one m x n pass per i
-    diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(n)])
+    diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(P.shape[1])])
     return P.min(axis=0), P.max(axis=0), diff
 
 

@@ -39,7 +39,8 @@ class EmptyRegionError(TropgeoError):
 class ConvergenceError(TropgeoError):
     """Curve-length refinement did not stabilize within the depth limit.
 
-    ``bracket`` holds the last two (lower, upper) length estimates.
+    ``bracket`` holds the last two (lower, upper) length estimates, or the
+    only estimate twice when a single level was computed.
     """
 
     def __init__(self, message: str, bracket: tuple[float, float]):
@@ -48,8 +49,15 @@ class ConvergenceError(TropgeoError):
 
 
 def as_point(coords) -> Point:
-    """Validate a coordinate sequence and return it as a float tuple."""
-    pt = tuple(float(v) for v in coords)
+    """Validate a coordinate sequence and return it as a float tuple.
+
+    A coordinate that float() rejects, such as "a", None or 10**400, raises
+    DomainError.
+    """
+    try:
+        pt = tuple(float(v) for v in coords)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError("a point must be a sequence of real numbers: %s" % exc) from None
     if not pt:
         raise DomainError("a point needs at least one coordinate")
     for v in pt:

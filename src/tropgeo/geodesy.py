@@ -10,8 +10,8 @@ computed in float64; ``==`` compares that form exactly, so two systems equal
 in exact arithmetic can differ in the last bits after rounding.  ``hull``
 builds the smallest region containing a point set, and ``classify2d`` names
 the polygon shapes these systems cut out in the plane.  The array kernels
-(closure, ``hull``'s reductions, ``contains_batch``) live in ``_batch``, the
-one module that imports numpy, and are loaded on first use.
+(closure, ``hull``'s intake and reductions, ``contains_batch``) live in
+``_batch``, the one module that imports numpy, and are loaded on first use.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ def polyline_length(points) -> float:
     pts = [as_point(p) for p in points]
     if not pts:
         raise DomainError("polyline needs at least one vertex")
-    n = len(pts[0])
-    for p in pts:
-        if len(p) != n:
-            raise DimensionMismatch("polyline vertices have mixed dimensions")
+    # dist raises DimensionMismatch for a pair of mixed dimensions
     total = 0.0
     for a, b in zip(pts, pts[1:]):
         total += dist(a, b)
@@ -80,20 +77,21 @@ def curve_length(curve, tol: float = 1e-6) -> float:
     Doubles the number of uniform samples until two successive polyline
     lengths differ by less than ``tol``; the sequence is nondecreasing, so the
     last value is returned.  Raises ConvergenceError (carrying the last two
-    estimates) if ``_MAX_DEPTH`` doublings do not stabilize.  Converges for
-    piecewise linear curves and for smooth curves of bounded turning.  Each
-    level's length is summed as its samples are taken, so memory does not
-    grow with the depth.
+    estimates) if ``_MAX_DEPTH`` doublings do not stabilize; a one-level
+    budget (``_MAX_DEPTH = 2``) has a single estimate and reports it as both
+    ends of the bracket.  Converges for piecewise linear curves and for
+    smooth curves of bounded turning.  Each level's length is summed as its
+    samples are taken, so memory does not grow with the depth.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be positive and finite")
     start = as_point(curve(0.0))
-    prev = None
+    prev = cur = None
     for depth in range(2, _MAX_DEPTH + 1):
         # polyline_length of the samples i / 2^depth, in its order; dist
         # raises DimensionMismatch if the curve changes dimension
         denom = 2**depth
-        cur = 0.0
+        prev, cur = cur, 0.0
         a = start
         for i in range(1, denom + 1):
             b = as_point(curve(i / denom))
@@ -101,11 +99,11 @@ def curve_length(curve, tol: float = 1e-6) -> float:
             a = b
         if prev is not None and cur - prev < tol:
             return cur
-        prev = cur
+    bracket = (cur if prev is None else prev, cur)
     raise ConvergenceError(
         "curve length did not converge by depth %d (last bracket %r)"
-        % (_MAX_DEPTH, (prev, cur)),
-        bracket=(prev, cur),
+        % (_MAX_DEPTH, bracket),
+        bracket=bracket,
     )
 
 
@@ -208,12 +206,13 @@ class GeodesicRegion:
 
         On a finite row each entry equals ``contains`` with the same eps; a
         row with a NaN or an infinite entry, which ``contains`` rejects,
-        tests False.  The rows are tested in chunks of bounded size,
-        coordinate-major, with one subtraction x_i - x_j per pair i < j
-        serving both of its difference bounds, so for a float64 X memory
-        beyond the result does not grow with m.  Raises DimensionMismatch
-        when X is not an (m, n) array of numbers, such as a ragged or
-        non-numeric sequence.
+        tests False, and numpy reads a None entry as NaN.  The rows are
+        tested in chunks of bounded size, coordinate-major, with one
+        subtraction x_i - x_j per pair i < j serving both of its difference
+        bounds, so for a float64 X memory beyond the result does not grow
+        with m.  Raises DimensionMismatch when X is not an (m, n) array of
+        numbers, such as a ragged or non-numeric sequence, or holds an int
+        too large for float64.
         """
         check_eps(eps)
         from . import _batch
@@ -274,18 +273,11 @@ class GeodesicRegion:
 
 
 def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
-    """Smallest geodesically closed region containing the given points."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise DomainError("hull needs at least one point")
-    n = len(pts[0])
-    for p in pts:
-        if len(p) != n:
-            raise DimensionMismatch("hull points have mixed dimensions")
+    """Smallest geodesically closed region containing ``points``, a sequence
+    of points or an (m, n) array, read and checked once in ``_batch``."""
     from . import _batch
 
-    lo, up, diff = _batch._hull_bounds(pts)
-    return GeodesicRegion(lo, up, diff, eps=eps)
+    return GeodesicRegion(*_batch._hull_bounds(points), eps=eps)
 
 
 EDGE_NAMES = ("x=a'", "y=b'", "y-x=c'", "x=a", "y=b", "y-x=c")

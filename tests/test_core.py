@@ -385,3 +385,32 @@ def test_every_entry_point_rejects_a_bad_eps(call, eps, caplog):
         EPS_CALLS[call](eps)
     assert not caplog.records
 
+
+
+# one coordinate that float() rejects: a string, None, an int past float64
+NUMBER_CALLS = {
+    "dist": lambda x: tg.dist(x, (1,)),
+    "norm": tg.norm,
+    "segment": lambda x: tg.segment(x, (1,)),
+    "polyline_length": lambda x: tg.polyline_length([(0,), x]),
+    "locate": tg.locate,
+    "Ball": lambda x: tg.Ball(x, 1.0),
+    "GeodesicRegion.lower": lambda x: tg.GeodesicRegion(x, (1,)),
+    "GeodesicRegion.upper": lambda x: tg.GeodesicRegion((0,), x),
+    "GeodesicRegion.diff_lb": lambda x: tg.GeodesicRegion((0,), (1,), [x]),
+    "hull": lambda x: tg.hull([x]),
+    "contains": lambda x: tg.GeodesicRegion((0,), (1,)).contains(x),
+    "ball_contains": lambda x: tg.contains(tg.unit_ball(1), x),
+    "contains_batch": lambda x: tg.GeodesicRegion((0,), (1,)).contains_batch([x]),
+}
+
+
+@pytest.mark.parametrize("x", [("a",), (None,), (10**400,)], ids=["str", "None", "10**400"])
+@pytest.mark.parametrize("call", sorted(NUMBER_CALLS))
+def test_every_entry_point_rejects_a_malformed_number(call, x):
+    if call == "contains_batch" and x == (None,):
+        # numpy reads None as NaN, and a row with a NaN tests False
+        assert NUMBER_CALLS[call](x).tolist() == [False]
+        return
+    with pytest.raises(tg.TropgeoError):
+        NUMBER_CALLS[call](x)

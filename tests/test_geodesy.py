@@ -78,7 +78,7 @@ def test_curve_length_reports_bracket_on_nonconvergence(monkeypatch):
     with pytest.raises(tg.ConvergenceError) as exc:
         tg.curve_length(shifted, tol=1e-12)
     low, high = exc.value.bracket
-    assert 0 < low <= high <= 4 + 2 * math.sqrt(2) + 1e-6
+    assert 0 < low < high <= 4 + 2 * math.sqrt(2) + 1e-6
 
 
 def test_curve_length_zero_refinement_budget(monkeypatch):
@@ -87,8 +87,12 @@ def test_curve_length_zero_refinement_budget(monkeypatch):
     def circle(t):
         return (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
 
-    with pytest.raises(tg.ConvergenceError):
+    with pytest.raises(tg.ConvergenceError) as exc:
         tg.curve_length(circle, tol=1e-9)
+    # one level, through the circle's quarter points, is the only estimate,
+    # so it is both ends of the bracket
+    low, high = exc.value.bracket
+    assert low == high == pytest.approx(6.0)
 
 
 def test_curve_length_rejects_bad_tol():
@@ -389,11 +393,45 @@ def test_hull_matches_pure_python_bounds():
     rng = np.random.default_rng(34)
     for _ in range(100):
         n = int(rng.integers(1, 13))
-        pts = [tuple(rng.uniform(-4, 4, n)) for _ in range(int(rng.integers(1, 60)))]
+        m = int(rng.integers(1, 60))
+        # a quarter of the clouds have integer coordinates, which an int64
+        # array holds exactly
+        integral = rng.random() < 0.25
+        P = rng.integers(-4, 5, (m, n)).astype(float) if integral else rng.uniform(-4, 4, (m, n))
+        pts = [tuple(p) for p in P.tolist()]
         lo = [min(p[i] for p in pts) for i in range(n)]
         up = [max(p[i] for p in pts) for i in range(n)]
         diff = [[min(p[i] - p[j] for p in pts) for j in range(n)] for i in range(n)]
-        assert tg.hull(pts) == GeodesicRegion(lo, up, diff)
+        want = GeodesicRegion(lo, up, diff)
+        wide = np.zeros((m, n + 3))
+        wide[:, 1 : n + 1] = P
+        layouts = [pts, P, np.asfortranarray(P), wide[:, 1 : n + 1], np.repeat(P, 2, axis=0)[::2]]
+        if integral:
+            layouts.append(P.astype(np.int64))
+        for layout in layouts:
+            assert repr(tg.hull(layout)) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([], tg.DomainError, "hull needs at least one point"),
+        (np.empty((0, 3)), tg.DomainError, "hull needs at least one point"),
+        ([(0, 0), (1,)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+        ([(0, 0), ("a", 1)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+        (np.zeros(3), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+        (np.zeros((2, 2, 2)), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+        ([(0, 0), (1, math.nan)], tg.DomainError, "coordinates must be finite, got (1.0, nan)"),
+        ([(0, 0), (math.inf, 1), (math.nan, 0)], tg.DomainError, "coordinates must be finite, got (inf, 1.0)"),
+        ([(-math.inf, 2), (0, 0)], tg.DomainError, "coordinates must be finite, got (-inf, 2.0)"),
+        ([()], tg.DomainError, "a point needs at least one coordinate"),
+    ],
+    ids=["empty", "0x3", "ragged", "non-number", "1-D", "3-D", "nan", "+inf", "-inf", "no coordinate"],
+)
+def test_hull_rejects_a_malformed_point_set(points, error, message):
+    with pytest.raises(error) as exc:
+        tg.hull(points)
+    assert str(exc.value) == message
 
 
 # the region type itself
