@@ -58,7 +58,10 @@ def _close_bounds(lower, upper, diff):
     the best lower bound on x_i - x_j.  Floyd-Warshall in max-plus, one
     vectorized pass per node, returns the Kleene star of L: every bound
     raised to the tightest value its chains imply.  A positive diagonal
-    entry is a contradictory cycle.
+    entry is a contradictory cycle.  Raises DomainError when a chain of
+    finite bounds overflows float64 upward, which leaves an inf in L; a sum
+    that overflows downward loses to the finite bound it is compared with,
+    as it would in exact arithmetic, so L never holds -inf or NaN.
     """
     n = len(lower)
     L = np.empty((n + 1, n + 1))
@@ -66,8 +69,11 @@ def _close_bounds(lower, upper, diff):
     L[1:, 0] = lower
     L[0, 1:] = [-v for v in upper]
     L.flat[:: n + 2] = 0.0  # x_i - x_i >= 0, whatever diff's diagonal holds
-    for k in range(n + 1):
-        np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
+    with np.errstate(over="ignore"):
+        for k in range(n + 1):
+            np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
+    if not np.isfinite(L).all():
+        raise DomainError("the bound system overflows float64")
     return L
 
 
@@ -79,6 +85,10 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
     """
     n = len(lo)
     if diff_lb is None:
+        # every lo_i - up_j lies between these two, as rounding is
+        # monotone, so neither overflowing means that no entry does
+        if not (math.isfinite(max(lo) - min(up)) and math.isfinite(min(lo) - max(up))):
+            raise DomainError("the bound system overflows float64")
         diff = np.subtract.outer(lo, up)
     else:
         try:
@@ -176,7 +186,10 @@ def _hull_bounds(points):
     if not finite.all():  # inf - inf below would warn
         raise DomainError("coordinates must be finite, got %r" % (tuple(P[~finite][0].tolist()),))
     # row i holds min over the points of p_i - p_j, one m x n pass per i
-    diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(P.shape[1])])
+    with np.errstate(over="ignore"):
+        diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(P.shape[1])])
+    if not np.isfinite(diff).all():
+        raise DomainError("coordinate differences overflow float64")
     return P.min(axis=0), P.max(axis=0), diff
 
 

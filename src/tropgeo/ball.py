@@ -18,6 +18,7 @@ from .core import (
     DimensionMismatch,
     DomainError,
     Point,
+    _norm,
     as_point,
     check_eps,
     dist,
@@ -35,9 +36,13 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        try:
+            radius = float(self.radius)
+        except (TypeError, ValueError, OverflowError):
+            radius = math.nan
+        if not (math.isfinite(radius) and radius > 0):
             raise DomainError("radius must be a positive real")
+        object.__setattr__(self, "radius", radius)
 
 
 def unit_ball(n: int) -> Ball:
@@ -175,7 +180,7 @@ def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
     """All facets through a point of the unit sphere, in facets() order."""
     check_eps(eps)
     px = as_point(x)
-    if abs(norm(px) - 1.0) > eps:
+    if abs(_norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
     return [f for f in facets(len(px)) if facet_contains(f, px, eps)]
 
@@ -198,7 +203,7 @@ def minkowski_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     """
     check_eps(eps)
     px = as_point(x)
-    if norm(px) > 1.0 + eps:
+    if _norm(px) > 1.0 + eps:
         raise DomainError("point lies outside the unit ball")
     m = min(0.0, min(px))
     return tuple(v - m for v in px) + (0.0 - m,)
@@ -232,7 +237,7 @@ def generator_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     neg_units(n): x_k = min_i (l_i + neg_units[i][k])."""
     check_eps(eps)
     px = as_point(x)
-    if norm(px) > 1.0 + eps:
+    if _norm(px) > 1.0 + eps:
         raise DomainError("point lies outside the unit ball")
     return tuple(1.0 + v for v in px) + (0.0,)
 
@@ -257,7 +262,7 @@ def pole_distances(x, eps: float = DEFAULT_EPS) -> tuple[float, float]:
     (-1,...,-1).  The two always sum to 3."""
     check_eps(eps)
     px = as_point(x)
-    if abs(norm(px) - 1.0) > eps:
+    if abs(_norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
     mx = max(px)
     mn = min(px)
@@ -327,7 +332,7 @@ def angle_2d(p, v1, v2, eps: float = DEFAULT_EPS) -> float:
         pv = as_point(v)
         if len(pv) != 2:
             raise DimensionMismatch("directions must be planar")
-        nv = norm(pv)
+        nv = _norm(pv)
         if nv <= eps:
             raise DomainError("direction vector must be nonzero")
         out.append((pp[0] + pv[0] / nv, pp[1] + pv[1] / nv))

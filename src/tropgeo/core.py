@@ -4,11 +4,19 @@ Points live in R^n with finite coordinates.  The projective representation
 uses n+1 coordinates modulo adding a common constant to every entry; the
 canonical representative subtracts the last coordinate and drops it.  All
 approximate comparisons share a single default tolerance.
+
+Input is validated once.  Each public function checks its arguments with
+``as_point`` (or ``_pair`` for two points of one dimension) and raises a
+TropgeoError on bad input; the private kernels it then calls, such as
+``_dist`` and ``_norm``, take those checked float tuples and check nothing
+again.  Code inside the package that already holds checked tuples calls the
+kernels directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 DEFAULT_EPS = 1e-9
@@ -55,29 +63,36 @@ def as_point(coords) -> Point:
     DomainError.
     """
     try:
-        pt = tuple(float(v) for v in coords)
+        pt = tuple(map(float, coords))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError("a point must be a sequence of real numbers: %s" % exc) from None
     if not pt:
         raise DomainError("a point needs at least one coordinate")
-    for v in pt:
-        if not math.isfinite(v):
-            raise DomainError("coordinates must be finite, got %r" % (pt,))
+    if not all(map(math.isfinite, pt)):
+        raise DomainError("coordinates must be finite, got %r" % (pt,))
     return pt
 
 
 def check_eps(eps: float) -> None:
-    """Raise DomainError unless the tolerance eps is positive and finite."""
-    if not (math.isfinite(eps) and eps > 0):
+    """Raise DomainError unless the tolerance eps is a positive finite real."""
+    try:
+        ok = math.isfinite(eps) and eps > 0
+    except (TypeError, OverflowError):  # not a number, or an int past float64
+        ok = False
+    if not ok:
         raise DomainError("eps must be a positive real")
 
 
-def _pair(x, y) -> tuple[Point, Point]:
-    px, py = as_point(x), as_point(y)
+def _same_dim(px: Point, py: Point) -> None:
     if len(px) != len(py):
         raise DimensionMismatch(
             "points have different dimensions: %d vs %d" % (len(px), len(py))
         )
+
+
+def _pair(x, y) -> tuple[Point, Point]:
+    px, py = as_point(x), as_point(y)
+    _same_dim(px, py)
     return px, py
 
 
@@ -95,8 +110,13 @@ def dist(x, y) -> float:
     x - y, with zero always included among the candidates.  Raises
     DomainError when that overflows float64, as for (1e308,) and (-1e308,).
     """
-    px, py = _pair(x, y)
-    deltas = [a - b for a, b in zip(px, py)]
+    return _dist(*_pair(x, y))
+
+
+def _dist(px, py) -> float:
+    """dist of two checked points of one dimension; their entries may also
+    be ints, such as lattice offsets, which subtract exactly as floats."""
+    deltas = list(map(operator.sub, px, py))
     return _finite(max(max(deltas), 0.0) - min(min(deltas), 0.0))
 
 
@@ -111,7 +131,11 @@ def dist_proj(x, y) -> float:
 
 def norm(x) -> float:
     """Distance from x to the origin; DomainError when it overflows float64."""
-    px = as_point(x)
+    return _norm(as_point(x))
+
+
+def _norm(px: Point) -> float:
+    """norm of a checked point."""
     return _finite(max(max(px), 0.0) - min(min(px), 0.0))
 
 
@@ -195,7 +219,7 @@ class TropSegment:
     def length(self) -> float:
         total = 0.0
         for a, b in zip(self.vertices, self.vertices[1:]):
-            total += dist(a, b)
+            total += _dist(a, b)
         return total
 
 
@@ -207,39 +231,38 @@ def segment(x, y, mode: str = "min") -> TropSegment:
     appear where some coordinate stops.
     """
     px, py = _pair(x, y)
+    sub = operator.sub
+    # a branch stops at the times its coordinates reach the apex; at time t
+    # a coordinate sits at min(apex + t, base) (min mode) or
+    # max(apex - t, base) (max mode), written out with the builtin's
+    # tie-breaking so that every vertex is bit for bit the same.  The last
+    # stop of each branch is its endpoint, which is pinned below instead.
     if mode == "min":
-        apex = tuple(min(a, b) for a, b in zip(px, py))
-
-        def pos(base: Point, t: float) -> Point:
-            return tuple(min(z + t, b) for z, b in zip(apex, base))
-
-        def times(base: Point) -> list[float]:
-            return sorted({b - z for z, b in zip(apex, base)} | {0.0})
-
+        apex = tuple(map(min, px, py))
+        tx = sorted(set(map(sub, px, apex)) | {0.0})
+        ty = sorted(set(map(sub, py, apex)) | {0.0})
+        inner = [
+            tuple([b if b < (s := z + t) else s for z, b in zip(apex, base)])
+            for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
+            for t in ts
+        ]
     elif mode == "max":
-        apex = tuple(max(a, b) for a, b in zip(px, py))
-
-        def pos(base: Point, t: float) -> Point:
-            return tuple(max(z - t, b) for z, b in zip(apex, base))
-
-        def times(base: Point) -> list[float]:
-            return sorted({z - b for z, b in zip(apex, base)} | {0.0})
-
+        apex = tuple(map(max, px, py))
+        tx = sorted(set(map(sub, apex, px)) | {0.0})
+        ty = sorted(set(map(sub, apex, py)) | {0.0})
+        inner = [
+            tuple([b if b > (s := z - t) else s for z, b in zip(apex, base)])
+            for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
+            for t in ts
+        ]
     else:
         raise DomainError("mode must be 'min' or 'max', got %r" % (mode,))
 
-    chain: list[Point] = []
-    for t in reversed(times(px)):
-        chain.append(pos(px, t))
-    for t in times(py):
-        chain.append(pos(py, t))
     # unit-speed arithmetic can land an ulp short of an endpoint when
     # coordinate magnitudes differ wildly; the chain must start and end
     # at the inputs themselves
-    chain[0] = px
-    chain[-1] = py
-    deduped = [chain[0]]
-    for p in chain[1:]:
+    deduped = [px]
+    for p in inner + [py]:
         if p != deduped[-1]:
             deduped.append(p)
     return TropSegment(

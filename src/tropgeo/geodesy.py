@@ -26,6 +26,8 @@ from .core import (
     DomainError,
     EmptyRegionError,
     Point,
+    _dist,
+    _same_dim,
     as_point,
     check_eps,
     dist,
@@ -37,10 +39,10 @@ def polyline_length(points) -> float:
     pts = [as_point(p) for p in points]
     if not pts:
         raise DomainError("polyline needs at least one vertex")
-    # dist raises DimensionMismatch for a pair of mixed dimensions
     total = 0.0
     for a, b in zip(pts, pts[1:]):
-        total += dist(a, b)
+        _same_dim(a, b)
+        total += _dist(a, b)
     return total
 
 
@@ -88,14 +90,14 @@ def curve_length(curve, tol: float = 1e-6) -> float:
     start = as_point(curve(0.0))
     prev = cur = None
     for depth in range(2, _MAX_DEPTH + 1):
-        # polyline_length of the samples i / 2^depth, in its order; dist
-        # raises DimensionMismatch if the curve changes dimension
+        # polyline_length of the samples i / 2^depth, in its order
         denom = 2**depth
         prev, cur = cur, 0.0
         a = start
         for i in range(1, denom + 1):
             b = as_point(curve(i / denom))
-            cur += dist(a, b)
+            _same_dim(a, b)
+            cur += _dist(a, b)
             a = b
         if prev is not None and cur - prev < tol:
             return cur
@@ -113,7 +115,8 @@ def is_geodesic(points, eps: float = DEFAULT_EPS) -> bool:
     pts = [as_point(p) for p in points]
     if len(pts) < 2:
         return True
-    return polyline_length(pts) <= dist(pts[0], pts[-1]) + eps
+    # polyline_length has checked that every vertex has one dimension
+    return polyline_length(pts) <= _dist(pts[0], pts[-1]) + eps
 
 
 def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:

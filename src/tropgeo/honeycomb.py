@@ -26,9 +26,9 @@ from .core import (
     DomainError,
     Point,
     TropgeoError,
+    _dist,
     as_point,
     check_eps,
-    dist,
 )
 from .ball import Ball, hrep, _HEX_RING
 from .geodesy import EmptyRegionError
@@ -96,7 +96,7 @@ def _fast_center(x, eps: float):
     if k > 1:
         for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
             raised[i] = 0
-    return tuple(f + b for f, b in zip(floors, raised)), dist(raised, fracs), snapped
+    return tuple(f + b for f, b in zip(floors, raised)), _dist(raised, fracs), snapped
 
 
 def _local_frame(px: Point) -> tuple[Center, Point]:
@@ -119,7 +119,7 @@ def locate_bruteforce(x, eps: float = DEFAULT_EPS) -> list[Center]:
     for off in itertools.product(*ranges):
         if sum(off) % (n + 1) != r:
             continue
-        if dist(off, u) <= 1.0 + eps:
+        if _dist(off, u) <= 1.0 + eps:
             out.append(tuple(f + o for f, o in zip(F, off)))
     return out
 
@@ -152,7 +152,7 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
         if not all_centers:
             raise DomainError("no tiling ball contains %r" % (px,))
         F, u = _local_frame(px)
-        d, c = min((dist([a - f for a, f in zip(cc, F)], u), cc) for cc in all_centers)
+        d, c = min((_dist([a - f for a, f in zip(cc, F)], u), cc) for cc in all_centers)
     status = "interior" if (d < 1.0 - eps and len(all_centers) == 1) else "boundary"
     return LocateResult(c, status, tuple(all_centers), d)
 

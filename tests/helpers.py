@@ -1,12 +1,14 @@
 """Shared samplers and independent oracles for the test suite."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 
 import tropgeo as tg
 from tropgeo import honeycomb
+from tropgeo.core import DomainError, Point, TropSegment, _pair
 
 
 def ball_points(n, m, rng):
@@ -36,6 +38,67 @@ def dist_oracle(x, y):
     """
     dx = [a - b for a, b in zip(x, y)] + [0.0]
     return max(dx[i] - dx[j] for i in range(len(dx)) for j in range(len(dx)))
+
+
+def as_point_oracle(coords) -> Point:
+    """core.as_point as first written: a generator of float() calls and a
+    per-coordinate finiteness loop, the reference for its exceptions,
+    messages and tuples."""
+    try:
+        pt = tuple(float(v) for v in coords)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError("a point must be a sequence of real numbers: %s" % exc) from None
+    if not pt:
+        raise DomainError("a point needs at least one coordinate")
+    for v in pt:
+        if not math.isfinite(v):
+            raise DomainError("coordinates must be finite, got %r" % (pt,))
+    return pt
+
+
+def segment_oracle(x, y, mode: str = "min") -> TropSegment:
+    """core.segment as first written: every vertex built by calls to the
+    builtin min or max, one coordinate at a time.  The reference that the
+    library's segment must match bit for bit."""
+    px, py = _pair(x, y)
+    if mode == "min":
+        apex = tuple(min(a, b) for a, b in zip(px, py))
+
+        def pos(base: Point, t: float) -> Point:
+            return tuple(min(z + t, b) for z, b in zip(apex, base))
+
+        def times(base: Point) -> list[float]:
+            return sorted({b - z for z, b in zip(apex, base)} | {0.0})
+
+    elif mode == "max":
+        apex = tuple(max(a, b) for a, b in zip(px, py))
+
+        def pos(base: Point, t: float) -> Point:
+            return tuple(max(z - t, b) for z, b in zip(apex, base))
+
+        def times(base: Point) -> list[float]:
+            return sorted({z - b for z, b in zip(apex, base)} | {0.0})
+
+    else:
+        raise DomainError("mode must be 'min' or 'max', got %r" % (mode,))
+
+    chain: list[Point] = []
+    for t in reversed(times(px)):
+        chain.append(pos(px, t))
+    for t in times(py):
+        chain.append(pos(py, t))
+    # unit-speed arithmetic can land an ulp short of an endpoint when
+    # coordinate magnitudes differ wildly; the chain must start and end
+    # at the inputs themselves
+    chain[0] = px
+    chain[-1] = py
+    deduped = [chain[0]]
+    for p in chain[1:]:
+        if p != deduped[-1]:
+            deduped.append(p)
+    return TropSegment(
+        start=px, end=py, apex=apex, vertices=tuple(deduped), mode=mode
+    )
 
 
 def random_pl_geodesic(x, y, rng, max_splits=3):

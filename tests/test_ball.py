@@ -16,7 +16,7 @@ def test_ball_validation():
         tg.Ball((0.0, 0.0), -1.0)
 
 
-@pytest.mark.parametrize("radius", [float("inf"), float("-inf"), float("nan")], ids=repr)
+@pytest.mark.parametrize("radius", [float("inf"), float("-inf"), float("nan"), "a", None], ids=repr)
 def test_ball_rejects_a_radius_that_is_not_a_positive_real(radius):
     # unchecked, an infinite radius fails only later, in hrep, with a
     # message about infinite coordinates

@@ -393,6 +393,13 @@ def test_dist_overflow_is_a_domain_error(capsys):
         assert err == "error: the distance overflows float64\n", argv
 
 
+def test_hull_overflow_is_a_domain_error(capsys):
+    # a numpy overflow warning would also reach stderr
+    code, out, err = run(capsys, "hull", "1e308,-1e308")
+    assert (code, out) == (1, "")
+    assert err == "error: coordinate differences overflow float64\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "dist", "0,0", "abc")
     assert code == 2

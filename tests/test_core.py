@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import tropgeo as tg
 from tropgeo import core
 
-from helpers import dist_oracle
+from helpers import as_point_oracle, dist_oracle, segment_oracle
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -36,6 +37,24 @@ def dyadic_points(n):
     return st.lists(dyadic, min_size=n, max_size=n).map(tuple)
 
 
+# signed magnitudes from 1e-300 to 1e15 and both zeros
+magnitude = st.floats(min_value=1e-300, max_value=1e15)
+wide = st.one_of(st.sampled_from([0.0, -0.0]), magnitude, magnitude.map(operator.neg))
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two points of one dimension n = 1..12 whose coordinates come from a
+    small drawn pool, so that coordinates repeat within and across points;
+    one pair in four has equal endpoints."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(wide, min_size=1, max_size=n + 1))
+    coords = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(tuple)
+    x = draw(coords)
+    y = x if draw(st.integers(0, 3)) == 0 else draw(coords)
+    return x, y
+
+
 def test_dist_worked_values():
     assert tg.dist((0, 0), (1, 2)) == 2.0
     assert tg.dist((2, 1), (1.2, 0.7)) == pytest.approx(0.8, abs=1e-12)
@@ -51,6 +70,13 @@ def test_dist_one_sided_and_two_sided():
 @settings(max_examples=300)
 @given(point_pairs())
 def test_dist_matches_exhaustive_oracle(pair):
+    x, y = pair
+    assert tg.dist(x, y) == dist_oracle(x, y)
+
+
+@settings(max_examples=300)
+@given(wide_pairs())
+def test_dist_matches_exhaustive_oracle_at_every_magnitude(pair):
     x, y = pair
     assert tg.dist(x, y) == dist_oracle(x, y)
 
@@ -193,6 +219,35 @@ def test_as_point_rejects_bad_values():
         core.as_point(())
 
 
+# inputs of as_point, built afresh for each call since a generator is read once
+AS_POINT_INPUTS = {
+    "str": lambda: "a",
+    "None": lambda: None,
+    "None coordinate": lambda: (1.0, None),
+    "10**400": lambda: (10**400, 0),
+    "nan": lambda: (0.0, math.nan),
+    "+inf": lambda: (math.inf,),
+    "-inf": lambda: (1, -math.inf),
+    "empty": lambda: (),
+    "generator": lambda: (v / 2 for v in range(3)),
+    "numpy row": lambda: np.arange(6.0).reshape(2, 3)[1],
+    "ints": lambda: [1, -2, 3],
+}
+
+
+@pytest.mark.parametrize("case", sorted(AS_POINT_INPUTS))
+def test_as_point_matches_its_first_body(case):
+    # the same exception type and message, or the same tuple of floats
+    def outcome(as_point):
+        try:
+            pt = as_point(AS_POINT_INPUTS[case]())
+        except tg.TropgeoError as exc:
+            return type(exc), str(exc)
+        return pt, [type(v) for v in pt]
+
+    assert outcome(core.as_point) == outcome(as_point_oracle)
+
+
 def test_canon_and_embed_round_trip():
     h = (2.0, 5.0, 3.0)
     x = tg.canon(h)
@@ -227,6 +282,15 @@ def test_segment_degenerate():
 def test_segment_bad_mode():
     with pytest.raises(tg.DomainError):
         tg.segment((0,), (1,), "median")
+
+
+@settings(max_examples=500)
+@given(wide_pairs())
+def test_segment_matches_its_oracle_bit_for_bit(pair):
+    # repr tells -0.0 from 0.0, so every coordinate of every field matches
+    x, y = pair
+    for mode in ("min", "max"):
+        assert repr(tg.segment(x, y, mode)) == repr(segment_oracle(x, y, mode))
 
 
 @settings(max_examples=300)
@@ -378,7 +442,7 @@ EPS_CALLS = {
 }
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0, "a"], ids=repr)
 @pytest.mark.parametrize("call", sorted(EPS_CALLS))
 def test_every_entry_point_rejects_a_bad_eps(call, eps, caplog):
     with pytest.raises(tg.DomainError, match="eps must be a positive real"):

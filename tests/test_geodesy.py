@@ -434,6 +434,34 @@ def test_hull_rejects_a_malformed_point_set(points, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tg.hull([(1e308, -1e308)]), "coordinate differences overflow float64"),
+        (lambda: tg.hull([(0, 0), (-1e308, 1e308)]), "coordinate differences overflow float64"),
+        (lambda: GeodesicRegion((-1e308,), (1e308,)), "the bound system overflows float64"),
+        # the box is fine; the cycle x_1 - x_2 + x_2 - x_1 >= 2e308 is not
+        (lambda: GeodesicRegion((0, 0), (1, 1), [[0, 1e308], [1e308, 0]]),
+         "the bound system overflows float64"),
+    ],
+    ids=["hull", "hull-second-point", "region-box", "region-closure"],
+)
+def test_bound_overflow_is_a_domain_error(call, message):
+    # finite input whose differences overflow float64 raises, with no numpy
+    # RuntimeWarning on the way (the test run turns those into errors)
+    with pytest.raises(tg.DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_closure_drops_sums_that_overflow_below_a_finite_bound():
+    # lower_1 - upper_2 is -2e308, which the given bound -1e308 beats
+    region = GeodesicRegion((-1e308, 0), (0, 1e308), [[0, -1e308], [-1e308, 0]])
+    assert region.lower == (-1e308, 0.0)
+    assert region.upper == (0.0, 1e308)
+    assert region.diff_lb == ((0.0, -1e308), (0.0, 0.0))
+
+
 # the region type itself
 
 
