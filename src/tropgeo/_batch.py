@@ -30,12 +30,18 @@ are resident, and at most about 18 MiB, reached at n = 1 where a block has
 the most rows.  The kernels return views of the workspace, valid until the
 next call in the same thread.
 
-contains_batch is coordinate-major too: it casts the rows, a chunk under a
-fixed element budget at a time, into one reused (n, k) buffer, tests the box
-bounds with one comparison per coordinate row, and the difference bounds
-with one subtraction per pair i < j, compared against the pair's bound in
-each direction.  Every result is written with ``out=`` into reused buffers,
-so no call allocates a temporary.
+contains_batch is coordinate-major too, and tests the cheap bounds first.
+It casts the rows, a chunk under a fixed element budget at a time, into one
+reused (n, k) buffer and tests the box bounds with two whole-chunk
+comparisons, each reduced over the coordinate axis.  Only the rows inside
+the box go on: their columns are gathered into a survivor buffer of the
+chunk's width, which outlives the chunk, and each time it fills, and once
+at the end, the difference bounds are tested on it with one subtraction per
+pair i < j, compared against the pair's bound in each direction, and the
+results are written back to the survivors' rows.  A chunk wholly inside the
+box takes the same pair test where it is, with no gather.  So a row outside
+the box costs O(n), the pair test always runs on full-width blocks, and
+every buffer is sized by the budget, not by the number of rows.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -107,10 +114,11 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
 
 
 # Element budget of the coordinate-major chunk in _contains_batch (256 KiB of
-# float64): its buffers are reused across chunks, so memory stays flat in the
-# number of rows.  A larger chunk spreads the per-call cost of its
-# 4n + 5 n(n-1)/2 numpy calls over more rows but raises peak memory; 256 KiB
-# is about what a row-major pass over 20000 rows at n = 12 held at once.
+# float64), and of its survivor buffer: both are reused, so memory stays flat
+# in the number of rows.  A larger chunk spreads the per-call cost of its
+# box test and of the 5 n(n-1)/2 numpy calls of each pair test over more
+# rows but raises peak memory; 256 KiB is about what a row-major pass over
+# 20000 rows at n = 12 held at once.
 _CONTAINS_BUDGET = 1 << 15
 
 
@@ -118,14 +126,27 @@ def _contains_batch(region, X, eps: float):
     """GeodesicRegion.contains_batch: a bool array over the rows of X.
 
     The rows go through in chunks of at most _CONTAINS_BUDGET elements, each
-    transposed once into a reused C-contiguous (n, k) buffer, so every test
-    below reads whole contiguous rows.  A pair i < j takes one subtraction
-    t = x_i - x_j for both of its difference bounds: x_i - x_j >= D[i][j] - eps
-    is t >= D[i][j] - eps, and x_j - x_i >= D[j][i] - eps is t <= eps - D[j][i],
-    since round-to-nearest subtraction is antisymmetric (fl(b - a) = -fl(a - b)).
+    transposed once into a reused C-contiguous (n, k) buffer.  The box test
+    comes first: two whole-chunk comparisons, against lo - eps and up + eps,
+    each reduced over the coordinate axis.  The rows that pass are gathered
+    as columns, with their row numbers, into one (n, step) survivor buffer
+    that outlives the chunk, and only its columns take the difference test,
+    each time it fills and once more at the end.  So the pair test always
+    runs on full-width blocks, however few rows of a chunk pass the box, and
+    nothing but the result has a length of m.  When every row of a chunk
+    passes, the gather would only copy the chunk, so the chunk takes the
+    pair test in place and the survivor buffer waits for the next chunk.
+
+    A pair i < j takes one subtraction t = x_i - x_j for both of its
+    difference bounds: x_i - x_j >= D[i][j] - eps is t >= D[i][j] - eps,
+    and x_j - x_i >= D[j][i] - eps is t <= eps - D[j][i], since
+    round-to-nearest subtraction is antisymmetric (fl(b - a) = -fl(a - b)).
     So the mask equals the one from all n(n-1) ordered differences, bit for
-    bit.  Every comparison with a NaN is False, and an infinite entry fails
-    its box bound, so such rows test False.
+    bit.  The box bounds are clamped to the finite doubles, which changes
+    no test of a finite entry, so a row with a NaN or an infinite entry
+    always fails the box and never reaches a subtraction.  A difference of
+    two finite entries that overflows is +-inf, which compares with the
+    finite bounds as the exact difference would, so no row makes numpy warn.
     """
     n = region.dim
     numbers = "expected an (m, %d) array of numbers" % n
@@ -138,36 +159,71 @@ def _contains_batch(region, X, eps: float):
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionMismatch("expected an (m, %d) array" % n)
     m = len(A)
-    lo = [v - eps for v in region.lower]
-    up = [v + eps for v in region.upper]
+    big = sys.float_info.max
+    lo = np.array([max(v - eps, -big) for v in region.lower]).reshape(n, 1)
+    up = np.array([min(v + eps, big) for v in region.upper]).reshape(n, 1)
     D = region.diff_lb
     pairs = [(i, j, D[i][j] - eps, eps - D[j][i]) for i in range(n) for j in range(i + 1, n)]
     ok = np.empty(m, dtype=bool)
     step = max(1, _CONTAINS_BUDGET // n)
-    AT = np.empty((n, min(step, m)))
-    t = np.empty(AT.shape[1])
-    hit = np.empty(AT.shape[1], dtype=bool)
-    for s in range(0, m, step):
-        k = min(step, m - s)
-        rows = AT[:, :k]
-        try:
-            np.copyto(rows, A[s : s + k].T, casting="unsafe")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DimensionMismatch(numbers) from exc
-        x = list(rows)
-        tk, hk, okk = t[:k], hit[:k], ok[s : s + k]
-        okk.fill(True)
-        for i in range(n):
-            np.greater_equal(x[i], lo[i], out=hk)
-            okk &= hk
-            np.less_equal(x[i], up[i], out=hk)
-            okk &= hk
+    w = min(step, m)
+    AT = np.empty((n, w))
+    box = np.empty((n, w), dtype=bool)
+    t = np.empty(w)
+    hit = np.empty(w, dtype=bool)
+    # the survivor buffer, made at the first gather: columns S[:, :f] are
+    # rows R[:f] of X
+    S = R = res = None
+
+    def pair_test(x, keep):
+        # keep &= the difference bounds, on the columns of x
+        x = list(x)
+        tk, hk = t[: len(keep)], hit[: len(keep)]
         for i, j, ge, le in pairs:
             np.subtract(x[i], x[j], out=tk)
-            np.greater_equal(tk, ge, out=hk)
-            okk &= hk
-            np.less_equal(tk, le, out=hk)
-            okk &= hk
+            keep &= np.greater_equal(tk, ge, out=hk)
+            keep &= np.less_equal(tk, le, out=hk)
+
+    def flush(f):
+        rf = res[:f]
+        rf.fill(True)
+        pair_test(S[:, :f], rf)
+        ok[R[:f]] = rf
+
+    f = 0
+    with np.errstate(over="ignore"):
+        for s in range(0, m, step):
+            k = min(step, m - s)
+            rows = AT[:, :k]
+            try:
+                np.copyto(rows, A[s : s + k].T, casting="unsafe")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DimensionMismatch(numbers) from exc
+            bk, okk = box[:, :k], ok[s : s + k]
+            np.logical_and.reduce(np.greater_equal(rows, lo, out=bk), axis=0, out=okk)
+            okk &= np.logical_and.reduce(np.less_equal(rows, up, out=bk), axis=0, out=hit[:k])
+            if not pairs:
+                continue
+            if np.count_nonzero(okk) == k:
+                # the whole chunk is inside the box, so it is tested where
+                # it is: a gather would only copy it
+                pair_test(rows, okk)
+                continue
+            idx = np.flatnonzero(okk)
+            if S is None:
+                S, R, res = np.empty((n, w)), np.empty(w, dtype=np.intp), np.empty(w, dtype=bool)
+            while len(idx):
+                c = min(len(idx), w - f)
+                head, idx = idx[:c], idx[c:]
+                for i in range(n):
+                    rows[i].take(head, out=S[i, f : f + c], mode="clip")
+                np.add(head, s, out=R[f : f + c])
+                f += c
+                if f == w:
+                    flush(f)
+                    f = 0
+        if f:
+            flush(f)
     return ok
 
 
@@ -185,12 +241,14 @@ def _hull_bounds(points):
     finite = np.isfinite(P).all(axis=1)
     if not finite.all():  # inf - inf below would warn
         raise DomainError("coordinates must be finite, got %r" % (tuple(P[~finite][0].tolist()),))
-    # row i holds min over the points of p_i - p_j, one m x n pass per i
+    # coordinate-major, so that row i, min over the points of p_i - p_j,
+    # is one (n, m) subtraction reduced along whole contiguous rows
+    PT = P.T.copy()
     with np.errstate(over="ignore"):
-        diff = np.array([(P[:, i : i + 1] - P).min(axis=0) for i in range(P.shape[1])])
+        diff = np.array([(PT[i] - PT).min(axis=1) for i in range(len(PT))])
     if not np.isfinite(diff).all():
         raise DomainError("coordinate differences overflow float64")
-    return P.min(axis=0), P.max(axis=0), diff
+    return PT.min(axis=1), PT.max(axis=1), diff
 
 
 # Element budget of each block of verify_tiling's samples (1 MiB of

@@ -18,11 +18,11 @@ from .core import (
     DimensionMismatch,
     DomainError,
     Point,
+    _dist,
     _norm,
     as_point,
     check_eps,
     dist,
-    norm,
 )
 from .geodesy import GeodesicRegion
 
@@ -285,10 +285,11 @@ def sphere_position_2d(x, center=(0.0, 0.0), eps: float = DEFAULT_EPS) -> float:
     pc = as_point(center)
     if len(px) != 2 or len(pc) != 2:
         raise DimensionMismatch("sphere walk is planar only")
+    # _dist raises DomainError when x - center overflows float64
+    if abs(_dist(px, pc) - 1.0) > eps:
+        raise DomainError("point is not on the unit sphere")
     q0 = px[0] - pc[0]
     q1 = px[1] - pc[1]
-    if abs(norm((q0, q1)) - 1.0) > eps:
-        raise DomainError("point is not on the unit sphere")
 
     def clamp(v):
         return min(1.0, max(0.0, v))
@@ -322,10 +323,11 @@ def angle_2d(p, v1, v2, eps: float = DEFAULT_EPS) -> float:
 
     Values lie in [0, 3]; the two coordinate axes and the diagonal
     direction -(1,1) are pairwise at angle 2.  For the angle between full
-    lines take the min of this over v2 and -v2.
+    lines take the min of this over v2 and -v2.  The angle depends on the
+    directions alone, so it is taken at the origin, where no magnitude of
+    p can round them away.
     """
-    pp = as_point(p)
-    if len(pp) != 2:
+    if len(as_point(p)) != 2:
         raise DimensionMismatch("angles are planar only")
     out = []
     for v in (v1, v2):
@@ -335,5 +337,5 @@ def angle_2d(p, v1, v2, eps: float = DEFAULT_EPS) -> float:
         nv = _norm(pv)
         if nv <= eps:
             raise DomainError("direction vector must be nonzero")
-        out.append((pp[0] + pv[0] / nv, pp[1] + pv[1] / nv))
-    return intrinsic_distance_2d(pp, out[0], out[1], eps)
+        out.append((pv[0] / nv, pv[1] / nv))
+    return intrinsic_distance_2d((0.0, 0.0), out[0], out[1], eps)

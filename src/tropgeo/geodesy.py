@@ -209,13 +209,17 @@ class GeodesicRegion:
 
         On a finite row each entry equals ``contains`` with the same eps; a
         row with a NaN or an infinite entry, which ``contains`` rejects,
-        tests False, and numpy reads a None entry as NaN.  The rows are
-        tested in chunks of bounded size, coordinate-major, with one
-        subtraction x_i - x_j per pair i < j serving both of its difference
-        bounds, so for a float64 X memory beyond the result does not grow
-        with m.  Raises DimensionMismatch when X is not an (m, n) array of
-        numbers, such as a ragged or non-numeric sequence, or holds an int
-        too large for float64.
+        tests False, and numpy reads a None entry as NaN.  A row outside the
+        box ``lower - eps <= x <= upper + eps``, such as one with a NaN or an
+        infinite entry, is rejected before any subtraction; only the rows
+        inside it take the difference bounds, with one subtraction x_i - x_j
+        per pair i < j serving both, and a difference that overflows float64
+        compares as the exact one would, without a numpy warning.  The rows
+        are tested in chunks of bounded size, coordinate-major, so for a
+        float64 X memory beyond the result does not grow with m.  Raises
+        DimensionMismatch when X is not an (m, n) array of numbers, such as
+        a ragged or non-numeric sequence, or holds an int too large for
+        float64.
         """
         check_eps(eps)
         from . import _batch

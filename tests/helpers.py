@@ -257,10 +257,12 @@ def contains_batch_oracle(region, X, eps):
     up = np.array(region.upper)
     ok = np.all(A >= lo - eps, axis=1) & np.all(A <= up + eps, axis=1)
     n = region.dim
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ok &= (A[:, i] - A[:, j]) >= (region.diff_lb[i][j] - eps)
+    # a difference that overflows is +-inf, which compares as the exact one
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    ok &= (A[:, i] - A[:, j]) >= (region.diff_lb[i][j] - eps)
     return ok
 
 

@@ -381,6 +381,20 @@ def test_angle_properties():
         assert a == pytest.approx(tg.angle_2d((0.0, 0.0), v1, v2), abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [(1e16, 3.0), (1e17, 0.0)])
+def test_angle_does_not_depend_on_the_magnitude_of_p(p):
+    # p + v would round the unit directions away at these magnitudes
+    for v1, v2 in (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.5), (-1.0, -1.0))):
+        assert tg.angle_2d(p, v1, v2) == tg.angle_2d((0.0, 0.0), v1, v2)
+    assert tg.angle_2d(p, (1.0, 0.0), (0.0, 1.0)) == 2.0
+
+
+def test_sphere_position_names_an_overflow():
+    with pytest.raises(tg.DomainError) as exc:
+        sphere_position_2d((1e308, 0.0), (-1e308, 0.0))
+    assert str(exc.value) == "the distance overflows float64"
+
+
 def test_angle_rejects_zero_direction():
     with pytest.raises(tg.DomainError):
         tg.angle_2d((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))

@@ -555,21 +555,58 @@ class _EndpointRng:
 
 def _membership_rows(rng, regions, points, eps):
     """Rows that probe a region's bounds: random rows, boundary samples with
-    and without an offset of about eps, the hull's own points, and rows with
-    a NaN or an infinity."""
+    and without an offset of about eps, the hull's own points, rows with a
+    NaN or an infinity, and finite rows whose differences overflow float64."""
     n = points.shape[1]
     ends = _EndpointRng(rng)
     edge = np.array([reg.sample(ends) for reg in regions for _ in range(40)])
     shifts = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], edge.shape) * eps
     bad = rng.uniform(-1.0, 1.0, (6, n))
     bad[np.arange(6), rng.integers(0, n, 6)] = [np.nan, np.inf, -np.inf] * 2
+    huge = np.zeros((2, n))
+    huge[:, 0] = (1e308, -1e308)
+    huge[:, -1] = (-1e308, 1e308)
     return np.concatenate([
         rng.uniform(-2.5, 2.5, (120, n)),
         edge,
         edge + shifts,
         points,
         bad,
+        huge,
     ])
+
+
+def _as_ints(X):
+    """X rounded to int64, with each NaN read as 0 and everything else
+    clipped to [-3, 3]."""
+    return np.rint(np.clip(np.nan_to_num(X), -3.0, 3.0)).astype(np.int64)
+
+
+def _survivor_batches(inbox, step):
+    """Row indices into a pool, whose rows do (inbox) or do not pass the
+    box test, for batches at the edges of contains_batch's survivor buffer
+    of width step: every row outside the box, every row inside it, the two
+    alternating, runs of step // 3 + 1 inside rows between 5 outside ones,
+    so that the buffer fills in the middle of a chunk, and alternating
+    chunks between chunks wholly inside the box, which are tested in place
+    while the buffer holds survivors of the chunk before.  Each pattern
+    comes at 0, 1, step - 1, step, step + 1 and 3 step + 7 rows."""
+    ins, outs = np.flatnonzero(inbox), np.flatnonzero(~inbox)
+    run = step // 3 + 1
+    for m in (0, 1, step - 1, step, step + 1, 3 * step + 7):
+        r = np.arange(m)
+        patterns = {
+            "outside": np.zeros(m, bool),
+            "inside": np.ones(m, bool),
+            "alternating": r % 2 == 0,
+            "runs": r % (run + 5) < run,
+            "whole-chunks": (r % 2 == 0) | (r // step % 2 == 1),
+        }
+        for name, take in patterns.items():
+            # the k-th inside row is ins[k % len(ins)], and so on, so every
+            # pool row of each kind is used
+            idx = np.where(take, ins[r % len(ins)], outs[r % len(outs)])
+            yield "%s-%d" % (name, m), idx
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.05])
@@ -583,6 +620,7 @@ def test_contains_batch_matches_the_row_major_oracle(n, eps):
     regions = [ha, ha.intersect(tg.hull(b.tolist())), tg.hrep(tg.unit_ball(n))]
     pool = _membership_rows(rng, regions, a, eps)
     finite = np.isfinite(pool).all(axis=1)
+    ipool = _as_ints(pool)
     chunk = max(1, _batch._CONTAINS_BUDGET // n)
     seen = set()
     for reg in regions:
@@ -599,10 +637,48 @@ def test_contains_batch_matches_the_row_major_oracle(n, eps):
             assert np.array_equal(reg.contains_batch(X, eps=eps), contains_batch_oracle(reg, X, eps))
         wide = np.zeros((len(X), n + 3))
         wide[:, 1 : n + 1] = X
-        ints = np.rint(np.nan_to_num(X, posinf=3.0, neginf=-3.0)).astype(np.int64)
-        for Y in (np.asfortranarray(X), wide[:, 1 : n + 1], X[::3], ints):
+        for Y in (np.asfortranarray(X), wide[:, 1 : n + 1], X[::3], _as_ints(X)):
             assert np.array_equal(reg.contains_batch(Y, eps=eps), contains_batch_oracle(reg, Y, eps))
+        if n not in (1, 2, 12):
+            continue
+        # batches at the edges of the survivor buffer, for float64 and int64
+        # pools; the scalar answer of a pool row is False when it is not finite
+        want = np.zeros(len(pool), bool)
+        want[finite] = scalar
+        iwant = np.array([reg.contains(tuple(row), eps=eps) for row in ipool.tolist()])
+        lo, up = np.array(reg.lower) - eps, np.array(reg.upper) + eps
+        for P, expected in ((pool, want), (ipool, iwant)):
+            inbox = np.all(P >= lo, axis=1) & np.all(P <= up, axis=1)
+            assert inbox.any() and not inbox.all()
+            for name, idx in _survivor_batches(inbox, chunk):
+                X = P[idx]
+                spread = np.repeat(X, 2, axis=0)
+                for Y in (X, np.asfortranarray(X), spread[::2]):
+                    got = reg.contains_batch(Y, eps=eps)
+                    assert np.array_equal(got, contains_batch_oracle(reg, Y, eps)), name
+                    assert np.array_equal(got, expected[idx]), name
     assert seen == {True, False}
+
+
+def test_contains_batch_rejects_a_non_finite_row_at_any_eps():
+    # upper + eps overflows to inf here, and still no infinite row passes
+    # the box, where a subtraction inf - inf would be invalid
+    inf, nan = math.inf, math.nan
+    assert not GeodesicRegion((0,), (1e308,)).contains_batch([[inf]], eps=1e308).any()
+    rows = [[inf, inf], [inf, 0.0], [nan, 0.0]]
+    assert not GeodesicRegion((0, 0), (1e308, 1e308)).contains_batch(rows, eps=1e308).any()
+
+
+def test_contains_batch_does_not_warn_when_a_difference_overflows():
+    # the row lies outside the box, so no subtraction is made
+    assert tg.hull([(0, 0), (1, 1)]).contains_batch([[1e308, -1e308]]).tolist() == [False]
+    # inside the box, x_1 - x_2 = -2e308 overflows to -inf, which fails the
+    # bound -1e308 as the exact difference does
+    region = GeodesicRegion((-1e308, 0), (0, 1e308), [[0, -1e308], [-1e308, 0]])
+    rows = [(-1e308, 1e308), (-1e308, 0.0), (0.0, 1e308), (0.0, 0.0)]
+    want = [region.contains(r) for r in rows]
+    assert want == [False, True, True, True]
+    assert region.contains_batch(rows).tolist() == want
 
 
 @pytest.mark.parametrize(
