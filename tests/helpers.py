@@ -8,7 +8,7 @@ import numpy as np
 
 import tropgeo as tg
 from tropgeo import honeycomb
-from tropgeo.core import DomainError, Point, TropSegment, _pair
+from tropgeo.core import DomainError, Point, TropSegment, _dist, _pair
 
 
 def ball_points(n, m, rng):
@@ -158,6 +158,60 @@ def containing_count_oracle(X, F, eps):
         ok &= cdist <= 1.0 + eps
         count += ok
     return count
+
+
+def locate_enumeration_oracle(x, eps=tg.DEFAULT_EPS):
+    """locate_bruteforce as first written: every offset of the floors in
+    ``itertools.product`` over the per-coordinate ranges, 3^n at an integer
+    point.  The reference for the list, and its order, that the depth-first
+    walk with its distance cut must return."""
+    px = tg.as_point(x)
+    n = len(px)
+    F, u = honeycomb._local_frame(px)
+    r = -sum(F) % (n + 1)
+    ranges = [
+        range(math.ceil(v - 1.0 - eps), math.floor(v + 1.0 + eps) + 1) for v in u
+    ]
+    out = []
+    for off in itertools.product(*ranges):
+        if sum(off) % (n + 1) != r:
+            continue
+        if _dist(off, u) <= 1.0 + eps:
+            out.append(tuple(f + o for f, o in zip(F, off)))
+    return out
+
+
+def chart_cover_oracle(x, eps=tg.DEFAULT_EPS):
+    """Every tiling center within 1 + eps of x, sorted, from the unit ball as
+    n+1 hypercube charts: a completeness judge that reaches n = 32.
+
+    The unit ball is the union of the n+1 parallelepipeds spanned by n of
+    the directions e_1, ..., e_n, -(1, ..., 1) with coefficients in [0, 1].
+    Chart k drops one direction and maps z to its coefficients t(z): z
+    itself when the dropped one is -(1, ..., 1); when it is e_k, -z_k in
+    place k and z_i - z_k elsewhere.  With x = F + u and c = F + off, x - c
+    lies in chart k scaled by 1 + eps exactly when the integer vector
+    t(off) lies in [t(u) - 1 - eps, t(u)], since t is linear and
+    unimodular.  The box is widened by eps on each side against the
+    rounding of t(u), and each candidate is then kept when it is a lattice
+    point within 1 + eps.  The cost is exponential only in the chart
+    coordinates near an integer, and neither the decoder nor the offset
+    enumeration is used.  Worked in the frame of the floors, so it is exact
+    at every magnitude.
+    """
+    px = tg.as_point(x)
+    n = len(px)
+    F, u = honeycomb._local_frame(px)
+    found = set()
+    for k in range(n + 1):
+        y = u if k == n else [-u[k] if i == k else u[i] - u[k] for i in range(n)]
+        ranges = [range(math.ceil(v - 1.0 - 2 * eps), math.floor(v + eps) + 1) for v in y]
+        for m in itertools.product(*ranges):
+            off = m if k == n else [-m[k] if i == k else m[i] - m[k] for i in range(n)]
+            c = tuple(f + o for f, o in zip(F, off))
+            if sum(c) % (n + 1) == 0 and _dist(off, u) <= 1.0 + eps:
+                found.add(c)
+    return sorted(found)
 
 
 def tiling_report_oracle(n, box_halfwidth, samples, seed, eps):
