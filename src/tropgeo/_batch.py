@@ -41,7 +41,12 @@ pair i < j, compared against the pair's bound in each direction, and the
 results are written back to the survivors' rows.  A chunk wholly inside the
 box takes the same pair test where it is, with no gather.  So a row outside
 the box costs O(n), the pair test always runs on full-width blocks, and
-every buffer is sized by the budget, not by the number of rows.
+every buffer is sized by the budget, not by the number of rows.  Those
+buffers -- the chunk, the box masks, the pair difference and its mask, and
+the survivors with their row numbers and results -- live in ``_WS`` under
+names of their own, beside the tiling kernels' and for the same reason; only
+the returned mask is a fresh array.  They keep about 0.55 MiB per thread
+at n >= 12 after the first call, and at most about 0.8 MiB, at n = 2.
 """
 
 from __future__ import annotations
@@ -167,11 +172,11 @@ def _contains_batch(region, X, eps: float):
     ok = np.empty(m, dtype=bool)
     step = max(1, _CONTAINS_BUDGET // n)
     w = min(step, m)
-    AT = np.empty((n, w))
-    box = np.empty((n, w), dtype=bool)
-    t = np.empty(w)
-    hit = np.empty(w, dtype=bool)
-    # the survivor buffer, made at the first gather: columns S[:, :f] are
+    AT = _WS.array("contains-chunk", (n, w))
+    box = _WS.array("contains-box", (n, w), bool)
+    t = _WS.array("contains-diff", (w,))
+    hit = _WS.array("contains-hit", (w,), bool)
+    # the survivor buffer, taken at the first gather: columns S[:, :f] are
     # rows R[:f] of X
     S = R = res = None
 
@@ -211,7 +216,9 @@ def _contains_batch(region, X, eps: float):
                 continue
             idx = np.flatnonzero(okk)
             if S is None:
-                S, R, res = np.empty((n, w)), np.empty(w, dtype=np.intp), np.empty(w, dtype=bool)
+                S = _WS.array("contains-survivors", (n, w))
+                R = _WS.array("contains-rows", (w,), np.intp)
+                res = _WS.array("contains-result", (w,), bool)
             while len(idx):
                 c = min(len(idx), w - f)
                 head, idx = idx[:c], idx[c:]
@@ -264,8 +271,8 @@ _BROADCAST_BUDGET = 1 << 18
 
 
 class _Workspace(threading.local):
-    """The arrays of the tiling kernels, one grow-only buffer per name and
-    per thread.
+    """The arrays of the tiling kernels and of contains_batch, one grow-only
+    buffer per name and per thread.
 
     array() hands out a C-contiguous view of the named buffer and replaces
     the buffer only when the view needs more elements (or another dtype),

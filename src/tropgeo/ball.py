@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_EPS,
@@ -20,29 +19,28 @@ from .core import (
     Point,
     _dist,
     _norm,
+    _Record,
+    _setfield,
     as_point,
     check_eps,
     dist,
 )
-from .geodesy import GeodesicRegion
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Record):
     """A min-plus ball given by center and radius."""
 
-    center: Point
-    radius: float = 1.0
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
+    def __init__(self, center: Point, radius: float = 1.0):
+        _setfield(self, "center", as_point(center))
         try:
-            radius = float(self.radius)
+            radius = float(radius)
         except (TypeError, ValueError, OverflowError):
             radius = math.nan
         if not (math.isfinite(radius) and radius > 0):
             raise DomainError("radius must be a positive real")
-        object.__setattr__(self, "radius", radius)
+        _setfield(self, "radius", radius)
 
 
 def unit_ball(n: int) -> Ball:
@@ -70,8 +68,12 @@ def contains(ball: Ball, x, eps: float = DEFAULT_EPS) -> bool:
     return dist(ball.center, x) <= ball.radius + eps
 
 
-def hrep(ball: Ball, eps: float = DEFAULT_EPS) -> GeodesicRegion:
-    """Ball as a canonical bound system (already tight as written)."""
+def hrep(ball: Ball, eps: float = DEFAULT_EPS):
+    """Ball as a canonical GeodesicRegion (already tight as written)."""
+    # geodesy loads here, on the first region: the ball decompositions and
+    # locate build none
+    from .geodesy import GeodesicRegion
+
     c = ball.center
     r = ball.radius
     n = len(c)
@@ -97,28 +99,28 @@ def vertices(n: int) -> list[Point]:
     return list(iter_vertices(n))
 
 
-@dataclass(frozen=True)
-class FacetId:
+class FacetId(_Record):
     """One facet of the unit ball: upper(i), lower(i), or diff(i, j).
 
     Indices are 1-based.  upper(i) supports x_i = 1, lower(i) supports
     x_i = -1, diff(i, j) supports x_i - x_j = 1.
     """
 
-    kind: str
-    i: int
-    j: int | None = None
+    __slots__ = ("kind", "i", "j")
 
-    def __post_init__(self):
-        if self.kind not in ("upper", "lower", "diff"):
+    def __init__(self, kind: str, i: int, j: int | None = None):
+        if kind not in ("upper", "lower", "diff"):
             raise DomainError("facet kind must be upper, lower or diff")
-        if self.i < 1:
+        if i < 1:
             raise DomainError("facet indices are 1-based")
-        if self.kind == "diff":
-            if self.j is None or self.j < 1 or self.j == self.i:
+        if kind == "diff":
+            if j is None or j < 1 or j == i:
                 raise DomainError("diff facet needs two distinct indices")
-        elif self.j is not None:
-            raise DomainError("%s facet takes a single index" % self.kind)
+        elif j is not None:
+            raise DomainError("%s facet takes a single index" % kind)
+        _setfield(self, "kind", kind)
+        _setfield(self, "i", i)
+        _setfield(self, "j", j)
 
     def __str__(self):
         if self.kind == "diff":

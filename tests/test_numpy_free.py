@@ -109,10 +109,14 @@ def test_batch_commands_run_with_numpy(capsys, argv):
     "argv, unloaded",
     [
         (["dist", "0,0", "1,2"],
-         ["tropgeo.geodesy", "tropgeo.ball", "tropgeo.honeycomb", "logging", "numpy"]),
-        (["honeycomb", "locate", "--point", "1.2,0.7"], ["logging", "numpy"]),
+         ["tropgeo.geodesy", "tropgeo.ball", "tropgeo.honeycomb", "logging", "numpy",
+          "dataclasses", "inspect"]),
+        (["honeycomb", "locate", "--point", "1.2,0.7"],
+         ["tropgeo.geodesy", "logging", "numpy", "dataclasses", "inspect"]),
+        (["ball", "decompose", "--point=-0.4,0.3"],
+         ["tropgeo.geodesy", "tropgeo.honeycomb", "dataclasses", "numpy"]),
     ],
-    ids=["dist", "honeycomb locate"],
+    ids=["dist", "honeycomb locate", "ball decompose"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
