@@ -9,8 +9,6 @@ names is first used (PEP 562), so a CLI command loads only the modules it
 runs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Every public name, under the submodule that defines it.
@@ -99,11 +97,13 @@ __all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):
+    # __import__, not importlib.import_module: -X importtime times only the
+    # import statement's path, so this keeps every module in its log
     if name in _EXPORTS:
-        return importlib.import_module("." + name, __name__)
+        return __import__(name, globals(), level=1)
     if name not in _MODULE_OF:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    value = getattr(__import__(_MODULE_OF[name], globals(), level=1), name)
     globals()[name] = value
     return value
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 import threading
 
 import numpy as np
@@ -147,11 +146,11 @@ def _contains_batch(region, X, eps: float):
     and x_j - x_i >= D[j][i] - eps is t <= eps - D[j][i], since
     round-to-nearest subtraction is antisymmetric (fl(b - a) = -fl(a - b)).
     So the mask equals the one from all n(n-1) ordered differences, bit for
-    bit.  The box bounds are clamped to the finite doubles, which changes
-    no test of a finite entry, so a row with a NaN or an infinite entry
-    always fails the box and never reaches a subtraction.  A difference of
-    two finite entries that overflows is +-inf, which compares with the
-    finite bounds as the exact difference would, so no row makes numpy warn.
+    bit.  The box bounds are finite, since the region's are and eps < 1/4,
+    so a row with a NaN or an infinite entry always fails the box and never
+    reaches a subtraction.  A difference of two finite entries that
+    overflows is +-inf, which compares with the finite bounds as the exact
+    difference would, so no row makes numpy warn.
     """
     n = region.dim
     numbers = "expected an (m, %d) array of numbers" % n
@@ -164,9 +163,8 @@ def _contains_batch(region, X, eps: float):
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionMismatch("expected an (m, %d) array" % n)
     m = len(A)
-    big = sys.float_info.max
-    lo = np.array([max(v - eps, -big) for v in region.lower]).reshape(n, 1)
-    up = np.array([min(v + eps, big) for v in region.upper]).reshape(n, 1)
+    lo = np.array([v - eps for v in region.lower]).reshape(n, 1)
+    up = np.array([v + eps for v in region.upper]).reshape(n, 1)
     D = region.diff_lb
     pairs = [(i, j, D[i][j] - eps, eps - D[j][i]) for i in range(n) for j in range(i + 1, n)]
     ok = np.empty(m, dtype=bool)

@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_EPS,
     ParseError,
     TropgeoError,
+    check_eps,
     format_number,
     format_point,
     parse_point,
@@ -605,8 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.eps <= 0 or not math.isfinite(args.eps):
-        print("error: --eps must be a positive real", file=sys.stderr)
+    try:
+        check_eps(args.eps)
+    except TropgeoError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
         if args.handler is cmd_honeycomb_plot2d:

@@ -79,13 +79,14 @@ def as_point(coords) -> Point:
 
 
 def check_eps(eps: float) -> None:
-    """Raise DomainError unless the tolerance eps is a positive finite real."""
+    """Raise DomainError unless the tolerance eps is a real in (0, 1/4), well
+    below the unit radius, as the honeycomb's boundary rule assumes."""
     try:
-        ok = math.isfinite(eps) and eps > 0
-    except (TypeError, OverflowError):  # not a number, or an int past float64
+        ok = 0 < eps < 0.25
+    except (TypeError, ValueError):  # not a number, or not one number
         ok = False
     if not ok:
-        raise DomainError("eps must be a positive real")
+        raise DomainError("eps must be a positive real below 1/4, got %r" % (eps,))
 
 
 def _same_dim(px: Point, py: Point) -> None:

@@ -133,9 +133,12 @@ class GeodesicRegion(_Record):
     difference-bound matrix whose node 0 is the constant 0 (see
     ``_batch._close_bounds``): construction tightens every bound to the
     value the system implies, and raises EmptyRegionError when a cycle of
-    bounds contradicts itself by more than eps.  Rounding can leave a feasible
-    system's cycle excess a few ulps above 0; that passes the eps check,
-    and its bounds are kept as computed.  ``lower``, ``upper`` and
+    bounds contradicts itself by more than eps, as the closed diagonal
+    measures it; rounding can leave a feasible system's a few ulps above 0.
+    An accepted region keeps its bounds as computed, so a lower bound may
+    lie above its upper bound, even by more than eps: with eps=0.2,
+    ``GeodesicRegion((1,), (0.9,))`` has lower (1.1,) and upper (0.8,).
+    ``lower``, ``upper`` and
     ``diff_lb`` are tuples of floats read off the closed matrix, with a 0
     diagonal and every zero stored as 0.0.  A region is a record (see
     ``core._Record``): immutable, ``==`` and ``hash`` compare these canonical

@@ -3,11 +3,11 @@
 The centers are the integer vectors whose coordinate sum is divisible by
 n+1.  Closed unit balls on these centers cover R^n and overlap only on
 boundaries, so almost every point has exactly one containing ball.  locate
-finds it in O(n log n) from floors and sorted fractional parts, with a
-distance certificate.  Near a boundary it enumerates the centers near x
-depth-first, cutting every partial offset already farther than 1 + eps.  The
-facet neighbors of a ball are its center plus the roots of A_n, each
-checked to share a facet with it.
+finds it in O(n log n) from floors and sorted fractional parts, the A_n
+decoder, with a distance certificate.  Near a boundary it lists every
+containing center in closed form, in O(n^2) plus n per center, with no
+search over offsets.  The facet neighbors of a ball are its center plus the
+roots of A_n, each checked to share a facet with it.
 
 verify_tiling checks that locator on random samples against an independent
 count of the containing centers.  Its batch locator and count are numpy
@@ -18,6 +18,9 @@ pure Python.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import combinations
 
 from .core import (
     DEFAULT_EPS,
@@ -106,60 +109,57 @@ def _fast_center(x, eps: float):
 
 
 def _local_frame(px: Point) -> tuple[Center, Point]:
-    """The floors F of x and x - F, both exact at every magnitude: centers
-    near x are F plus small offsets, so no distance rounds a lattice point."""
-    F = tuple(math.floor(v) for v in px)
-    return F, tuple(v - f for v, f in zip(px, F))
+    """The nearest integers R of x and u = x - R, exact at every magnitude
+    since |u| <= 1/2 (x - floor(x) rounds just below 0): centers near x are
+    R plus offsets in {-1, 0, 1}, so no distance rounds a lattice point."""
+    R = tuple(round(v) for v in px)
+    return R, tuple(v - f for v, f in zip(px, R))
 
 
 def locate_bruteforce(x, eps: float = DEFAULT_EPS) -> list[Center]:
-    """All tiling centers whose closed ball contains x, by enumeration.
+    """All tiling centers whose closed ball contains x, sorted.
 
-    The candidates are the floors F of x plus small offsets, taken in
-    ``itertools.product``'s order over per-coordinate ranges.  With u = x - F
-    and d_i = off_i - u_i, the walk is depth-first and carries, for each
-    prefix of an offset, hi = max(0, max d) and lo = min(0, min d).  It drops
-    a prefix once hi - lo exceeds 1 + eps.  The cut is exact: adding a
-    coordinate can only raise hi and lower lo, and rounded subtraction is
-    monotone, so a prefix over the bound has no offset within it.  A
-    full-length offset is kept when its sum has the lattice residue and its
-    distance is at most 1 + eps.  So the list is what the whole product
-    gives, in the same order.
-
-    A point with few tied fractional parts and few near-integer coordinates
-    passes on the order of n^2 prefixes, since the raised coordinates must
-    have the largest fractional parts: 168 at n = 16 with one integer
-    coordinate.  The origin passes about 2^(n+2), the prefixes of the
-    2^(n+1) offsets in {0, 1}^n and {-1, 0}^n, against the 3^n offsets of
-    the whole product.
+    A closed form, not a search.  With R the nearest integers of x and
+    u = x - R, the center R + off contains x when the d_i = off_i - u_i and
+    the origin's own d = 0 spread by at most 1 + eps.  Each answer is found
+    once, under the first coordinate m where d is least, the origin's first,
+    and that least value lam (0 at the origin, else below 0 with off_m in
+    {-1, 0}).  Every other d_i then lies in [lam, lam + 1 + eps], strictly
+    above lam before m: one offset, or two on a tie, since eps < 1/4.  Of
+    the coordinates with two, (r - sum of the lower offsets) mod (n+1) take
+    the upper one, r = (-sum R) mod (n+1), so the center is a lattice point.
+    Each bound is tested with the subtractions ``_dist`` makes, so the list
+    is exactly the lattice points that ``_dist`` puts within 1 + eps of x
+    in this frame.  The cost is O(n^2), plus n per answer.
     """
     px = as_point(x)
     n = len(px)
-    F, u = _local_frame(px)
-    r = -sum(F) % (n + 1)
-    ranges = [
-        range(math.ceil(v - 1.0 - eps), math.floor(v + 1.0 + eps) + 1) for v in u
-    ]
+    R, u = _local_frame(px)
     bound = 1.0 + eps
+    # d_i for the offsets -1, 0 and 1, the only ones within 1 + eps
+    D = [(-1 - v, 0 - v, 1 - v) for v in u]
+    r = -sum(R) % (n + 1)
     out = []
-    # (prefix, hi, lo, prefix sum); children are pushed in reverse, so they
-    # pop in ascending order and the walk keeps the product's order
-    stack = [((), 0.0, 0.0, 0)]
-    while stack:
-        off, hi, lo, s = stack.pop()
-        i = len(off)
-        if i == n:
-            if s % (n + 1) == r and _dist(off, u) <= bound:
-                out.append(tuple(f + o for f, o in zip(F, off)))
-            continue
-        ui = u[i]
-        for o in reversed(ranges[i]):
-            d = o - ui
-            h = d if d > hi else hi
-            l = d if d < lo else lo
-            if h - l <= bound:
-                stack.append((off + (o,), h, l, s + o))
-    return out
+    # (m, lam), with m = -1 for the origin's coordinate
+    for m, lam in [(-1, 0.0)] + [
+        (m, lam) for m, ds in enumerate(D) for lam in ds[:2] if -bound <= lam < 0.0
+    ]:
+        low, two = [], []
+        for i, ds in enumerate(D):
+            # the first d_i at or above lam, strictly above it before m
+            j = (bisect_right if i < m else bisect_left)(ds, lam)
+            if j == 3 or ds[j] - lam > bound:
+                break
+            low.append(j - 1)
+            if i != m and j < 2 and ds[j + 1] - lam <= bound:
+                two.append(i)
+        else:
+            for raised in combinations(two, (r - sum(low)) % (n + 1)):
+                off = low.copy()
+                for i in raised:
+                    off[i] += 1
+                out.append(tuple(map(operator.add, R, off)))
+    return sorted(out)
 
 
 def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
@@ -167,12 +167,13 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
 
     The fast path floors the coordinates, counts how many must be rounded
     up to restore the divisibility of the sum, and rounds up the largest
-    fractional parts.  The resulting distance is the certificate: below
-    1 - eps the point is interior and the center unique.  Near-integer
-    coordinates or a certificate at 1 or above engage the enumeration of
-    ``locate_bruteforce``, which lists every containing center.  Distances
-    are taken relative to the floors of x, so the answer is exact at every
-    magnitude.
+    fractional parts: the A_n decoder of Conway and Sloane.  The resulting
+    distance is the certificate: below 1 - eps the point is interior and the
+    center unique.  Near-integer coordinates or a certificate at 1 or above
+    engage ``locate_bruteforce``, which lists every containing center in
+    closed form; a list without the fast-path center breaks the tiling
+    theorem and raises TropgeoError.  Distances are taken relative to
+    integers near x, so the answer is exact at every magnitude.
     """
     px = as_point(x)
     check_eps(eps)
@@ -181,17 +182,7 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
         return LocateResult(c, "interior", (c,), d)
     all_centers = locate_bruteforce(px, eps)
     if c not in all_centers:
-        # imported here: a warning that should never fire is not worth the
-        # logging import every CLI process would pay
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "fast-path center %r missed for %r; using nearest", c, px
-        )
-        if not all_centers:
-            raise DomainError("no tiling ball contains %r" % (px,))
-        F, u = _local_frame(px)
-        d, c = min((_dist([a - f for a, f in zip(cc, F)], u), cc) for cc in all_centers)
+        raise TropgeoError("no containing center of %r is the fast-path center %r" % (px, c))
     status = "interior" if (d < 1.0 - eps and len(all_centers) == 1) else "boundary"
     return LocateResult(c, status, tuple(all_centers), d)
 

@@ -163,10 +163,12 @@ def containing_count_oracle(X, F, eps):
 
 
 def locate_enumeration_oracle(x, eps=tg.DEFAULT_EPS):
-    """locate_bruteforce as first written: every offset of the floors in
-    ``itertools.product`` over the per-coordinate ranges, 3^n at an integer
-    point.  The reference for the list, and its order, that the depth-first
-    walk with its distance cut must return."""
+    """locate_bruteforce as first written: every offset of the integers
+    near x in ``itertools.product`` over the per-coordinate ranges, 3^n at
+    an integer point.  The reference for the list, and its order, that the
+    closed form must return, except at a point whose distance from a center
+    rounds to exactly 1 + eps: there the ranges, rounded apart from the
+    distance test, can drop that center."""
     px = tg.as_point(x)
     n = len(px)
     F, u = honeycomb._local_frame(px)
@@ -198,8 +200,8 @@ def chart_cover_oracle(x, eps=tg.DEFAULT_EPS):
     rounding of t(u), and each candidate is then kept when it is a lattice
     point within 1 + eps.  The cost is exponential only in the chart
     coordinates near an integer, and neither the decoder nor the offset
-    enumeration is used.  Worked in the frame of the floors, so it is exact
-    at every magnitude.
+    enumeration is used.  Worked in honeycomb's frame of the nearest
+    integers, so it is exact at every magnitude.
     """
     px = tg.as_point(x)
     n = len(px)
@@ -214,6 +216,53 @@ def chart_cover_oracle(x, eps=tg.DEFAULT_EPS):
             if sum(c) % (n + 1) == 0 and _dist(off, u) <= 1.0 + eps:
                 found.add(c)
     return sorted(found)
+
+
+def _ordered_partitions(items):
+    """Every ordered partition of items into nonempty blocks (a Fubini
+    number of them: 1, 3, 13, 75, 541 for 1..5 items)."""
+    if not items:
+        yield ()
+        return
+    for size in range(1, len(items) + 1):
+        for first in itertools.combinations(items, size):
+            rest = [i for i in items if i not in first]
+            for tail in _ordered_partitions(rest):
+                yield (first, *tail)
+
+
+def alcove_faces(n, seed, denominator=1024):
+    """Two random dyadic points on each face of the alcove arrangement of
+    R^n, up to translation by the tiling lattice.
+
+    The breakpoints of dist(c, x) for every integer c lie on the hyperplanes
+    x_i in Z and x_i - x_j in Z, so the centers containing x, taken relative
+    to the floors of x, are the same on each relatively open face of that
+    arrangement.  A face is fixed by the ordered partition of the
+    coordinates by fractional part, by whether the smallest part is 0, and
+    by the sum of the floors mod (n+1): 18 / 104 / 750 / 6492 faces at
+    n = 2..5.  Yields ((blocks, at_zero, residue), (x, y)), the face and its
+    two points, whose fractional parts are distinct multiples of
+    1/denominator in the face's order.  Every difference of such points and
+    integers is exact in float64, so no eps above 0 decides a test.
+    """
+    rng = random.Random(seed)
+    for blocks in _ordered_partitions(list(range(n))):
+        for at_zero in (True, False):
+            for residue in range(n + 1):
+                pts = []
+                for _ in range(2):
+                    parts = sorted(rng.sample(range(1, denominator), len(blocks) - at_zero))
+                    if at_zero:
+                        parts.insert(0, 0)
+                    F = [rng.randint(-4, 4) for _ in range(n)]
+                    F[0] += (residue - sum(F)) % (n + 1)
+                    x = [0.0] * n
+                    for block, part in zip(blocks, parts):
+                        for i in block:
+                            x[i] = F[i] + part / denominator
+                    pts.append(tuple(x))
+                yield (blocks, at_zero, residue), tuple(pts)
 
 
 def tiling_report_oracle(n, box_halfwidth, samples, seed, eps):

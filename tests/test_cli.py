@@ -344,9 +344,10 @@ def test_ball_hrep_rejects_a_radius_that_is_not_a_positive_real(capsys, radius):
 
 
 def test_bad_eps_is_usage_error(capsys):
-    code, _, err = run(capsys, "--eps", "-1", "dist", "0,0", "1,1")
-    assert code == 2
-    assert "eps" in err
+    for eps in ("-1", "nan", "0.25", "1e308"):
+        code, _, err = run(capsys, "--eps", eps, "dist", "0,0", "1,1")
+        assert code == 2
+        assert "eps must be a positive real below 1/4" in err
 
 
 def _box_error(command, box):

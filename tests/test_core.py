@@ -442,7 +442,10 @@ EPS_CALLS = {
 }
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0, "a"], ids=repr)
+# 0.25 and above: a tie gives a coordinate more than two offsets
+@pytest.mark.parametrize(
+    "eps", [math.nan, math.inf, -math.inf, 0.0, -1.0, "a", 0.25, 1.0, 1e308], ids=repr
+)
 @pytest.mark.parametrize("call", sorted(EPS_CALLS))
 def test_every_entry_point_rejects_a_bad_eps(call, eps, caplog):
     with pytest.raises(tg.DomainError, match="eps must be a positive real"):

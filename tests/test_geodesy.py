@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -662,12 +663,14 @@ def test_contains_batch_matches_the_row_major_oracle(n, eps):
 
 
 def test_contains_batch_rejects_a_non_finite_row_at_any_eps():
-    # upper + eps overflows to inf here, and still no infinite row passes
-    # the box, where a subtraction inf - inf would be invalid
+    # at the largest eps accepted, upper + eps is still finite, so no
+    # infinite row passes the box, where a subtraction inf - inf would be
+    # invalid
     inf, nan = math.inf, math.nan
-    assert not GeodesicRegion((0,), (1e308,)).contains_batch([[inf]], eps=1e308).any()
+    eps, big = math.nextafter(0.25, 0.0), sys.float_info.max
+    assert not GeodesicRegion((0,), (big,)).contains_batch([[inf]], eps=eps).any()
     rows = [[inf, inf], [inf, 0.0], [nan, 0.0]]
-    assert not GeodesicRegion((0, 0), (1e308, 1e308)).contains_batch(rows, eps=1e308).any()
+    assert not GeodesicRegion((0, 0), (big, big)).contains_batch(rows, eps=eps).any()
 
 
 def test_contains_batch_does_not_warn_when_a_difference_overflows():

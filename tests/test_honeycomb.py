@@ -11,13 +11,14 @@ import pytest
 
 import tropgeo as tg
 from tropgeo import _batch, honeycomb
-from tropgeo.core import _dist
 from tropgeo.honeycomb import HEX_BASIS_2D, as_center, hexagon_rings
 
 from helpers import (
+    alcove_faces,
     batch_dist,
     chart_cover_oracle,
     containing_count_oracle,
+    dist_oracle,
     facet_neighbors_oracle,
     locate_enumeration_oracle,
     tiling_report_oracle,
@@ -148,43 +149,44 @@ EPS_GRID = [1e-12, 1e-9, 1e-3, 0.05]
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 @pytest.mark.parametrize("n", range(1, 8))
-def test_locate_bruteforce_equals_the_enumeration_oracle(n, eps, monkeypatch):
-    # the depth-first walk only cuts prefixes that cannot pass, so it must
-    # give the whole product's list in the product's order; and an offset
-    # that passes the cut at its last coordinate is within 1 + eps, so every
-    # distance the walk takes is an answer
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return _dist(a, b)
-
-    monkeypatch.setattr(honeycomb, "_dist", counted)
-    pts = _mixed_points(n, np.random.default_rng([n, 7]), 40) + _at_the_rounded_bound(n, eps)
-    for x in pts:
-        calls.clear()
-        got = tg.locate_bruteforce(x, eps)
-        assert got == locate_enumeration_oracle(x, eps), x
-        assert len(calls) == len(got), x
+def test_locate_bruteforce_equals_the_enumeration_oracle(n, eps):
+    # the closed form lists what the whole product lists, in its order; at
+    # the rounded bound the product's ranges drop a center (the test below),
+    # so the chart cover judges those points
+    for x in _mixed_points(n, np.random.default_rng([n, 7]), 40):
+        assert tg.locate_bruteforce(x, eps) == locate_enumeration_oracle(x, eps), x
+    for x in _at_the_rounded_bound(n, eps):
+        assert tg.locate_bruteforce(x, eps) == chart_cover_oracle(x, eps), x
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chart_cover_oracle_equals_the_enumeration_oracle(n, eps):
     # no point at the rounded bound: the enumeration's ranges drop some of
-    # those centers (the xfail below), and the chart cover keeps them
+    # those centers (the test below), and the chart cover keeps them
     for x in _mixed_points(n, np.random.default_rng([n, 8]), 40):
         assert chart_cover_oracle(x, eps) == locate_enumeration_oracle(x, eps), x
 
 
-@pytest.mark.xfail(strict=True, reason="the offset ranges round apart from the distance test")
 def test_enumeration_keeps_a_center_at_the_rounded_bound():
-    # x = 1 + eps rounds up, so u - 1 - eps rounds above -1 and the range
-    # of offsets starts at 0; yet dist(x, 0) == 1.0 + eps as rounded
+    # x = 1 + eps rounds up, so u - 1 - eps rounds above -1 and the
+    # product's range of offsets starts at 0; yet dist(x, 0) == 1.0 + eps as
+    # rounded, and the closed form tests that same subtraction
     x, eps = (1.0 + 1e-12,), 1e-12
     assert tg.dist(x, (0,)) <= 1.0 + eps
     assert chart_cover_oracle(x, eps) == [(0,), (2,)]
+    assert locate_enumeration_oracle(x, eps) == [(2,)]
     assert tg.locate_bruteforce(x, eps) == [(0,), (2,)]
+
+
+def test_locate_raises_when_the_list_lacks_the_fast_center(monkeypatch):
+    # the fast-path center always contains x, so a list without it breaks
+    # the tiling theorem; there is no nearest-center fallback
+    x = (1.0, 0.5)
+    assert tg.locate(x).center == (2, 1)
+    monkeypatch.setattr(honeycomb, "locate_bruteforce", lambda x, eps: [(0, 0)])
+    with pytest.raises(tg.TropgeoError, match="fast-path center"):
+        tg.locate(x)
 
 
 def _high_dim_points(n, rng):
@@ -229,6 +231,84 @@ def test_locate_of_the_origin_at_n16():
     assert res.all_centers == ((0,) * 16,)
     assert res.status == "interior"
     assert res.distance == 0.0
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_locate_of_the_origin_at_n32_and_n64(n):
+    # a depth-first walk over offsets passed about 2^(n+2) prefixes here
+    res = tg.locate((0.0,) * n)
+    assert res.all_centers == ((0,) * n,)
+    assert res.status == "interior"
+    assert res.distance == 0.0
+
+
+def _integer_point_centers(x):
+    """The centers containing the integer point x, sorted.
+
+    A lattice point c with c - x in {0, 1}^n or {-1, 0}^n is within 1 of x,
+    and no other integer point is; the lattice condition fixes the weight
+    of c - x at r = (-sum x) or s = (sum x) mod (n+1).  A count of
+    C(n, r) + C(n, s), less one when s = 0 and both hold the zero vector."""
+    n = len(x)
+    s = sum(x) % (n + 1)
+    out = set()
+    for step, weight in ((1, -s % (n + 1)), (-1, s)):
+        for idx in itertools.combinations(range(n), weight):
+            c = list(x)
+            for i in idx:
+                c[i] += step
+            out.add(tuple(c))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.05])
+@pytest.mark.parametrize("n", [32, 64])
+def test_locate_of_tied_integer_points_at_high_dimension(n, eps):
+    # every coordinate is tied; the chart cover is exponential here.  Not
+    # (1, 0, 1, 0, ...): it lies in C(n, n/2) + C(n, n/2 + 1) balls, over
+    # 10^9 at n = 32, which no list holds
+    e1 = (1,) + (0,) * (n - 1)
+    for x in (e1, (1, 1) + (0,) * (n - 2), (1,) * n):
+        want = _integer_point_centers(x)
+        res = tg.locate(tuple(map(float, x)), eps)
+        assert res.all_centers == tuple(want), x
+        assert res.center in want
+        assert res.status == "boundary"
+        assert all(tg.in_lattice(c) and tg.dist(x, c) == 1.0 for c in want)
+    assert len(_integer_point_centers(e1)) == n + 1
+
+
+def _relative(res, x):
+    """A locate result less its distance, taken relative to the floors of x."""
+    F = [math.floor(v) for v in x]
+
+    def rel(c):
+        return tuple(a - f for a, f in zip(c, F))
+
+    return rel(res.center), res.status, tuple(map(rel, res.all_centers))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_locate_on_every_face_of_the_alcove_arrangement(n):
+    # exhaustive where the samples of verify_tiling meet no boundary: every
+    # face, judged by the chart cover and exact dyadic distances
+    eps = 1e-12
+    boundary_faces = 0
+    for face, (x, y) in alcove_faces(n, seed=n):
+        res = tg.locate(x, eps)
+        assert _relative(res, x) == _relative(tg.locate(y, eps), y), face
+        want = chart_cover_oracle(x, eps)
+        assert res.all_centers == tuple(want), face
+        dist = {c: dist_oracle(x, c) for c in want}
+        assert res.distance == dist[res.center], face
+        on_boundary = any(d == 1.0 for d in dist.values())
+        assert res.status == ("boundary" if on_boundary else "interior"), face
+        # balls meet only on their boundaries
+        assert (len(want) >= 2) == on_boundary, face
+        assert len(want) == 1 or all(d == 1.0 for d in dist.values()), face
+        boundary_faces += on_boundary
+    # of 4 / 18 / 104 / 750 / 6492 faces
+    assert boundary_faces == {1: 1, 2: 5, 3: 29, 4: 209, 5: 1809}[n]
 
 
 def test_boundary_point_on_shared_facet():

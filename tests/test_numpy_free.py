@@ -33,7 +33,7 @@ NUMPY_FREE_EXAMPLES = [
     ["ball", "decompose", "--point=-0.4,0.3"],
     ["sphere", "poles", "--point", "0.2,1"],
     ["honeycomb", "locate", "--point", "1.2,0.7"],
-    # a boundary point: locate enumerates its centers
+    # a boundary point: locate lists its containing centers
     ["honeycomb", "locate", "--point", "1,0"],
     ["--format", "csv", "honeycomb", "plot2d", "--box", "3"],
 ]
@@ -121,6 +121,17 @@ def test_batch_commands_run_with_numpy(capsys, argv):
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
     assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+
+def test_importtime_lists_every_module_a_command_loads():
+    # the package loads a submodule through __import__, whose path
+    # -X importtime times; importlib.import_module leaves it out of the log
+    proc = python("-X", "importtime", "-m", "tropgeo.cli", "honeycomb", "locate",
+                  "--point", "1.2,0.7")
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"tropgeo.core", "tropgeo.ball", "tropgeo.honeycomb"} <= listed
 
 
 def test_star_import_binds_every_public_name():
