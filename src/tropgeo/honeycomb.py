@@ -7,7 +7,9 @@ finds it in O(n log n) from floors and sorted fractional parts, the A_n
 decoder, with a distance certificate.  Near a boundary it lists every
 containing center in closed form, in O(n^2) plus n per center, with no
 search over offsets.  The facet neighbors of a ball are its center plus the
-roots of A_n, each checked to share a facet with it.
+roots of A_n.  One root is checked to give a shared facet: permuting the
+n+1 homogeneous coordinates, the Weyl group S_{n+1} of A_n, keeps the
+tiling and moves that root onto every other.
 
 verify_tiling checks that locator on random samples against an independent
 count of the containing centers.  Its batch locator and count are numpy
@@ -253,32 +255,31 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
     """Tiling centers whose ball shares a full facet with the ball at c.
 
     These are the n(n+1) translates c + u_i - u_j, i != j, over the unit
-    directions u = e_1, ..., e_n, -(1, ..., 1): the roots of A_n.  Each is
-    checked to meet the ball at c in a region of affine dimension n-1; a
-    translate that fails breaks the tiling theorem and raises TropgeoError.
-    The check runs in the frame of c, so it is exact at every magnitude.
-    Returned sorted."""
+    directions u = e_1, ..., e_n, -(1, ..., 1): the roots of A_n.  Permuting
+    the n+1 homogeneous coordinates of (x, 0) keeps the norm (max minus min)
+    and the lattice and acts transitively on the roots, so one pair of balls,
+    at 0 and at rho = u_1 - u_2, decides the facet for every root and every
+    c.  It must meet in a region of affine dimension n-1, or TropgeoError
+    names c and c + rho.  The check runs at the origin, so it is exact at
+    every magnitude.  Returned sorted."""
     cc = as_center(c)
     n = len(cc)
     check_eps(eps)
     if not in_lattice(cc):
         raise DomainError("center %r is not in the tiling lattice" % (cc,))
     u = [tuple(int(i == k) for k in range(n)) for i in range(n)] + [(-1,) * n]
-    own = hrep(Ball((0,) * n))
-    found = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i == j:
-                continue
-            root = tuple(a - b for a, b in zip(u[i], u[j]))
-            found.append(tuple(v + r for v, r in zip(cc, root)))
-            try:
-                shared = own.intersect(hrep(Ball(root)), eps=eps)
-            except EmptyRegionError:
-                shared = None
-            if shared is None or shared.affine_dim(eps) != n - 1:
-                raise TropgeoError("balls at %r and %r share no facet" % (cc, found[-1]))
-    return sorted(found)
+    roots = [tuple(map(operator.sub, a, b)) for a in u for b in u if a != b]
+    rho = roots[0]
+    own, other = hrep(Ball((0,) * n)), hrep(Ball(rho))
+    try:
+        shared = own.intersect(other, eps=eps)
+    except EmptyRegionError:
+        shared = None
+    if shared is None or shared.affine_dim(eps) != n - 1:
+        raise TropgeoError(
+            "balls at %r and %r share no facet" % (cc, tuple(map(operator.add, cc, rho)))
+        )
+    return sorted(tuple(map(operator.add, cc, r)) for r in roots)
 
 
 # Samples per shard of verify_tiling: shard s draws from the substream
@@ -309,6 +310,14 @@ class TilingReport(_Record):
         _setfield(self, "interior", interior)
         _setfield(self, "boundary", boundary)
         _setfield(self, "mismatches", mismatches)
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int, or DomainError naming it when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def verify_tiling(
@@ -347,11 +356,19 @@ def verify_tiling(
     retains about 8 MiB of address space after blocks of the benchmark's
     sizes at n = 3, 6 and 9, and at most about 18 MiB, at n = 1.
     Threads may call this at once; each has its own workspace.
+
+    n, samples and seed must be integers (anything ``operator.index``
+    takes), and seed nonnegative; other values raise DomainError.
     """
+    n = _as_int("dimension", n)
+    samples = _as_int("samples", samples)
+    seed = _as_int("seed", seed)
     if n < 1:
         raise DomainError("dimension must be at least 1")
     if samples < 0:
         raise DomainError("samples must be nonnegative")
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
     if not (math.isfinite(box_halfwidth) and box_halfwidth >= 0):
         raise DomainError("box halfwidth must be finite and nonnegative")
     if box_halfwidth > 2**53:

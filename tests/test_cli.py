@@ -293,6 +293,15 @@ def test_honeycomb_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "mismatches: 1" in out.splitlines()
 
 
+def test_honeycomb_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(
+        capsys, "--seed", "-1", "honeycomb", "verify", "--dim", "2", "--samples", "100"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: seed must be nonnegative"]
+    assert "Traceback" not in err
+
+
 def test_honeycomb_neighbors(capsys):
     code, out, _ = run(capsys, "honeycomb", "neighbors", "--center", "0,0")
     assert code == 0

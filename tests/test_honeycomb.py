@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -408,11 +409,55 @@ def test_neighbors_counts_and_distance():
 
 
 def test_neighbors_share_a_full_facet():
-    for n in (2, 3):
+    # the full check, every root: neighbors itself checks one and relies on
+    # the S_{n+1} symmetry for the rest
+    for n in range(1, 9):
         own = tg.hrep(tg.Ball((0,) * n))
-        for nb in tg.neighbors((0,) * n):
+        nbs = tg.neighbors((0,) * n)
+        assert len(nbs) == n * (n + 1)
+        for nb in nbs:
             shared = own.intersect(tg.hrep(tg.Ball(nb)))
             assert shared.affine_dim() == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("fault", ["empty", "lower-dimensional"])
+def test_neighbors_raises_when_the_representative_shares_no_facet(n, fault, monkeypatch):
+    c = random_lattice_center(n, np.random.default_rng(n))
+    # u_1 - u_2 over u = e_1, ..., e_n, -(1, ..., 1)
+    rho = (2,) if n == 1 else (1, -1) + (0,) * (n - 2)
+    if fault == "empty":
+        # the ball at 2 rho lies at distance 4 from the origin's
+        real_hrep = honeycomb.hrep
+        monkeypatch.setattr(
+            honeycomb, "hrep",
+            lambda ball: real_hrep(tg.Ball(tuple(2 * v for v in ball.center))),
+        )
+    else:
+        monkeypatch.setattr(tg.GeodesicRegion, "affine_dim", lambda self, eps: n - 2)
+    want = "balls at %r and %r share no facet" % (c, tuple(a + b for a, b in zip(c, rho)))
+    with pytest.raises(tg.TropgeoError, match=re.escape(want)):
+        tg.neighbors(c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_neighbors_builds_three_regions(n, monkeypatch):
+    real_init, real_hrep = tg.GeodesicRegion.__init__, honeycomb.hrep
+    counts = {"regions": 0, "hrep": 0}
+
+    def counting_init(self, *args, **kwargs):
+        counts["regions"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_hrep(*args, **kwargs):
+        counts["hrep"] += 1
+        return real_hrep(*args, **kwargs)
+
+    monkeypatch.setattr(tg.GeodesicRegion, "__init__", counting_init)
+    monkeypatch.setattr(honeycomb, "hrep", counting_hrep)
+    assert len(tg.neighbors((0,) * n)) == n * (n + 1)
+    # two balls and their intersection, whatever n
+    assert counts == {"regions": 3, "hrep": 2}
 
 
 def test_neighbors_translation_covariance():
@@ -440,7 +485,7 @@ def test_neighbors_equal_the_window_search(n, k):
     assert tg.neighbors(c) == facet_neighbors_oracle(c)
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("shifted", [False, True])
 def test_neighbors_at_high_dimension(n, shifted):
     c = random_lattice_center(n, np.random.default_rng(n)) if shifted else (0,) * n
@@ -525,6 +570,13 @@ def test_verify_tiling_rejects_bad_arguments():
         tg.verify_tiling(2, samples=-5)
 
 
+def test_verify_tiling_takes_integer_likes():
+    # numpy integers pass operator.index, and the report holds plain ints
+    rep = tg.verify_tiling(np.int64(2), samples=np.int32(300), seed=np.uint8(4))
+    assert rep == tg.verify_tiling(2, samples=300, seed=4)
+    assert type(rep.n) is type(rep.samples) is type(rep.seed) is int
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -537,14 +589,24 @@ def test_verify_tiling_rejects_bad_arguments():
         {"eps": -1.0},
         {"eps": math.nan},
         {"eps": math.inf},
+        {"n": 2.0},
+        {"n": "2"},
+        {"n": None},
+        {"samples": 2.5},
+        {"samples": "10"},
+        {"samples": None},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": "1"},
+        {"seed": None},
     ],
     ids=repr,
 )
 def test_verify_tiling_rejects_bad_input(kwargs):
     # with no samples no shard is drawn, so each input must be rejected up
-    # front
+    # front; numpy would reject a negative seed only when drawing a shard
     with pytest.raises(tg.DomainError):
-        tg.verify_tiling(2, samples=0, **kwargs)
+        tg.verify_tiling(**{"n": 2, "samples": 0, **kwargs})
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
