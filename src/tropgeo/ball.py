@@ -20,6 +20,8 @@ from .core import (
     _dist,
     _norm,
     _Record,
+    _as_dim,
+    _as_real,
     _setfield,
     as_point,
     check_eps,
@@ -34,25 +36,20 @@ class Ball(_Record):
 
     def __init__(self, center: Point, radius: float = 1.0):
         _setfield(self, "center", as_point(center))
-        try:
-            radius = float(radius)
-        except (TypeError, ValueError, OverflowError):
-            radius = math.nan
+        radius = _as_real(radius)
         if not (math.isfinite(radius) and radius > 0):
             raise DomainError("radius must be a positive real")
         _setfield(self, "radius", radius)
 
 
 def unit_ball(n: int) -> Ball:
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    n = _as_dim(n)
     return Ball((0.0,) * n, 1.0)
 
 
 def units(n: int) -> tuple[Point, ...]:
     """The n+1 unit directions: e_1 ... e_n and the all -1 vector."""
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    n = _as_dim(n)
     basis = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
     basis.append((-1.0,) * n)
     return tuple(basis)
@@ -87,8 +84,7 @@ def hrep(ball: Ball, eps: float = DEFAULT_EPS):
 
 def iter_vertices(n: int):
     """Vertices of the unit ball at the origin, 0/1 vectors first."""
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    n = _as_dim(n)
     for high in (1.0, -1.0):
         for combo in itertools.product((0.0, high), repeat=n):
             if any(combo):
@@ -130,8 +126,7 @@ class FacetId(_Record):
 
 def facets(n: int) -> list[FacetId]:
     """All n(n+1) facets, uppers then lowers then diff pairs."""
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    n = _as_dim(n)
     out = [FacetId("upper", i) for i in range(1, n + 1)]
     out += [FacetId("lower", i) for i in range(1, n + 1)]
     out += [

@@ -1,8 +1,11 @@
 """Command line front door for the min-plus geometry toolkit.
 
-Each command returns its result as records; ``--format records`` prints
-them as ``key=value`` blocks and the text format is rendered from them.
-Global flags come before the subcommand:
+Each command is one row of ``COMMANDS``: its path, help, arguments and
+handler.  ``main`` builds the parser of only the row argv names; it builds
+every row of a group whose leaf is missing or bad, and every row for
+``--help`` or a bad command.  Each command returns its result as records;
+``--format records`` prints them as ``key=value`` blocks and the text
+format is rendered from them.  Global flags come before the subcommand:
 ``tropgeo --format records norm -- -3,-2,1``.  Exit codes: 0 success,
 1 domain violation, 2 usage or parse failure, 3 verification failure.
 """
@@ -83,8 +86,8 @@ def _read_points_file(path: str):
 
 
 def _gather_points(args):
-    pts = [parse_point(t) for t in getattr(args, "points", []) or []]
-    if getattr(args, "file", None):
+    pts = [parse_point(t) for t in args.points]
+    if args.file:
         pts.extend(_read_points_file(args.file))
     if not pts:
         raise ParseError("no points given (pass them as arguments or via --file)")
@@ -468,144 +471,138 @@ def cmd_honeycomb_plot2d(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _a(*flags, **kw):
+    """One argument of a command: the flags and keywords of ``add_argument``."""
+    return flags, kw
+
+
+def _points(**file_kw):
+    """A point set: points as arguments, and more, one a line, in --file."""
+    return [_a("points", nargs="*"), _a("--file", **file_kw)]
+
+
+_DIM = _a("--dim", type=int, required=True)
+_POINT = _a("--point", required=True)
+_RADIUS = _a("--radius", type=float, default=1.0)
+
+GLOBAL_ARGS = (
+    _a("--eps", type=float, default=DEFAULT_EPS, help="comparison tolerance"),
+    _a("--seed", type=int, default=0, help="seed for randomized subcommands"),
+    _a("--format", choices=("text", "records", "csv", "svg"), default="text",
+       help="output format (csv/svg only for honeycomb plot2d)"),
+)
+
+# Every leaf command, once: its path, help, arguments and handler.  A path
+# of two names puts the leaf in the group named first.
+COMMANDS = (
+    (("dist",), "distance between two points (colon form: projective)",
+     [_a("x"), _a("y"), _a("--lp", action="store_true", help="also print l1 and linf distances")],
+     cmd_dist),
+    (("norm",), "distance to the origin", [_a("x")], cmd_norm),
+    (("segment",), "canonical shortest chain between two points",
+     [_a("x"), _a("y"), _a("--mode", choices=("min", "max"), default="min")], cmd_segment),
+    (("length",), "length of a polyline",
+     _points(help="one comma-separated point per line, # comments"), cmd_length),
+    (("circle-length",), "min-plus length of a Euclidean circle",
+     [_a("--radius", type=float, required=True), _a("--tol", type=float, default=1e-6),
+      _a("--center", help="circle center, default 0,0")], cmd_circle_length),
+    (("geodesic-check",), "is the polyline a geodesic?", _points(), cmd_geodesic_check),
+    (("between",), "does z lie between x and y?", [_a("x"), _a("z"), _a("y")], cmd_between),
+    (("hull",), "smallest geodesically closed region containing points", _points(), cmd_hull),
+    (("region-contains",), "membership in the hull of a point file",
+     [_a("--file", required=True), _POINT], cmd_region_contains),
+    (("classify2d",), "shape type of a planar bound system",
+     [_a("--" + name + end, type=float, required=True, help="%s bound on %s" % (side, var))
+      for name, var in (("a", "x"), ("b", "y"), ("c", "y-x"))
+      for end, side in (("", "lower"), ("2", "upper"))], cmd_classify2d),
+    (("ball", "vertices"), "vertices of the unit ball", [_DIM], cmd_ball_vertices),
+    (("ball", "facets"), "facets with their opposites", [_DIM], cmd_ball_facets),
+    (("ball", "hrep"), "ball as a bound system", [_DIM, _a("--center"), _RADIUS], cmd_ball_hrep),
+    (("ball", "decompose"), "orthant chart and zonotope splits of a ball point", [_POINT],
+     cmd_ball_decompose),
+    (("sphere", "poles"), "facets and pole distances of a sphere point", [_POINT],
+     cmd_sphere_poles),
+    (("sphere", "angle"), "angle between two rays (planar)",
+     [_a("--at", default="0,0"), _a("--v1", required=True), _a("--v2", required=True)],
+     cmd_sphere_angle),
+    (("sphere", "distance"), "arc distance between planar sphere points",
+     [_a("--x", required=True), _a("--y", required=True), _a("--center")], cmd_sphere_distance),
+    (("sphere", "diametral"), "do two sphere points realize the diameter?",
+     [_a("--p", required=True), _a("--q", required=True), _a("--center"), _RADIUS],
+     cmd_sphere_diametral),
+    (("honeycomb", "locate"), "which tiling ball contains a point", [_POINT],
+     cmd_honeycomb_locate),
+    (("honeycomb", "verify"), "randomized covering/disjointness check",
+     [_DIM, _a("--samples", type=int, default=100_000), _a("--box", type=float, default=10.0)],
+     cmd_honeycomb_verify),
+    (("honeycomb", "neighbors"), "centers sharing a facet with a given center",
+     [_a("--center", required=True)], cmd_honeycomb_neighbors),
+    (("honeycomb", "basis"), "a lattice basis for the tiling centers", [_DIM],
+     cmd_honeycomb_basis),
+    (("honeycomb", "plot2d"), "draw the planar tiling (svg or csv)",
+     [_a("--box", type=float, required=True), _a("--out", help="output file; stdout when omitted")],
+     cmd_honeycomb_plot2d),
+)
+
+GROUPS = {
+    "ball": "unit ball combinatorics",
+    "sphere": "intrinsic geometry of the unit sphere",
+    "honeycomb": "the tiling of space by unit balls",
+}
+
+
+def _named_path(argv) -> tuple:
+    """The path of the row argv names, or of the group whose leaf is missing or
+    bad; ``()``, for every row, unless the command comes right after the global
+    options and their values, as a name after ``--help`` or a bad command does not."""
+    i = 0
+    options = [flags[0] for flags, _ in GLOBAL_ARGS]  # each takes a value
+    while i < len(argv) and argv[i].partition("=")[0] in options:
+        i += 1 if "=" in argv[i] else 2
+    words = tuple(argv[i:i + 2])
+    for path, *_ in COMMANDS:
+        if words[:len(path)] == path:
+            return path
+    return words[:1] if words and words[0] in GROUPS else ()
+
+
+def build_parser(path=()) -> argparse.ArgumentParser:
+    """The parser of the rows under ``path``, by default of every row.
+
+    A level that builds one of its commands still names them all in its
+    usage, so help and usage errors print as on the full parser."""
     parser = argparse.ArgumentParser(
         prog="tropgeo",
         description="Min-plus metric geometry: distances, geodesics, balls, tilings.",
     )
-    parser.add_argument("--eps", type=float, default=DEFAULT_EPS, help="comparison tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    parser.add_argument(
-        "--format",
-        choices=("text", "records", "csv", "svg"),
-        default="text",
-        help="output format (csv/svg only for honeycomb plot2d)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    for flags, kw in GLOBAL_ARGS:
+        parser.add_argument(*flags, **kw)
 
-    p = sub.add_parser("dist", help="distance between two points (colon form: projective)")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--lp", action="store_true", help="also print l1 and linf distances")
-    p.set_defaults(handler=cmd_dist)
+    def subparsers(owner, group):
+        names = dict.fromkeys(r[0][len(group)] for r in COMMANDS if r[0][:len(group)] == group)
+        return owner.add_subparsers(
+            dest="_".join(group + ("command",)),
+            required=True,
+            metavar="{%s}" % ",".join(names) if len(path) > len(group) else None,
+        )
 
-    p = sub.add_parser("norm", help="distance to the origin")
-    p.add_argument("x")
-    p.set_defaults(handler=cmd_norm)
-
-    p = sub.add_parser("segment", help="canonical shortest chain between two points")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--mode", choices=("min", "max"), default="min")
-    p.set_defaults(handler=cmd_segment)
-
-    p = sub.add_parser("length", help="length of a polyline")
-    p.add_argument("points", nargs="*")
-    p.add_argument("--file", help="one comma-separated point per line, # comments")
-    p.set_defaults(handler=cmd_length)
-
-    p = sub.add_parser("circle-length", help="min-plus length of a Euclidean circle")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--center", help="circle center, default 0,0")
-    p.set_defaults(handler=cmd_circle_length)
-
-    p = sub.add_parser("geodesic-check", help="is the polyline a geodesic?")
-    p.add_argument("points", nargs="*")
-    p.add_argument("--file")
-    p.set_defaults(handler=cmd_geodesic_check)
-
-    p = sub.add_parser("between", help="does z lie between x and y?")
-    p.add_argument("x")
-    p.add_argument("z")
-    p.add_argument("y")
-    p.set_defaults(handler=cmd_between)
-
-    p = sub.add_parser("hull", help="smallest geodesically closed region containing points")
-    p.add_argument("points", nargs="*")
-    p.add_argument("--file")
-    p.set_defaults(handler=cmd_hull)
-
-    p = sub.add_parser("region-contains", help="membership in the hull of a point file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=cmd_region_contains)
-
-    p = sub.add_parser("classify2d", help="shape type of a planar bound system")
-    p.add_argument("--a", type=float, required=True, help="lower bound on x")
-    p.add_argument("--a2", type=float, required=True, help="upper bound on x")
-    p.add_argument("--b", type=float, required=True, help="lower bound on y")
-    p.add_argument("--b2", type=float, required=True, help="upper bound on y")
-    p.add_argument("--c", type=float, required=True, help="lower bound on y-x")
-    p.add_argument("--c2", type=float, required=True, help="upper bound on y-x")
-    p.set_defaults(handler=cmd_classify2d)
-
-    p = sub.add_parser("ball", help="unit ball combinatorics")
-    bsub = p.add_subparsers(dest="ball_command", required=True)
-    q = bsub.add_parser("vertices", help="vertices of the unit ball")
-    q.add_argument("--dim", type=int, required=True)
-    q.set_defaults(handler=cmd_ball_vertices)
-    q = bsub.add_parser("facets", help="facets with their opposites")
-    q.add_argument("--dim", type=int, required=True)
-    q.set_defaults(handler=cmd_ball_facets)
-    q = bsub.add_parser("hrep", help="ball as a bound system")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--center")
-    q.add_argument("--radius", type=float, default=1.0)
-    q.set_defaults(handler=cmd_ball_hrep)
-    q = bsub.add_parser("decompose", help="orthant chart and zonotope splits of a ball point")
-    q.add_argument("--point", required=True)
-    q.set_defaults(handler=cmd_ball_decompose)
-
-    p = sub.add_parser("sphere", help="intrinsic geometry of the unit sphere")
-    ssub = p.add_subparsers(dest="sphere_command", required=True)
-    q = ssub.add_parser("poles", help="facets and pole distances of a sphere point")
-    q.add_argument("--point", required=True)
-    q.set_defaults(handler=cmd_sphere_poles)
-    q = ssub.add_parser("angle", help="angle between two rays (planar)")
-    q.add_argument("--at", default="0,0")
-    q.add_argument("--v1", required=True)
-    q.add_argument("--v2", required=True)
-    q.set_defaults(handler=cmd_sphere_angle)
-    q = ssub.add_parser("distance", help="arc distance between planar sphere points")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--center")
-    q.set_defaults(handler=cmd_sphere_distance)
-    q = ssub.add_parser("diametral", help="do two sphere points realize the diameter?")
-    q.add_argument("--p", required=True)
-    q.add_argument("--q", required=True)
-    q.add_argument("--center")
-    q.add_argument("--radius", type=float, default=1.0)
-    q.set_defaults(handler=cmd_sphere_diametral)
-
-    p = sub.add_parser("honeycomb", help="the tiling of space by unit balls")
-    hsub = p.add_subparsers(dest="honeycomb_command", required=True)
-    q = hsub.add_parser("locate", help="which tiling ball contains a point")
-    q.add_argument("--point", required=True)
-    q.set_defaults(handler=cmd_honeycomb_locate)
-    q = hsub.add_parser("verify", help="randomized covering/disjointness check")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--samples", type=int, default=100_000)
-    q.add_argument("--box", type=float, default=10.0)
-    q.set_defaults(handler=cmd_honeycomb_verify)
-    q = hsub.add_parser("neighbors", help="centers sharing a facet with a given center")
-    q.add_argument("--center", required=True)
-    q.set_defaults(handler=cmd_honeycomb_neighbors)
-    q = hsub.add_parser("basis", help="a lattice basis for the tiling centers")
-    q.add_argument("--dim", type=int, required=True)
-    q.set_defaults(handler=cmd_honeycomb_basis)
-    q = hsub.add_parser("plot2d", help="draw the planar tiling (svg or csv)")
-    q.add_argument("--box", type=float, required=True)
-    q.add_argument("--out", help="output file; stdout when omitted")
-    q.set_defaults(handler=cmd_honeycomb_plot2d)
-
+    levels = {(): subparsers(parser, ())}
+    for leaf, summary, args, handler in COMMANDS:
+        if leaf[:len(path)] == path:
+            group = leaf[:-1]
+            if group not in levels:
+                owner = levels[()].add_parser(group[0], help=GROUPS[group[0]])
+                levels[group] = subparsers(owner, group)
+            p = levels[group].add_parser(leaf[-1], help=summary)
+            for flags, kw in args:
+                p.add_argument(*flags, **kw)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_named_path(argv)).parse_args(argv)
     try:
         check_eps(args.eps)
     except TropgeoError as exc:

@@ -89,6 +89,32 @@ def check_eps(eps: float) -> None:
         raise DomainError("eps must be a positive real below 1/4, got %r" % (eps,))
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int, or DomainError naming it when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (name, value)) from None
+
+
+def _as_dim(n) -> int:
+    """n as an int of at least 1, or DomainError: the check of every function
+    that takes a dimension."""
+    n = _as_int("dimension", n)
+    if n < 1:
+        raise DomainError("dimension must be at least 1")
+    return n
+
+
+def _as_real(value) -> float:
+    """float(value), or nan when value is no real number, so that a finite
+    range check rejects it with that check's own message."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _same_dim(px: Point, py: Point) -> None:
     if len(px) != len(py):
         raise DimensionMismatch(

@@ -33,6 +33,9 @@ from .core import (
     TropgeoError,
     _dist,
     _Record,
+    _as_dim,
+    _as_int,
+    _as_real,
     _setfield,
     as_point,
     check_eps,
@@ -191,8 +194,7 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
 
 def lattice_basis(n: int) -> list[Center]:
     """A basis of the tiling lattice: e_i - e_{i+1} and (n+1) e_n."""
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    n = _as_dim(n)
     basis = []
     for i in range(n - 1):
         v = [0] * n
@@ -312,14 +314,6 @@ class TilingReport(_Record):
         _setfield(self, "mismatches", mismatches)
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int, or DomainError naming it when it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError("%s must be an integer, got %r" % (name, value)) from None
-
-
 def verify_tiling(
     n: int,
     box_halfwidth: float = 10.0,
@@ -358,13 +352,13 @@ def verify_tiling(
     Threads may call this at once; each has its own workspace.
 
     n, samples and seed must be integers (anything ``operator.index``
-    takes), and seed nonnegative; other values raise DomainError.
+    takes), and seed nonnegative, and box_halfwidth a real number; other
+    values raise DomainError.
     """
-    n = _as_int("dimension", n)
+    n = _as_dim(n)
     samples = _as_int("samples", samples)
     seed = _as_int("seed", seed)
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    box_halfwidth = _as_real(box_halfwidth)
     if samples < 0:
         raise DomainError("samples must be nonnegative")
     if seed < 0:
@@ -402,7 +396,7 @@ def hexagon_rings(box_halfwidth: float) -> list[tuple[Center, tuple[Point, ...]]
 
     The list grows with the box squared, so the box is capped at 100: about
     13k rings in 13 MB."""
-    w = float(box_halfwidth)
+    w = _as_real(box_halfwidth)
     if not (math.isfinite(w) and 0 <= w <= 100):
         raise DomainError("box halfwidth must be finite and in [0, 100]")
     hi = math.floor(w)

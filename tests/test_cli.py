@@ -1,3 +1,4 @@
+import argparse
 import math
 import sys
 import types
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import tropgeo
-from tropgeo import geodesy, honeycomb
+from tropgeo import cli, geodesy, honeycomb
 from tropgeo.cli import main
 
 
@@ -673,3 +674,52 @@ def test_every_operation_is_reachable(tmp_path, capsys):
     assert unreached == {
         "canon", "orthant_to_projective", "polyline_evaluator", "unit_ball", "contains",
     }
+
+
+def test_goldens_cover_every_command_in_both_formats():
+    # a command added to the table without goldens fails here
+    covered = {(fmt, cli._named_path(command.split())) for fmt, command, _, _ in GOLDEN}
+    rows = {(fmt, path) for path, *_ in cli.COMMANDS for fmt in ("text", "records")}
+    assert rows - covered == set()
+
+
+def outcome(capsys, call):
+    """The exit code, stdout and stderr of call(), which may exit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+HELP_ARGVS = [["--help"], *([group, "--help"] for group in cli.GROUPS),
+              *([*path, "--help"] for path, *_ in cli.COMMANDS)]
+USAGE_ERRORS = [
+    ["--eps", "abc", "dist", "0,0", "1,2"], ["bogus"], ["honeycomb", "bogus"], [], ["ball"],
+    ["dist", "0,0"],
+    # a command name after a help flag or a bad command is not the command
+    ["-h", "dist"], ["bogus", "dist"], ["--format", "dist", "0,0", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ERRORS, ids=lambda a: " ".join(a) or "none")
+def test_main_prints_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert full[0] in (0, 2)
+    assert outcome(capsys, lambda: main(argv)) == full
+
+
+def test_a_named_command_builds_one_leaf_parser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["honeycomb", "locate", "--point", "1,0"]) == 0
+    capsys.readouterr()
+    assert built == ["honeycomb", "locate"]

@@ -481,3 +481,31 @@ def test_every_entry_point_rejects_a_malformed_number(call, x):
         return
     with pytest.raises(tg.TropgeoError):
         NUMBER_CALLS[call](x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tg.facets(2.0), "dimension must be an integer, got 2.0"),
+        (lambda: tg.lattice_basis(2.0), "dimension must be an integer, got 2.0"),
+        (lambda: tg.units(2.0), "dimension must be an integer, got 2.0"),
+        (lambda: list(tg.iter_vertices(2.5)), "dimension must be an integer, got 2.5"),
+        (lambda: tg.vertices("2"), "dimension must be an integer, got '2'"),
+        (lambda: tg.unit_ball("2"), "dimension must be an integer, got '2'"),
+        (lambda: tg.unit_ball(0), "dimension must be at least 1"),
+        (lambda: tg.lattice_basis(-1), "dimension must be at least 1"),
+        (lambda: tg.verify_tiling(2, box_halfwidth="a", samples=0),
+         "box halfwidth must be finite and nonnegative"),
+        (lambda: tg.verify_tiling(2, box_halfwidth=10**400, samples=0),
+         "box halfwidth must be finite and nonnegative"),
+        (lambda: tg.hexagon_rings("a"), "box halfwidth must be finite and in"),
+        (lambda: tg.hexagon_rings(None), "box halfwidth must be finite and in"),
+    ],
+    ids=["facets", "lattice_basis", "units", "iter_vertices", "vertices", "unit_ball",
+         "unit_ball-0", "lattice_basis--1", "verify_tiling-box", "verify_tiling-huge-box",
+         "hexagon_rings-box", "hexagon_rings-None"],
+)
+def test_a_bad_dimension_or_box_raises_domain_error(call, message):
+    # one check in core for every dimension, and the radius check for a box
+    with pytest.raises(tg.DomainError, match=message):
+        call()
