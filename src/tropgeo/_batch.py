@@ -14,11 +14,16 @@ axis: the batch locator takes the floors, their sum mod n+1 and a stable
 rank of the fractional parts written out as one comparison per pair of
 coordinates.  A floor-plus-0/1 candidate F + b is a center exactly when |b|
 is r = (-sum F) mod (n+1), so the count evaluates only the C(n, r) offsets
-of that weight, taken from cached read-only bool blocks, in numpy
-broadcasts cut to _BROADCAST_BUDGET elements.
+of that weight.  It reads each one's distance from x - F and x - (F + 1),
+gathered once per residue class: the max of the kept coordinates of the
+first, with 0, minus the min of the raised coordinates of the second.  That
+is the norm of x - (F + b) bit for bit, as x - F >= -eps >= x - (F + 1)
+when the floors snap only within eps < 1/4 of an integer (see
+_containing_counts).  The coordinates come from cached index blocks, in
+takes cut to _BROADCAST_BUDGET elements.
 
 Every array of those kernels -- the block, its transpose, the floors, the
-masks, the rank, the residues, the gathered columns, the broadcast and the
+masks, the rank, the residues, the gathered columns, the takes and the
 norms -- is a view of a buffer in ``_WS``, a grow-only workspace per thread,
 and every step writes into it with ``out=``.  The buffers outlive the call:
 an allocator hands a large freed array back to the OS, and the next call
@@ -262,9 +267,10 @@ def _hull_bounds(points):
 # large the shard is.  2^17 keeps a shard of 24000 rows at n = 3 in one block.
 _TILING_BUDGET = 1 << 17
 
-# Element budget of the (n, candidates, rows) broadcast in _containing_counts
-# (2 MiB of float64): it is cut along the candidate and the row axes so that
-# memory stays flat however large C(n, r) or the block is.
+# Element budget of each take of _containing_counts, (n, candidates, rows)
+# entries of x - F and x - (F + 1) (2 MiB of float64): it is cut along the
+# candidate and the row axes so that memory stays flat however large C(n, r)
+# or the block is.
 _BROADCAST_BUDGET = 1 << 18
 
 
@@ -453,57 +459,128 @@ def _containing_counts(XT: np.ndarray, FT: np.ndarray, eps: float) -> np.ndarray
     fractional parts the locator uses.  Complete whenever no coordinate
     sits within eps of an integer.  A workspace view, valid until the next
     call in the same thread.
+
+    No candidate x - (F + b) is ever built.  Per residue class the kernel
+    takes P0 = x - F and P1 = x - (F + 1), each in that order: x - F is
+    not exact for x in (-1, 0), so (x - F) - 1 could round twice.  For a
+    candidate with raised set S, 0 < |S| < n, the norm of x - (F + b) is
+
+        max(0, max_{i not in S} P0_i) - min_{i in S} P1_i
+
+    bit for bit.  The floors snap only within eps < 1/4 of an integer, so
+    an unsnapped x_i lies more than eps from F_i and from F_i + 1, and a
+    snapped one at most eps from F_i: P0 >= -eps >= P1.  So P1 adds nothing
+    to the maximum of the full norm, P0 nothing to its minimum, and the
+    minimum is at most 0.  max and min are exact, and the last subtraction
+    is the one _norms makes.  Past 2^53, F + 1 can round to F, so P1 = 0 on
+    an integer x_i, and the norm can come out up to eps lower; the count
+    cannot change, since both norms are then at most 1: every P0_i is
+    below 1 - eps before rounding, and the lost term is at most eps.  The
+    single candidates b = 0 and b = 1 of r = 0 and r = n are _norms of P0
+    and of P1.
+
+    So a candidate costs a gather, not arithmetic on n coordinates: one
+    take of P0 and P1 stacked, by a block of the cached index blocks, lays
+    the kept entries of P0 above the raised entries of P1, and one
+    maximum.reduce and one minimum.reduce over whole (candidates, rows)
+    slabs give the two terms.  A take holds at most _BROADCAST_BUDGET
+    elements, with every row of the class in it when they fit and the
+    candidates cut to fit beside them.
     """
     n, m = XT.shape
     k = _floor_sum_residue(FT)
     count = _WS.array("count", (m,), np.int64)
     in_class = _WS.array("in-class", (m,), bool)
     found, hits = _WS.array("found", (2, m), np.int64)
-    # the largest broadcast over the C(n, r) candidates of any class
-    widest = min(_BROADCAST_BUDGET, n * m * math.comb(n, n // 2))
+    bound = 1.0 + eps
+    cap = max(1, _BROADCAST_BUDGET // n)
+    # the most candidates of one take
+    most = min(cap, math.comb(n, n // 2))
+    # the largest take of any class
+    widest = min(_BROADCAST_BUDGET, n * m * most)
     # every column has one residue, so each is written by exactly one r
     for r in range(n + 1):
         cols = np.equal(k, -r % (n + 1), out=in_class).nonzero()[0]
         c = cols.size
         if c == 0:
             continue
-        # take gives C order, so each broadcast below is laid out
-        # (n, candidates, rows) and reduces over whole slabs; mode "clip"
-        # writes straight into out, where "raise" goes through a copy
-        Xr, Fr = _WS.array("gathered", (2, n, 1, c), room=2 * n * m)
-        XT.take(cols, axis=1, out=Xr[:, 0], mode="clip")
-        FT.take(cols, axis=1, out=Fr[:, 0], mode="clip")
+        # mode "clip" writes straight into out, where "raise" goes through
+        # a copy; x goes in P1's slot and F in P0's, so that each
+        # subtraction below overwrites an operand it no longer needs
+        P = _WS.array("gathered", (2, n, c), room=2 * n * m)
+        P0, P1 = P
+        XT.take(cols, axis=1, out=P1, mode="clip")
+        FT.take(cols, axis=1, out=P0, mode="clip")
+        F1 = np.add(P0, 1.0, out=_WS.array("taken", (n, c), room=widest))
+        np.subtract(P1, P0, out=P0)
+        np.subtract(P1, F1, out=P1)
+        if r in (0, n):
+            hi, lo = _WS.array("norms", (2, c), room=2 * widest // n)
+            hit = _WS.array("hit", (c,), bool, room=widest // n)
+            np.less_equal(_norms(P1 if r else P0, hi, lo), bound, out=hit)
+            # cast in place: a bool value array would make count[cols] =
+            # allocate an int64 copy of it
+            np.copyto(found[:c], hit)
+            count[cols] = found[:c]
+            continue
+        # max(0, max of the kept P0) is the max of the kept max(P0, 0), as
+        # some coordinate is kept: clamped once here, not once per candidate
+        np.maximum(P0, 0.0, out=P0)
+        # rows [0, n) of both are P0 and rows [n, 2n) are P1, so one take
+        # reads the kept coordinates of P0 and the raised ones of P1
+        both = P.reshape(2 * n, c)
         found[:c] = 0
-        for B in _weight_vectors(n, r, max(1, _BROADCAST_BUDGET // n)):
-            kc = B.shape[1]
-            step = max(1, _BROADCAST_BUDGET // B.size)
-            for j in range(0, c, step):
-                s = min(step, c - j)
-                # x - (F + b), in that order: x - F is not exact for x in
-                # (-1, 0), so (x - F) - b could round twice
-                cd = np.add(Fr[:, :, j : j + s], B, out=_WS.array("cd", (n, kc, s), room=widest))
-                np.subtract(Xr[:, :, j : j + s], cd, out=cd)
-                hi, lo = _WS.array("norms", (2, kc, s), room=2 * widest // n)
-                hit = _WS.array("hit", (kc, s), bool, room=widest // n)
-                np.less_equal(_norms(cd, hi, lo), 1.0 + eps, out=hit)
-                found[j : j + s] += np.add.reduce(hit, axis=0, out=hits[:s])
+        # rows first: every row of the class in one take when n of them fit
+        # the budget, and the candidates cut to fit beside them, so that
+        # each index copies a run of rows, not a single float
+        step = min(c, cap)
+        width = max(1, _BROADCAST_BUDGET // (n * step))
+        for raised, kept in _index_blocks(n, r, cap):
+            for a in range(0, raised.shape[1], width):
+                kc = min(width, raised.shape[1] - a)
+                # the kept coordinates, then the raised ones shifted to
+                # P1's rows, in the intp that take would cast them to on
+                # every call
+                idx = _WS.array("index", (n, kc), np.intp, room=n * most)
+                np.copyto(idx[: n - r], kept[:, a : a + kc])
+                np.add(raised[:, a : a + kc], n, out=idx[n - r :], dtype=np.intp)
+                for j in range(0, c, step):
+                    s = min(step, c - j)
+                    # (n - r, kc, s) kept entries above (r, kc, s) raised
+                    # ones, each reduced over whole (kc, s) slabs
+                    taken = _WS.array("taken", (n, kc, s), room=widest)
+                    both[:, j : j + s].take(idx, axis=0, out=taken, mode="clip")
+                    hi, lo = _WS.array("norms", (2, kc, s), room=2 * widest // n)
+                    hit = _WS.array("hit", (kc, s), bool, room=widest // n)
+                    np.maximum.reduce(taken[: n - r], axis=0, out=hi)
+                    np.minimum.reduce(taken[n - r :], axis=0, out=lo)
+                    hi -= lo
+                    np.less_equal(hi, bound, out=hit)
+                    found[j : j + s] += np.add.reduce(hit, axis=0, out=hits[:s])
         count[cols] = found[:c]
     return count
 
 
 @functools.lru_cache(maxsize=64)
-def _weight_vectors(n: int, r: int, cap: int) -> tuple[np.ndarray, ...]:
-    """The 0/1 vectors of length n and weight r, in blocks of at most cap.
+def _index_blocks(n: int, r: int, cap: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The weight-r subsets S of range(n), in blocks of at most cap.
 
-    Each block is a read-only bool array of shape (n, k, 1): one vector
-    per slot of the middle axis, ready to broadcast against (n, 1, rows)
-    floors.  Cached, since every shard asks for the same blocks.
+    Each block is a pair (raised, kept) of read-only index arrays of shapes
+    (r, k) and (n - r, k): column j lists the coordinates in the j-th
+    subset and, ascending, those of its complement, ready for a take along
+    the coordinate axis of an (n, rows) array.  The smallest unsigned dtype
+    holds the indices, so a block takes as many bytes as n bools per
+    subset.  Cached, since every shard asks for the same blocks.
     """
+    dtype = np.min_scalar_type(n - 1)
     combos = itertools.combinations(range(n), r)
     blocks = []
     while chunk := list(itertools.islice(combos, cap)):
-        B = np.zeros((n, len(chunk), 1), dtype=bool)
-        B[np.array(chunk, dtype=np.intp).T, np.arange(len(chunk)), 0] = True
-        B.flags.writeable = False
-        blocks.append(B)
+        raised = np.array(chunk, dtype=dtype)
+        free = np.ones((len(chunk), n), dtype=bool)
+        free[np.arange(len(chunk))[:, None], raised] = False
+        kept = free.nonzero()[1].astype(dtype).reshape(len(chunk), n - r)
+        raised, kept = raised.T.copy(), kept.T.copy()
+        raised.flags.writeable = kept.flags.writeable = False
+        blocks.append((raised, kept))
     return tuple(blocks)

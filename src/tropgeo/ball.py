@@ -83,8 +83,13 @@ def hrep(ball: Ball, eps: float = DEFAULT_EPS):
 
 
 def iter_vertices(n: int):
-    """Vertices of the unit ball at the origin, 0/1 vectors first."""
-    n = _as_dim(n)
+    """Vertices of the unit ball at the origin, 0/1 vectors first, as a
+    lazy iterator.  The dimension is checked here, at the call, not on the
+    first ``next()``."""
+    return _vertices(_as_dim(n))
+
+
+def _vertices(n: int):
     for high in (1.0, -1.0):
         for combo in itertools.product((0.0, high), repeat=n):
             if any(combo):

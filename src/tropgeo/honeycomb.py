@@ -338,10 +338,13 @@ def verify_tiling(
     comparisons; it gives the same centers and distances.  The enumeration
     tests, for each sample, every floor-plus-0/1 candidate that is a lattice
     point: the C(n, r) offsets of weight r = (-sum of floors) mod (n+1),
-    about 2^n / (n+1) per sample rather than 2^n, read from cached read-only
-    bool blocks.  Samples with a coordinate within eps of an integer go
-    through ``locate`` instead.  The candidates are evaluated in numpy
-    broadcasts cut into chunks of at most 2^18 elements (2 MiB of float64).
+    about 2^n / (n+1) per sample rather than 2^n.  A candidate's distance is
+    the max of x - F over its kept coordinates, with 0, minus the min of
+    x - (F + 1) over its raised ones, bit for bit the norm of x - (F + b):
+    the floors snap only within eps < 1/4 of an integer, so x - F >= -eps
+    >= x - (F + 1).  Samples with a coordinate within eps of an integer go
+    through ``locate`` instead.  Both terms are gathered by cached index
+    blocks, in takes of at most 2^18 elements (2 MiB of float64).
 
     Every array of a block lives in a workspace of the calling thread that
     is kept between calls and sized by those two budgets, so a call after

@@ -148,17 +148,23 @@ def containing_count_oracle(X, F, eps):
 
     Tries every 0/1 offset of the floors F and keeps those whose coordinate
     sum is divisible by n+1: the exhaustive count that the honeycomb's
-    weight-r enumeration must reproduce.
+    weight-r enumeration must reproduce.  The sum is taken over the integers
+    in int64, since a float64 sum rounds past 2^53.  The offsets go in
+    chunks, each one (rows, offsets, n) broadcast of about 2^20 elements,
+    so that all 2^16 offsets at n = 16 take about a second.
     """
     m, n = X.shape
     count = np.zeros(m, dtype=np.int64)
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        cand = F + np.array(bits)
-        ok = cand.sum(axis=1).astype(np.int64) % (n + 1) == 0
-        cd = X - cand
-        cdist = np.maximum(cd.max(axis=1), 0.0) - np.minimum(cd.min(axis=1), 0.0)
+    floor_sum = F.astype(np.int64).sum(axis=1)[:, None]
+    offsets = itertools.product((0.0, 1.0), repeat=n)
+    step = max(1, (1 << 20) // (m * n))
+    while chunk := list(itertools.islice(offsets, step)):
+        bits = np.array(chunk)
+        ok = (floor_sum + bits.sum(axis=1).astype(np.int64)) % (n + 1) == 0
+        cd = X[:, None, :] - (F[:, None, :] + bits)
+        cdist = np.maximum(cd.max(axis=2), 0.0) - np.minimum(cd.min(axis=2), 0.0)
         ok &= cdist <= 1.0 + eps
-        count += ok
+        count += ok.sum(axis=1)
     return count
 
 

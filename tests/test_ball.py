@@ -90,6 +90,13 @@ def test_iter_vertices_is_lazy_and_complete():
     assert list(iter_vertices(2)) == tg.vertices(2)
 
 
+@pytest.mark.parametrize("n", [2.5, 0])
+def test_iter_vertices_checks_the_dimension_at_the_call(n):
+    # the call itself raises, before anything is iterated
+    with pytest.raises(tg.DomainError):
+        tg.iter_vertices(n)
+
+
 def test_facet_counts_and_order():
     for n in range(1, 9):
         fs = tg.facets(n)

@@ -635,7 +635,9 @@ def _snapped_floors(X, eps):
 
 
 def _count_cases(n, rng):
-    """Uniform rows, rows with tied fractional parts, facet grids and snapping rows."""
+    """Uniform rows, rows with tied fractional parts, facet grids, snapping
+    rows, rows mixing +-2^53 with small entries, and rows of integers
+    +- 1e-20."""
     m = 150
     uniform = rng.uniform(-10, 10, (m, n))
     tied = rng.integers(-6, 6, (m, n)) + rng.choice([0.25, 0.5, 0.75, 0.3], (m, n))
@@ -644,7 +646,12 @@ def _count_cases(n, rng):
     snapping = rng.uniform(-10, 10, (m, n))
     hit = rng.random((m, n)) < 0.3
     snapping[hit] = np.round(snapping[hit]) + rng.choice([0.0, 1e-12, -1e-12], hit.sum())
-    return np.vstack([uniform, tied, quarters, eighths, snapping])
+    # a float64 sum of these floors rounds, and 2^53 + 1 rounds to 2^53
+    huge = rng.uniform(-10, 10, (m, n))
+    far = rng.random((m, n)) < 0.5
+    huge[far] = rng.choice([-(2.0**53), 2.0**53], far.sum())
+    near_integer = rng.integers(-6, 6, (m, n)) + rng.choice([0.0, 1e-20, -1e-20], (m, n))
+    return np.vstack([uniform, tied, quarters, eighths, snapping, huge, near_integer])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -658,7 +665,8 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
     ])
     for eps in (tg.DEFAULT_EPS, 0.05):
         F, inc, d, snapped = _batch._locate_rows(X.T.copy(), eps)
-        centers = (F + inc).T.astype(np.int64).tolist()
+        # summed as integers: F + 1 rounds back to F at 2^53 in float64
+        centers = (F.astype(np.int64) + inc).T.tolist()
         for j, row in enumerate(X.tolist()):
             c, dj, sj = honeycomb._fast_center(row, eps)
             assert tuple(centers[j]) == c
@@ -674,6 +682,23 @@ def test_containing_counts_match_the_exhaustive_oracle(n):
         F = _snapped_floors(X, eps)
         got = _batch._containing_counts(X.T.copy(), F.T.copy(), eps)
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
+
+
+def test_containing_counts_match_the_exhaustive_oracle_at_n16():
+    # the oracle tries all 2^16 offsets; C(16, 8) = 12870 candidates fill
+    # more than one take of the budget
+    n = 16
+    X = _count_cases(n, np.random.default_rng(116))[::26]
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        F = _snapped_floors(X, eps)
+        got = _batch._containing_counts(X.T.copy(), F.T.copy(), eps)
+        assert np.array_equal(got, containing_count_oracle(X, F, eps))
+
+
+def test_verify_tiling_at_n16():
+    report = tg.verify_tiling(16, samples=1500, seed=1)
+    assert report.mismatches == 0
+    assert report.interior + report.boundary == report.samples == 1500
 
 
 def test_containing_counts_cross_row_chunks_at_n12():
@@ -700,23 +725,33 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
         monkeypatch.undo()
 
 
-def test_weight_vectors_enumerate_each_weight_once():
-    for n in range(1, 7):
+def test_index_blocks_list_each_subset_once_with_its_complement():
+    for n in range(1, 8):
         for r in range(n + 1):
-            blocks = _batch._weight_vectors(n, r, 4)
-            assert all(B.dtype == bool for B in blocks)
-            assert all(B.shape[::2] == (n, 1) and 1 <= B.shape[1] <= 4 for B in blocks)
-            vecs = np.concatenate([B[:, :, 0].T for B in blocks]).astype(int)
-            want = [b for b in itertools.product((0, 1), repeat=n) if sum(b) == r]
-            assert sorted(map(tuple, vecs)) == sorted(want)
+            for cap in (1, 4, 1000):
+                blocks = _batch._index_blocks(n, r, cap)
+                assert all(1 <= raised.shape[1] <= cap for raised, _ in blocks)
+                seen = []
+                for raised, kept in blocks:
+                    assert raised.dtype == kept.dtype == np.uint8
+                    assert raised.shape == (r, kept.shape[1]) and kept.shape[0] == n - r
+                    for S, rest in zip(raised.T.tolist(), kept.T.tolist()):
+                        assert sorted(S + rest) == list(range(n))
+                        assert rest == sorted(rest)
+                        seen.append(tuple(sorted(S)))
+                assert sorted(seen) == list(itertools.combinations(range(n), r))
 
 
-def test_weight_vector_blocks_are_read_only():
-    # the blocks are cached and shared by every call, so none may be written
-    (B,) = _batch._weight_vectors(3, 2, 8)
-    assert _batch._weight_vectors(3, 2, 8)[0] is B
-    with pytest.raises(ValueError):
-        B[0, 0, 0] = False
+def test_index_blocks_are_cached_and_read_only():
+    # the blocks are shared by every call, so none may be written
+    blocks = _batch._index_blocks(5, 2, 4)
+    assert _batch._index_blocks(5, 2, 4) is blocks
+    assert [raised.shape[1] for raised, _ in blocks] == [4, 4, 2]
+    for raised, kept in blocks:
+        with pytest.raises(ValueError):
+            raised[0, 0] = 0
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0
 
 
 def test_verify_tiling_memory_stays_bounded():
