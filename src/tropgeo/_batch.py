@@ -330,8 +330,8 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     # coordinate axis of this (n, m) copy, never over a short trailing one
     XT = _WS.array("XT", (n, m))
     np.copyto(XT, X.T)
-    F, _, d, snapped = _locate_rows(XT, eps)
-    count = _containing_counts(XT, F, eps)
+    F, _, d, snapped, k = _locate_rows(XT, eps)
+    count = _containing_counts(XT, F, k, eps)
     # rows with a coordinate within eps of an integer are not complete in the
     # floor-plus-0/1 count, so scalar locate answers for them
     for idx in np.flatnonzero(snapped):
@@ -364,16 +364,17 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
 
 def _locate_rows(
     XT: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """honeycomb._fast_center on every column of XT, an (n, m) array of m
     points.
 
-    Returns (F, inc, d, snapped): the floors after snapping, the 0/1 raises,
-    so that column j's center is F[:, j] + inc[:, j], the distance d[j] to
-    it, and whether any coordinate of column j snapped to an integer.  Each
-    entry equals _fast_center's on the same point while |x| <= 2^53, where
-    the floors and x - F are exact.  All four are workspace views, valid
-    until the next call in the same thread.
+    Returns (F, inc, d, snapped, k): the floors after snapping, the 0/1
+    raises, so that column j's center is F[:, j] + inc[:, j], the distance
+    d[j] to it, whether any coordinate of column j snapped to an integer,
+    and the residues _floor_sum_residue(F), which _containing_counts takes
+    on the same floors.  Each entry equals _fast_center's on the same point
+    while |x| <= 2^53, where the floors and x - F are exact.  All five are
+    workspace views, valid until the next call in the same thread.
     """
     n, m = XT.shape
     R = np.rint(XT, out=_WS.array("R", (n, m)))
@@ -394,7 +395,7 @@ def _locate_rows(
     diffs -= inc
     d = _norms(diffs, _WS.array("d", (m,)), _WS.array("d-lo", (m,)))
     snapped = np.logical_or.reduce(near, axis=0, out=_WS.array("snapped", (m,), bool))
-    return F, inc, d, snapped
+    return F, inc, d, snapped, k
 
 
 def _norms(D: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -447,11 +448,14 @@ def _stable_rank(f: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _containing_counts(XT: np.ndarray, FT: np.ndarray, eps: float) -> np.ndarray:
+def _containing_counts(
+    XT: np.ndarray, FT: np.ndarray, k: np.ndarray, eps: float
+) -> np.ndarray:
     """Per column of XT, the number of tiling centers F + b, b in {0,1}^n,
     within 1 + eps.
 
-    XT holds m points as columns, shape (n, m), and FT their floors.  F + b
+    XT holds m points as columns, shape (n, m), FT their floors and k the
+    residues _floor_sum_residue(FT), as _locate_rows returns them.  F + b
     has coordinate sum divisible by n+1 exactly when the weight |b| equals
     r = (-sum F) mod (n+1), because |b| lies in [0, n].  So each point is
     tested against the C(n, r) weight-r vectors only, and every one of them
@@ -488,7 +492,6 @@ def _containing_counts(XT: np.ndarray, FT: np.ndarray, eps: float) -> np.ndarray
     candidates cut to fit beside them.
     """
     n, m = XT.shape
-    k = _floor_sum_residue(FT)
     count = _WS.array("count", (m,), np.int64)
     in_class = _WS.array("in-class", (m,), bool)
     found, hits = _WS.array("found", (2, m), np.int64)

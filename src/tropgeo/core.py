@@ -327,28 +327,35 @@ def segment(x, y, mode: str = "min") -> TropSegment:
     """
     px, py = _pair(x, y)
     sub = operator.sub
-    # a branch stops at the times its coordinates reach the apex; at time t
-    # a coordinate sits at min(apex + t, base) (min mode) or
-    # max(apex - t, base) (max mode), written out with the builtin's
-    # tie-breaking so that every vertex is bit for bit the same.  The last
-    # stop of each branch is its endpoint, which is pinned below instead.
+    # the apex and every vertex are written out with the builtin's
+    # tie-breaking (min(a, b) is a unless b < a, max(a, b) a unless b > a),
+    # so that each coordinate is bit for bit what min or max returns.  A
+    # branch stops at the times its coordinates reach the apex; at time t a
+    # coordinate sits at min(apex + t, base) (min mode) or max(apex - t,
+    # base) (max mode).  The last stop of each branch is its endpoint, which
+    # is pinned below instead.  One flat comprehension runs over (branch,
+    # stop, coordinate), so each coordinate costs one comprehension step,
+    # and zip(*[iter(flat)] * n) cuts the flat list into the n-tuples of the
+    # inner vertices, in travel order.
     if mode == "min":
-        apex = tuple(map(min, px, py))
-        tx = sorted(set(map(sub, px, apex)) | {0.0})
-        ty = sorted(set(map(sub, py, apex)) | {0.0})
-        inner = [
-            tuple([b if b < (s := z + t) else s for z, b in zip(apex, base)])
+        apex = tuple([b if b < a else a for a, b in zip(px, py)])
+        tx = sorted({*map(sub, px, apex), 0.0})
+        ty = sorted({*map(sub, py, apex), 0.0})
+        flat = [
+            b if b < (s := z + t) else s
             for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
             for t in ts
+            for z, b in zip(apex, base)
         ]
     elif mode == "max":
-        apex = tuple(map(max, px, py))
-        tx = sorted(set(map(sub, apex, px)) | {0.0})
-        ty = sorted(set(map(sub, apex, py)) | {0.0})
-        inner = [
-            tuple([b if b > (s := z - t) else s for z, b in zip(apex, base)])
+        apex = tuple([b if b > a else a for a, b in zip(px, py)])
+        tx = sorted({*map(sub, apex, px), 0.0})
+        ty = sorted({*map(sub, apex, py), 0.0})
+        flat = [
+            b if b > (s := z - t) else s
             for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
             for t in ts
+            for z, b in zip(apex, base)
         ]
     else:
         raise DomainError("mode must be 'min' or 'max', got %r" % (mode,))
@@ -357,9 +364,11 @@ def segment(x, y, mode: str = "min") -> TropSegment:
     # coordinate magnitudes differ wildly; the chain must start and end
     # at the inputs themselves
     deduped = [px]
-    for p in inner + [py]:
+    for p in zip(*[iter(flat)] * len(px)):
         if p != deduped[-1]:
             deduped.append(p)
+    if py != deduped[-1]:
+        deduped.append(py)
     return TropSegment(
         start=px, end=py, apex=apex, vertices=tuple(deduped), mode=mode
     )

@@ -31,7 +31,6 @@ from .core import (
     EmptyRegionError,
     Point,
     TropgeoError,
-    _dist,
     _Record,
     _as_dim,
     _as_int,
@@ -89,28 +88,45 @@ class LocateResult(_Record):
 def _fast_center(x, eps: float):
     """Case analysis on floors: returns (center, dist(center, x), snapped_any).
 
-    The distance is taken between the 0/1 raises and x minus its floors,
-    both exact, so it is exact at every magnitude.
+    A coordinate within eps of an integer takes that integer as its floor,
+    the others math.floor; k = (sum of floors) mod (n+1) says how many to
+    raise.  The distance is the norm of the 0/1 raises c minus the
+    fractional parts f = x - floors, both exact, so it is exact at every
+    magnitude.  It is read from the extreme fractional parts, not from all
+    n deltas: fl(c - f) falls as f grows, so the largest delta of the
+    raised coordinates is 1 - (their least f), and the smallest is
+    1 - (their greatest f), and likewise 0 - f for the kept ones.  The sort
+    that picks the raised coordinates lists those extremes at its ends and
+    at the cut; with none or all raised, they are min and max of all f.  No
+    delta is -0.0 (0 - 0.0 and 1 - 1.0 are +0.0), so the max and min of
+    those four with 0.0 are the very doubles that max and min of all n
+    deltas give, and the last subtraction is the one _dist makes.
     """
+    sub = operator.sub
+    R = list(map(round, x))
+    snapped = min(map(abs, map(sub, x, R))) <= eps
+    if snapped:
+        floors = [r if abs(v - r) <= eps else math.floor(v) for v, r in zip(x, R)]
+    else:
+        floors = list(map(math.floor, x))
     n = len(x)
-    floors = []
-    snapped = False
-    for v in x:
-        r = round(v)
-        if abs(v - r) <= eps:
-            snapped = True
-            floors.append(r)
-        else:
-            floors.append(math.floor(v))
     k = sum(floors) % (n + 1)
-    fracs = [v - f for v, f in zip(x, floors)]
-    # raise no coordinate when k == 0, else all but the k - 1 with the
-    # smallest fractional parts (a stable sort breaks ties by index)
-    raised = [0 if k == 0 else 1] * n
-    if k > 1:
-        for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
-            raised[i] = 0
-    return tuple(f + b for f, b in zip(floors, raised)), _dist(raised, fracs), snapped
+    fracs = list(map(sub, x, floors))
+    if k < 2:
+        # raise none (k = 0) or all (k = 1): one delta k - f per coordinate
+        center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
+        d = max(k - min(fracs), 0.0) - min(k - max(fracs), 0.0)
+        return center, d, snapped
+    # raise all but the k - 1 with the smallest fractional parts (a stable
+    # sort breaks ties by index): order[:k-1] are kept, order[k-1:] raised
+    order = sorted(range(n), key=fracs.__getitem__)
+    raised = [1] * n
+    for i in order[: k - 1]:
+        raised[i] = 0
+    d = max(1 - fracs[order[k - 1]], 0 - fracs[order[0]], 0.0) - min(
+        0 - fracs[order[k - 2]], 1 - fracs[order[-1]], 0.0
+    )
+    return tuple(map(operator.add, floors, raised)), d, snapped
 
 
 def _local_frame(px: Point) -> tuple[Center, Point]:

@@ -168,6 +168,32 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
+def fast_center_oracle(x, eps: float):
+    """honeycomb._fast_center as first written: a per-coordinate round and
+    floor loop, a generator for the center, and ``_dist`` over all n
+    deltas.  The reference that the library's decoder must match bit for
+    bit: its center, its snapped flag and the bytes of its distance."""
+    n = len(x)
+    floors = []
+    snapped = False
+    for v in x:
+        r = round(v)
+        if abs(v - r) <= eps:
+            snapped = True
+            floors.append(r)
+        else:
+            floors.append(math.floor(v))
+    k = sum(floors) % (n + 1)
+    fracs = [v - f for v, f in zip(x, floors)]
+    # raise no coordinate when k == 0, else all but the k - 1 with the
+    # smallest fractional parts (a stable sort breaks ties by index)
+    raised = [0 if k == 0 else 1] * n
+    if k > 1:
+        for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
+            raised[i] = 0
+    return tuple(f + b for f, b in zip(floors, raised)), _dist(raised, fracs), snapped
+
+
 def locate_enumeration_oracle(x, eps=tg.DEFAULT_EPS):
     """locate_bruteforce as first written: every offset of the integers
     near x in ``itertools.product`` over the per-coordinate ranges, 3^n at

@@ -6,9 +6,11 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tropgeo as tg
 from tropgeo import _batch, honeycomb
@@ -21,6 +23,7 @@ from helpers import (
     containing_count_oracle,
     dist_oracle,
     facet_neighbors_oracle,
+    fast_center_oracle,
     locate_enumeration_oracle,
     tiling_report_oracle,
 )
@@ -118,6 +121,72 @@ def test_locate_matches_bruteforce():
                 assert tuple(brute) == res.all_centers
                 if res.status == "interior":
                     assert brute == [res.center]
+
+
+@st.composite
+def decoder_cases(draw):
+    """A point of dimension n = 1..12 and an eps of 1e-9, 0.05 or 0.2.
+
+    Each coordinate is an integer base plus an offset, drawn from a small
+    pool so that fractional parts tie within and across the kept and the
+    raised coordinates.  Half the points keep every offset more than eps
+    from an integer, so that nothing snaps.  The others mix in bases of
+    +-2^52 and +-2^53, and offsets of +-0.0, +-1e-20 and values on, just
+    inside and just outside +-eps and 1 - eps.
+    """
+    n = draw(st.integers(1, 12))
+    eps = draw(st.sampled_from([1e-9, 0.05, 0.2]))
+    inside, outside = math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)
+    if draw(st.booleans()):
+        offsets = st.one_of(
+            st.floats(outside, 1.0 - outside),
+            st.sampled_from([0.25, 0.5, 0.75, outside, 1.0 - outside]),
+        )
+        bases = st.integers(-6, 6)
+    else:
+        special = [0.0, -0.0, 1e-20, -1e-20, 0.5, 1.0 - 2.0**-53]
+        special += [eps, -eps, inside, -inside, outside, -outside]
+        special += [1.0 - eps, 1.0 - inside, 1.0 - outside]
+        offsets = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(special))
+        bases = st.one_of(
+            st.integers(-6, 6), st.sampled_from([2**53, -(2**53), 2**52, -(2**52)])
+        )
+    pool = draw(st.lists(offsets, min_size=1, max_size=n + 1))
+    coords = []
+    for _ in range(n):
+        b, f = draw(bases), draw(st.sampled_from(pool))
+        # 0 + (-0.0) is 0.0, so a zero base keeps the offset itself
+        coords.append(f if b == 0 else b + f)
+    return tuple(coords), eps
+
+
+def _residue_shifts(x):
+    """x and x plus j = 1..n on its first coordinate: the floor sum moves
+    by j while |x_0| < 2^52, so the shifts meet every residue k = 0..n."""
+    return [x] + [(x[0] + j,) + x[1:] for j in range(1, len(x) + 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(decoder_cases())
+def test_fast_center_matches_its_oracle_bit_for_bit(case):
+    x, eps = case
+    for y in _residue_shifts(x):
+        c, d, snapped = honeycomb._fast_center(y, eps)
+        wc, wd, wsnapped = fast_center_oracle(y, eps)
+        # repr tells an int center from a float one
+        assert repr((c, snapped)) == repr((wc, wsnapped))
+        assert np.float64(d).tobytes() == np.float64(wd).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoder_cases())
+def test_locate_matches_the_fast_center_oracle(case):
+    x, eps = case
+    shifts = _residue_shifts(x)
+    got = [repr(tg.locate(y, eps)) for y in shifts]
+    with mock.patch.object(honeycomb, "_fast_center", fast_center_oracle):
+        want = [repr(tg.locate(y, eps)) for y in shifts]
+    assert got == want
 
 
 def _mixed_points(n, rng, count):
@@ -634,6 +703,13 @@ def _snapped_floors(X, eps):
     return np.floor(np.where(np.abs(X - R) <= eps, R, X))
 
 
+def _counts(X, F, eps):
+    """_containing_counts on the (m, n) rows X with floors F, given the
+    residues as _locate_rows hands them over."""
+    XT, FT = X.T.copy(), F.T.copy()
+    return _batch._containing_counts(XT, FT, _batch._floor_sum_residue(FT), eps)
+
+
 def _count_cases(n, rng):
     """Uniform rows, rows with tied fractional parts, facet grids, snapping
     rows, rows mixing +-2^53 with small entries, and rows of integers
@@ -664,7 +740,7 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
         rng.uniform(-(2.0**53), 2.0**53, (50, n)),
     ])
     for eps in (tg.DEFAULT_EPS, 0.05):
-        F, inc, d, snapped = _batch._locate_rows(X.T.copy(), eps)
+        F, inc, d, snapped, _ = _batch._locate_rows(X.T.copy(), eps)
         # summed as integers: F + 1 rounds back to F at 2^53 in float64
         centers = (F.astype(np.int64) + inc).T.tolist()
         for j, row in enumerate(X.tolist()):
@@ -680,7 +756,7 @@ def test_containing_counts_match_the_exhaustive_oracle(n):
     X = _count_cases(n, rng)
     for eps in (tg.DEFAULT_EPS, 0.05):
         F = _snapped_floors(X, eps)
-        got = _batch._containing_counts(X.T.copy(), F.T.copy(), eps)
+        got = _counts(X, F, eps)
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
 
 
@@ -691,7 +767,7 @@ def test_containing_counts_match_the_exhaustive_oracle_at_n16():
     X = _count_cases(n, np.random.default_rng(116))[::26]
     for eps in (tg.DEFAULT_EPS, 0.05):
         F = _snapped_floors(X, eps)
-        got = _batch._containing_counts(X.T.copy(), F.T.copy(), eps)
+        got = _counts(X, F, eps)
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
 
 
@@ -708,7 +784,7 @@ def test_containing_counts_cross_row_chunks_at_n12():
     weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
     rows_per_chunk = [_batch._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
     assert any((weight == r).sum() > rows_per_chunk[r] for r in range(n + 1))
-    got = _batch._containing_counts(X.T.copy(), F.T.copy(), tg.DEFAULT_EPS)
+    got = _counts(X, F, tg.DEFAULT_EPS)
     assert np.array_equal(got, containing_count_oracle(X, F, tg.DEFAULT_EPS))
 
 
@@ -718,10 +794,11 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
     for n in range(1, 7):
         X = _count_cases(n, rng)[::10]
         XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
+        k = _batch._floor_sum_residue(FT)
         # the result is a workspace view that the next call overwrites
-        want = _batch._containing_counts(XT, FT, tg.DEFAULT_EPS).copy()
+        want = _batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS).copy()
         monkeypatch.setattr(_batch, "_BROADCAST_BUDGET", 2 * n)
-        assert np.array_equal(_batch._containing_counts(XT, FT, tg.DEFAULT_EPS), want)
+        assert np.array_equal(_batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS), want)
         monkeypatch.undo()
 
 
