@@ -4,8 +4,11 @@ batch locator and count behind verify_tiling.
 This is the only module of tropgeo that imports numpy.  The public
 functions in geodesy and honeycomb import it inside their bodies, so
 ``import tropgeo`` and every scalar call (dist, segment, the ball
-decompositions, locate) run without loading numpy; building a region,
-``hull``, ``contains_batch`` and ``verify_tiling`` load it on first use.
+decompositions, locate) run without loading numpy.  ``contains_batch`` and
+``verify_tiling`` load it on first use, and so do a region and a ``hull``
+above ``geodesy._SMALL_WORK`` (a closure past n = 6, a hull of an ndarray
+or of more than about 343 / n^2 points), or one that geodesy's pure-Python
+layout of the same rule cannot read: these kernels raise its errors.
 
 verify_tiling draws each shard of samples in blocks of at most
 _TILING_BUDGET // n rows and works on each block as one coordinate-major
@@ -38,7 +41,9 @@ next call in the same thread.
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
 reused (n, k) buffer and tests the box bounds with two whole-chunk
-comparisons, each reduced over the coordinate axis.  Only the rows inside
+comparisons against (n, 1) columns, each reduced over the coordinate axis,
+with numpy's ufunc buffer cut to one chunk row so that numpy does not copy
+the columns out to lengthen its loop (see _row_buffer).  Only the rows inside
 the box go on: their columns are gathered into a survivor buffer of the
 chunk's width, which outlives the chunk, and each time it fills, and once
 at the end, the difference bounds are tested on it with one subtraction per
@@ -52,10 +57,14 @@ the survivors with their row numbers and results -- live in ``_WS`` under
 names of their own, beside the tiling kernels' and for the same reason; only
 the returned mask is a fresh array.  They keep about 0.55 MiB per thread
 at n >= 12 after the first call, and at most about 0.8 MiB, at n = 2.
+Beyond them and the mask, a repeated call on 100000 rows allocates about
+8 KB at n = 12, where the box comparisons' buffer copies took 2 x 66 KB,
+and about 120 KB at n = 2, mostly the indices of the rows inside the box.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -199,7 +208,7 @@ def _contains_batch(region, X, eps: float):
         ok[R[:f]] = rf
 
     f = 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"), _row_buffer(w):
         for s in range(0, m, step):
             k = min(step, m - s)
             rows = AT[:, :k]
@@ -235,6 +244,25 @@ def _contains_batch(region, X, eps: float):
         if f:
             flush(f)
     return ok
+
+
+@contextlib.contextmanager
+def _row_buffer(w: int):
+    """numpy's ufunc buffer set, for the block, to w elements (at least
+    one) rounded up to a multiple of 16, the only sizes numpy < 2 takes.
+
+    numpy 2.4 (the release this was measured on) copies an operand
+    broadcast along the rows of an (n, w) array out to its buffer whenever
+    two rows fit in it, to lengthen its inner loop.  For contains_batch's
+    box test, against the (n, 1) columns of its bounds, that took about 3x
+    the time of the comparison itself and held 66 KB per comparison at
+    n = 12; a buffer of one row never holds two.
+    """
+    old = np.setbufsize(-(-max(w, 1) // 16) * 16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _hull_bounds(points):

@@ -82,6 +82,21 @@ def hrep(ball: Ball, eps: float = DEFAULT_EPS):
     return GeodesicRegion(lo, up, diff, eps=eps)
 
 
+# The largest dimensions whose vertex and facet lists are built whole, so
+# that each list stays under about 64 MB: 2^18 - 2 vertices at n = 17 take
+# 46 MiB, and 640,800 facets at n = 800 take 57 MiB.  iter_vertices holds
+# one vertex at a time and has no cap.
+_MAX_VERTEX_DIM = 17
+_MAX_FACET_DIM = 800
+
+
+def _capped_dim(n, cap: int, what: str) -> int:
+    n = _as_dim(n)
+    if n > cap:
+        raise DomainError("%s are listed up to dimension %d, got %d" % (what, cap, n))
+    return n
+
+
 def iter_vertices(n: int):
     """Vertices of the unit ball at the origin, 0/1 vectors first, as a
     lazy iterator.  The dimension is checked here, at the call, not on the
@@ -97,7 +112,9 @@ def _vertices(n: int):
 
 
 def vertices(n: int) -> list[Point]:
-    return list(iter_vertices(n))
+    """The 2^(n+1) - 2 vertices as a list; DomainError above
+    _MAX_VERTEX_DIM, where iter_vertices still runs."""
+    return list(iter_vertices(_capped_dim(n, _MAX_VERTEX_DIM, "vertices")))
 
 
 class FacetId(_Record):
@@ -130,17 +147,19 @@ class FacetId(_Record):
 
 
 def facets(n: int) -> list[FacetId]:
-    """All n(n+1) facets, uppers then lowers then diff pairs."""
-    n = _as_dim(n)
-    out = [FacetId("upper", i) for i in range(1, n + 1)]
-    out += [FacetId("lower", i) for i in range(1, n + 1)]
-    out += [
-        FacetId("diff", i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
-    return out
+    """All n(n+1) facets, uppers then lowers then diff pairs; DomainError
+    above _MAX_FACET_DIM."""
+    return list(_facets(_capped_dim(n, _MAX_FACET_DIM, "facets")))
+
+
+def _facets(n: int):
+    for kind in ("upper", "lower"):
+        for i in range(1, n + 1):
+            yield FacetId(kind, i)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                yield FacetId("diff", i, j)
 
 
 def opposite(f: FacetId) -> FacetId:
@@ -184,7 +203,7 @@ def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
     px = as_point(x)
     if abs(_norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
-    return [f for f in facets(len(px)) if facet_contains(f, px, eps)]
+    return [f for f in _facets(len(px)) if facet_contains(f, px, eps)]
 
 
 def is_diametral_pair(ball: Ball, p, q, eps: float = DEFAULT_EPS) -> bool:

@@ -9,14 +9,24 @@ Kleene star of L (every bound tightened to the value the system implies),
 computed in float64; ``==`` compares that form exactly, so two systems equal
 in exact arithmetic can differ in the last bits after rounding.  ``hull``
 builds the smallest region containing a point set, and ``classify2d`` names
-the polygon shapes these systems cut out in the plane.  The array kernels
-(closure, ``hull``'s intake and reductions, ``contains_batch``) live in
-``_batch``, the one module that imports numpy, and are loaded on first use.
+the polygon shapes these systems cut out in the plane.
+
+The closure and ``hull``'s bounds come in two layouts of one rule, chosen
+by size against ``_SMALL_WORK``: pure Python here for a system of n <= 6
+and for a list or tuple of m points with m n^2 within the budget, and the
+array kernels of ``_batch``, the one module that imports numpy, for
+larger ones, for every ndarray and for any input the pure-Python layout
+cannot read, so that numpy's layout raises every input error.  A
+one-shot command that builds only small regions, such as ``tropgeo hull``
+of four points, ``classify2d`` or ``neighbors`` at n <= 6, never imports
+numpy; ``contains_batch`` always does.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import sub
 
 from .core import (
     DEFAULT_EPS,
@@ -126,6 +136,81 @@ def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
     return dist(x, z) + dist(z, y) <= dist(x, y) + eps
 
 
+# Work budget of the pure-Python layouts: a bound system is closed in pure
+# Python when its (n+1)^3 Floyd-Warshall steps are at most this, so up to
+# n = 6, and ``hull`` takes its bounds in pure Python when its m n^2
+# differences are too.  It sits at the measured crossover: a region built
+# in pure Python took 8-23 us at n = 1..5 against 14-27 us in numpy, and
+# both about 31 us at n = 6, where numpy wins from n = 7 on; hull's bounds
+# broke even at m n^2 of about 250-290 for n = 2..8.  Above it, and for
+# every ndarray, the ``_batch`` kernels run.
+_SMALL_WORK = 343
+
+# The types the pure-Python layouts take as read, for a table and for its
+# entries; any other goes to numpy's conversion and its errors.
+_SEQS = (list, tuple)
+_REALS = frozenset((float, int))
+
+
+def _table(rows, n: int) -> bool:
+    """True when rows are lists or tuples of n floats and ints, n >= 1."""
+    return (
+        n > 0
+        and set(map(type, rows)).issubset(_SEQS)
+        and set(map(len, rows)) == {n}
+        and _REALS.issuperset(map(type, chain.from_iterable(rows)))
+    )
+
+
+def _closed_rows(lo, up, diff_lb) -> list[list[float]] | None:
+    """The closed matrix of GeodesicRegion(lo, up, diff_lb) as nested lists,
+    in pure Python; None when the system is above _SMALL_WORK or needs
+    ``_batch._closed_rows`` to read it.
+
+    The rule is that of ``_batch._close_bounds``, in the same float64
+    arithmetic: max-plus Floyd-Warshall, where pass k reads row k and
+    column k as they stood before the pass, as numpy's temporary
+    ``L[:, k:k+1] + L[k:k+1, :]`` does.  So the two layouts agree bit for
+    bit, once every zero is stored as 0.0.  Returns None, and leaves the
+    error to numpy's layout, when diff_lb is not a list or tuple of n lists
+    or tuples of finite floats and ints, when a default difference
+    lo_i - up_j overflows, or when a chain of bounds overflows to inf.
+    Only +inf can arise: a sum that overflows to -inf loses to the finite
+    bound it is compared with, so no NaN does either.
+    """
+    n = len(lo)
+    if (n + 1) ** 3 > _SMALL_WORK:
+        return None
+    if diff_lb is None:
+        rows = [[a - b for b in up] for a in lo]
+    else:
+        if not (type(diff_lb) in _SEQS and len(diff_lb) == n and _table(diff_lb, n)):
+            return None
+        try:
+            rows = [list(map(float, row)) for row in diff_lb]
+        except OverflowError:  # an int past float64
+            return None
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        return None
+    L = [[0.0, *[-v for v in up]]] + [[a, *row] for a, row in zip(lo, rows)]
+    m = n + 1
+    for k in range(m):
+        L[k][k] = 0.0  # x_i - x_i >= 0, whatever diff_lb's diagonal holds
+    span = range(m)
+    for k in span:
+        Lk = L[k][:]
+        for Li in L:
+            a = Li[k]
+            for j in span:
+                v = a + Lk[j]
+                if v > Li[j]:
+                    Li[j] = v
+    if max(map(max, L)) == math.inf:
+        return None
+    # a tie of -0.0 and 0.0 keeps either, so every zero is stored as 0.0
+    return [[v + 0.0 for v in row] for row in L]
+
+
 class GeodesicRegion(_Record):
     """Canonical compact region ``{a_i <= x_i <= a'_i, x_i - x_j >= b_ij}``.
 
@@ -154,9 +239,11 @@ class GeodesicRegion(_Record):
         n = len(lo)
         if len(up) != n:
             raise DimensionMismatch("lower and upper bounds differ in length")
-        from . import _batch
+        rows = _closed_rows(lo, up, diff_lb)
+        if rows is None:
+            from . import _batch
 
-        rows = _batch._closed_rows(lo, up, diff_lb)
+            rows = _batch._closed_rows(lo, up, diff_lb)
         worst = max(rows[k][k] for k in range(n + 1))
         if worst > eps:
             raise EmptyRegionError(
@@ -264,10 +351,45 @@ class GeodesicRegion(_Record):
 
 def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
     """Smallest geodesically closed region containing ``points``, a sequence
-    of points or an (m, n) array, read and checked once in ``_batch``."""
-    from . import _batch
+    of points or an (m, n) array.
 
-    return GeodesicRegion(*_batch._hull_bounds(points), eps=eps)
+    A list or tuple of m points of n coordinates takes its bounds in pure
+    Python when both m n^2 and the closure's (n+1)^3 are within
+    _SMALL_WORK; any other input, and any small one that is not plainly a
+    finite table of numbers, is read and checked once in ``_batch``.
+    """
+    bounds = _hull_rows(points)
+    if bounds is None:
+        from . import _batch
+
+        bounds = _batch._hull_bounds(points)
+    return GeodesicRegion(*bounds, eps=eps)
+
+
+def _hull_rows(points):
+    """(lower, upper, diff) of the hull of a list or tuple of points, as
+    float tuples and lists: the column minima and maxima, and
+    min_p (p_i - p_j).  None when the points are above _SMALL_WORK, are not
+    a list or tuple of n-tuples of finite floats and ints, or a difference
+    overflows, so that ``_batch`` reads them and raises its own error.
+
+    The size is taken from len(points) and len(points[0]) before anything
+    is converted, so a large list pays nothing here."""
+    if not (type(points) in _SEQS and points and type(points[0]) in _SEQS):
+        return None
+    m, n = len(points), len(points[0])
+    if m * n * n > _SMALL_WORK or (n + 1) ** 3 > _SMALL_WORK or not _table(points, n):
+        return None
+    try:
+        cols = [list(map(float, c)) for c in zip(*points)]
+    except OverflowError:  # an int past float64
+        return None
+    if not all(map(math.isfinite, chain.from_iterable(cols))):
+        return None
+    diff = [[min(map(sub, ci, cj)) for cj in cols] for ci in cols]
+    if not all(map(math.isfinite, chain.from_iterable(diff))):
+        return None
+    return tuple(map(min, cols)), tuple(map(max, cols)), diff
 
 
 EDGE_NAMES = ("x=a'", "y=b'", "y-x=c'", "x=a", "y=b", "y-x=c")

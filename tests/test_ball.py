@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tropgeo as tg
+from tropgeo import ball
 from tropgeo.ball import FacetId, facet_contains, iter_vertices, sphere_position_2d, zonotope_point
 
 from helpers import ball_points, batch_norm, sphere_points
@@ -95,6 +96,31 @@ def test_iter_vertices_checks_the_dimension_at_the_call(n):
     # the call itself raises, before anything is iterated
     with pytest.raises(tg.DomainError):
         tg.iter_vertices(n)
+
+
+@pytest.mark.parametrize(
+    "listing, cap", [(tg.vertices, 17), (tg.facets, 800)], ids=["vertices", "facets"]
+)
+def test_a_listing_is_capped_at_about_64_mb(listing, cap):
+    # the cap is a dimension whose whole list fits; one above raises before
+    # anything is built, at any size
+    assert len(listing(cap)) == (2 ** (cap + 1) - 2 if listing is tg.vertices else cap * (cap + 1))
+    for n in (cap + 1, 10**9):
+        with pytest.raises(tg.DomainError) as exc:
+            listing(n)
+        assert str(exc.value) == "%s are listed up to dimension %d, got %d" % (
+            listing.__name__, cap, n)
+
+
+def test_iter_vertices_has_no_cap():
+    it = iter_vertices(30)
+    assert next(it) == (0.0,) * 29 + (1.0,)
+
+
+def test_facet_of_has_no_cap(monkeypatch):
+    # it tests the facets one at a time, without their list
+    monkeypatch.setattr(ball, "_MAX_FACET_DIM", 2)
+    assert [str(f) for f in tg.facet_of((1.0, 0.5, 0.0))] == ["upper(1)", "diff(1,3)"]
 
 
 def test_facet_counts_and_order():

@@ -404,6 +404,17 @@ def test_dist_overflow_is_a_domain_error(capsys):
         assert err == "error: the distance overflows float64\n", argv
 
 
+@pytest.mark.parametrize(
+    "listing, dim, cap", [("vertices", "18", 17), ("facets", "20000", 800)],
+    ids=["vertices", "facets"],
+)
+def test_ball_listing_above_its_cap_is_a_domain_error(capsys, listing, dim, cap):
+    # one error line, before any record is built
+    code, out, err = run(capsys, "ball", listing, "--dim", dim)
+    assert (code, out) == (1, "")
+    assert err == "error: %s are listed up to dimension %d, got %s\n" % (listing, cap, dim)
+
+
 def test_hull_overflow_is_a_domain_error(capsys):
     # a numpy overflow warning would also reach stderr
     code, out, err = run(capsys, "hull", "1e308,-1e308")

@@ -374,6 +374,57 @@ def test_closure_matches_the_oracle_bit_for_bit(n, integral):
     assert verdicts == {True, False}
 
 
+# values of geodesy._SMALL_WORK that force the pure-Python layout of every
+# region and small hull, and numpy's
+FORCE_PURE, FORCE_NUMPY = 10**9, 0
+
+
+def _unreachable(*args):
+    raise AssertionError("the numpy layout ran")
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["real", "integral"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_both_closure_layouts_agree_bit_for_bit(monkeypatch, n, integral):
+    # one closure rule in two layouts: geodesy._SMALL_WORK picks pure Python
+    # up to n = 6 and numpy above, and either one forced must give the same
+    # verdict and the same bits, the default difference bounds included
+    rng = np.random.default_rng([n, integral])
+    verdicts = set()
+    for _ in range(200):
+        lower, upper, diff = _random_system(rng, n, integral)
+        for args in ((lower, upper, diff), (lower, upper)):
+            out = []
+            for pure in (True, False):
+                with monkeypatch.context() as patch:
+                    patch.setattr(geodesy, "_SMALL_WORK", FORCE_PURE if pure else FORCE_NUMPY)
+                    if pure:
+                        patch.setattr(_batch, "_closed_rows", _unreachable)
+                    try:
+                        reg = GeodesicRegion(*args)
+                        out.append((_bits(reg.lower), _bits(reg.upper), _bits(reg.diff_lb)))
+                    except tg.EmptyRegionError as exc:
+                        out.append(str(exc))
+            assert out[0] == out[1]
+            verdicts.add(isinstance(out[0], str))
+    assert verdicts == {True, False}
+
+
+def _in_both_layouts(monkeypatch, call):
+    """call()'s outcome with the pure-Python layout forced, then numpy's:
+    the repr of its result, which tells every float bit apart but a NaN's,
+    or the class and message of its error."""
+    out = []
+    for work in (FORCE_PURE, FORCE_NUMPY):
+        with monkeypatch.context() as patch:
+            patch.setattr(geodesy, "_SMALL_WORK", work)
+            try:
+                out.append(repr(call()))
+            except tg.TropgeoError as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
 def test_cycle_excess_is_held_to_eps():
     # a lower bound t above the upper bound closes to a diagonal of 2t, as
     # the positive cycle is walked twice
@@ -391,7 +442,8 @@ def test_every_zero_bound_is_stored_as_positive_zero():
         assert all(math.copysign(1.0, v) == 1.0 for v in bounds)
 
 
-def test_hull_matches_pure_python_bounds():
+def _hull_clouds():
+    """(P, integral): 100 random clouds of 1 to 59 points at n = 1 to 12."""
     rng = np.random.default_rng(34)
     for _ in range(100):
         n = int(rng.integers(1, 13))
@@ -399,7 +451,13 @@ def test_hull_matches_pure_python_bounds():
         # a quarter of the clouds have integer coordinates, which an int64
         # array holds exactly
         integral = rng.random() < 0.25
-        P = rng.integers(-4, 5, (m, n)).astype(float) if integral else rng.uniform(-4, 4, (m, n))
+        yield (rng.integers(-4, 5, (m, n)).astype(float) if integral
+               else rng.uniform(-4, 4, (m, n))), integral
+
+
+def test_hull_matches_pure_python_bounds():
+    for P, integral in _hull_clouds():
+        m, n = P.shape
         pts = [tuple(p) for p in P.tolist()]
         lo = [min(p[i] for p in pts) for i in range(n)]
         up = [max(p[i] for p in pts) for i in range(n)]
@@ -414,40 +472,59 @@ def test_hull_matches_pure_python_bounds():
             assert repr(tg.hull(layout)) == repr(want)
 
 
-@pytest.mark.parametrize(
-    "points, error, message",
-    [
-        ([], tg.DomainError, "hull needs at least one point"),
-        (np.empty((0, 3)), tg.DomainError, "hull needs at least one point"),
-        ([(0, 0), (1,)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
-        ([(0, 0), ("a", 1)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
-        (np.zeros(3), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
-        (np.zeros((2, 2, 2)), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
-        ([(0, 0), (1, math.nan)], tg.DomainError, "coordinates must be finite, got (1.0, nan)"),
-        ([(0, 0), (math.inf, 1), (math.nan, 0)], tg.DomainError, "coordinates must be finite, got (inf, 1.0)"),
-        ([(-math.inf, 2), (0, 0)], tg.DomainError, "coordinates must be finite, got (-inf, 2.0)"),
-        ([()], tg.DomainError, "a point needs at least one coordinate"),
-    ],
-    ids=["empty", "0x3", "ragged", "non-number", "1-D", "3-D", "nan", "+inf", "-inf", "no coordinate"],
-)
+def test_both_hull_layouts_agree(monkeypatch):
+    for P, integral in _hull_clouds():
+        pts = [tuple(p) for p in P.tolist()]
+        layouts = [pts, [list(p) for p in pts]]
+        if integral:
+            layouts.append([tuple(map(int, p)) for p in pts])
+        for layout in layouts:
+            pure, numpy = _in_both_layouts(monkeypatch, lambda: tg.hull(layout))
+            assert pure == numpy
+    # and the forced pure-Python layout runs no numpy kernel
+    monkeypatch.setattr(geodesy, "_SMALL_WORK", FORCE_PURE)
+    monkeypatch.setattr(_batch, "_hull_bounds", _unreachable)
+    monkeypatch.setattr(_batch, "_closed_rows", _unreachable)
+    assert tg.hull([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]) == SIMPLEX
+
+
+MALFORMED_HULLS = [
+    ([], tg.DomainError, "hull needs at least one point"),
+    (np.empty((0, 3)), tg.DomainError, "hull needs at least one point"),
+    ([(0, 0), (1,)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+    ([(0, 0), ("a", 1)], tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+    (np.zeros(3), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+    (np.zeros((2, 2, 2)), tg.DimensionMismatch, "hull points must be an (m, n) table of numbers"),
+    ([(0, 0), (1, math.nan)], tg.DomainError, "coordinates must be finite, got (1.0, nan)"),
+    ([(0, 0), (math.inf, 1), (math.nan, 0)], tg.DomainError, "coordinates must be finite, got (inf, 1.0)"),
+    ([(-math.inf, 2), (0, 0)], tg.DomainError, "coordinates must be finite, got (-inf, 2.0)"),
+    ([()], tg.DomainError, "a point needs at least one coordinate"),
+    # numpy reads None as NaN
+    ([(None, 0)], tg.DomainError, "coordinates must be finite, got (nan, 0.0)"),
+]
+MALFORMED_HULL_IDS = ["empty", "0x3", "ragged", "non-number", "1-D", "3-D", "nan", "+inf", "-inf",
+                      "no coordinate", "None"]
+
+
+@pytest.mark.parametrize("points, error, message", MALFORMED_HULLS, ids=MALFORMED_HULL_IDS)
 def test_hull_rejects_a_malformed_point_set(points, error, message):
     with pytest.raises(error) as exc:
         tg.hull(points)
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: tg.hull([(1e308, -1e308)]), "coordinate differences overflow float64"),
-        (lambda: tg.hull([(0, 0), (-1e308, 1e308)]), "coordinate differences overflow float64"),
-        (lambda: GeodesicRegion((-1e308,), (1e308,)), "the bound system overflows float64"),
-        # the box is fine; the cycle x_1 - x_2 + x_2 - x_1 >= 2e308 is not
-        (lambda: GeodesicRegion((0, 0), (1, 1), [[0, 1e308], [1e308, 0]]),
-         "the bound system overflows float64"),
-    ],
-    ids=["hull", "hull-second-point", "region-box", "region-closure"],
-)
+BOUND_OVERFLOWS = [
+    (lambda: tg.hull([(1e308, -1e308)]), "coordinate differences overflow float64"),
+    (lambda: tg.hull([(0, 0), (-1e308, 1e308)]), "coordinate differences overflow float64"),
+    (lambda: GeodesicRegion((-1e308,), (1e308,)), "the bound system overflows float64"),
+    # the box is fine; the cycle x_1 - x_2 + x_2 - x_1 >= 2e308 is not
+    (lambda: GeodesicRegion((0, 0), (1, 1), [[0, 1e308], [1e308, 0]]),
+     "the bound system overflows float64"),
+]
+BOUND_OVERFLOW_IDS = ["hull", "hull-second-point", "region-box", "region-closure"]
+
+
+@pytest.mark.parametrize("call, message", BOUND_OVERFLOWS, ids=BOUND_OVERFLOW_IDS)
 def test_bound_overflow_is_a_domain_error(call, message):
     # finite input whose differences overflow float64 raises, with no numpy
     # RuntimeWarning on the way (the test run turns those into errors)
@@ -499,21 +576,42 @@ def test_region_is_immutable():
         reg.lower = (5.0, 5.0)
 
 
-@pytest.mark.parametrize(
-    "diff, error",
-    [
-        (((0, 0), (0,)), tg.DimensionMismatch),
-        (((0, 0, 0), (0, 0, 0)), tg.DimensionMismatch),
-        ((0, 0), tg.DimensionMismatch),
-        (([{}, 0], [0, 0]), tg.DimensionMismatch),
-        (((0, math.nan), (0, 0)), tg.DomainError),
-        (((0, 0), (-math.inf, 0)), tg.DomainError),
-    ],
-    ids=repr,
-)
+MALFORMED_DIFFS = [
+    (((0, 0), (0,)), tg.DimensionMismatch),
+    (((0, 0, 0), (0, 0, 0)), tg.DimensionMismatch),
+    ((0, 0), tg.DimensionMismatch),
+    (([{}, 0], [0, 0]), tg.DimensionMismatch),
+    (((0, math.nan), (0, 0)), tg.DomainError),
+    (((0, 0), (-math.inf, 0)), tg.DomainError),
+]
+
+
+@pytest.mark.parametrize("diff, error", MALFORMED_DIFFS, ids=repr)
 def test_region_rejects_a_malformed_difference_table(diff, error):
     with pytest.raises(error):
         GeodesicRegion((0, 0), (1, 1), diff)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda p=p: tg.hull(p) for p, _, _ in MALFORMED_HULLS]
+    + [call for call, _ in BOUND_OVERFLOWS]
+    + [lambda d=d: GeodesicRegion((0, 0), (1, 1), d) for d, _ in MALFORMED_DIFFS]
+    # a string row that numpy would read as numbers, and an int past float64
+    + [lambda: GeodesicRegion((0, 0), (1, 1), [["0", "1"], [0, 0]]),
+       lambda: GeodesicRegion((0,), (1,), [[10**400]]),
+       lambda: tg.hull([(0, 10**400)])],
+    ids=["hull-" + i for i in MALFORMED_HULL_IDS]
+    + ["overflow-" + i for i in BOUND_OVERFLOW_IDS]
+    + ["diff-%d" % k for k in range(len(MALFORMED_DIFFS))]
+    + ["diff-strings", "diff-10**400", "hull-10**400"],
+)
+def test_both_layouts_raise_alike(monkeypatch, call):
+    # the pure-Python layout passes what it cannot read to numpy's, so each
+    # error keeps one class and one message
+    pure, numpy = _in_both_layouts(monkeypatch, call)
+    assert pure == numpy
+    assert isinstance(numpy, tuple), numpy
 
 
 def test_region_intersect():

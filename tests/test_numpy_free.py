@@ -1,10 +1,13 @@
 """numpy stays off the scalar path, and each module loads on first use.
 
 Only ``tropgeo._batch`` imports numpy, and only the batch entry points
-(region construction, ``hull``, ``contains_batch``, ``verify_tiling``)
-import ``_batch``.  ``import tropgeo`` loads no submodule; a CLI command
-loads only the modules it runs.  Each test runs a fresh interpreter, since
-this process has every module loaded already.
+import ``_batch``: ``contains_batch``, ``verify_tiling``, and a region or a
+``hull`` above ``geodesy._SMALL_WORK`` (a closure past n = 6, an ndarray).
+Small regions and hulls, such as the CLI's ``hull``, ``classify2d`` and
+``honeycomb neighbors`` examples, close in pure Python.  ``import tropgeo``
+loads no submodule; a CLI command loads only the modules it runs.  Each
+test runs a fresh interpreter, since this process has every module loaded
+already.
 """
 
 import os
@@ -36,6 +39,10 @@ NUMPY_FREE_EXAMPLES = [
     # a boundary point: locate lists its containing centers
     ["honeycomb", "locate", "--point", "1,0"],
     ["--format", "csv", "honeycomb", "plot2d", "--box", "3"],
+    # small bound systems, closed in pure Python
+    ["hull", "0,0,0", "1,0,0", "1,1,0", "1,1,1"],
+    ["classify2d", "--a=-1", "--a2", "1", "--b=-1", "--b2", "1", "--c=-1", "--c2", "1"],
+    ["honeycomb", "neighbors", "--center", "0,0"],
 ]
 
 # prints the exit code and which of the space-separated modules in argv[1]
@@ -58,6 +65,7 @@ LAZY_PACKAGE = (
     "assert submodules() == [], submodules()\n"
 )
 
+# run with numpy importable; only verify needs it
 BATCH_EXAMPLES = [
     ["hull", "0,0,0", "1,0,0", "1,1,0", "1,1,1"],
     ["--seed", "7", "honeycomb", "verify", "--dim", "2", "--samples", "2000"],
@@ -93,7 +101,7 @@ def test_scalar_commands_run_with_numpy_unimportable(capsys, argv):
 
 def test_a_batch_command_fails_with_numpy_unimportable():
     # the blocking above must bite, or the scalar tests would prove nothing
-    proc = python("-c", BLOCKED_CLI, *BATCH_EXAMPLES[0])
+    proc = python("-c", BLOCKED_CLI, *BATCH_EXAMPLES[1])
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 
@@ -115,8 +123,10 @@ def test_batch_commands_run_with_numpy(capsys, argv):
          ["tropgeo.geodesy", "logging", "numpy", "dataclasses", "inspect"]),
         (["ball", "decompose", "--point=-0.4,0.3"],
          ["tropgeo.geodesy", "tropgeo.honeycomb", "dataclasses", "numpy"]),
+        (["hull", "0,0,0", "1,0,0", "1,1,0", "1,1,1"],
+         ["tropgeo._batch", "tropgeo.ball", "tropgeo.honeycomb", "numpy", "dataclasses"]),
     ],
-    ids=["dist", "honeycomb locate", "ball decompose"],
+    ids=["dist", "honeycomb locate", "ball decompose", "hull"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
