@@ -22,8 +22,9 @@ gathered once per residue class: the max of the kept coordinates of the
 first, with 0, minus the min of the raised coordinates of the second.  That
 is the norm of x - (F + b) bit for bit, as x - F >= -eps >= x - (F + 1)
 when the floors snap only within eps < 1/4 of an integer (see
-_containing_counts).  The coordinates come from cached index blocks, in
-takes cut to _BROADCAST_BUDGET elements.
+_containing_counts).  The coordinates come from the cached weight-r subsets,
+and each take holds all rows of a class, and as many candidates as fit
+_BROADCAST_BUDGET.
 
 Every array of those kernels -- the block, its transpose, the floors, the
 masks, the rank, the residues, the gathered columns, the takes and the
@@ -297,8 +298,8 @@ _TILING_BUDGET = 1 << 17
 
 # Element budget of each take of _containing_counts, (n, candidates, rows)
 # entries of x - F and x - (F + 1) (2 MiB of float64): it is cut along the
-# candidate and the row axes so that memory stays flat however large C(n, r)
-# or the block is.
+# candidate axis so that memory stays flat however large C(n, r) is.  A class
+# has at most _TILING_BUDGET // n rows, so one candidate always fits.
 _BROADCAST_BUDGET = 1 << 18
 
 
@@ -363,9 +364,8 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     # rows with a coordinate within eps of an integer are not complete in the
     # floor-plus-0/1 count, so scalar locate answers for them
     for idx in np.flatnonzero(snapped):
-        res = locate(tuple(X[idx]), eps)
-        d[idx] = res.distance
-        count[idx] = len(res.all_centers)
+        # its distance is d[idx] already: _locate_rows snaps as locate does
+        count[idx] = len(locate(tuple(X[idx]), eps).all_centers)
 
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
@@ -512,21 +512,19 @@ def _containing_counts(
     and of P1.
 
     So a candidate costs a gather, not arithmetic on n coordinates: one
-    take of P0 and P1 stacked, by a block of the cached index blocks, lays
-    the kept entries of P0 above the raised entries of P1, and one
+    take of P0 and P1 stacked, by a slice of the cached _subsets(n, r),
+    lays the kept entries of P0 above the raised entries of P1, and one
     maximum.reduce and one minimum.reduce over whole (candidates, rows)
-    slabs give the two terms.  A take holds at most _BROADCAST_BUDGET
-    elements, with every row of the class in it when they fit and the
-    candidates cut to fit beside them.
+    slabs give the two terms.  A take holds all rows of the class, and as
+    many candidates as fit _BROADCAST_BUDGET.
     """
     n, m = XT.shape
     count = _WS.array("count", (m,), np.int64)
     in_class = _WS.array("in-class", (m,), bool)
     found, hits = _WS.array("found", (2, m), np.int64)
     bound = 1.0 + eps
-    cap = max(1, _BROADCAST_BUDGET // n)
     # the most candidates of one take
-    most = min(cap, math.comb(n, n // 2))
+    most = min(max(1, _BROADCAST_BUDGET // n), math.comb(n, n // 2))
     # the largest take of any class
     widest = min(_BROADCAST_BUDGET, n * m * most)
     # every column has one residue, so each is written by exactly one r
@@ -561,57 +559,51 @@ def _containing_counts(
         # reads the kept coordinates of P0 and the raised ones of P1
         both = P.reshape(2 * n, c)
         found[:c] = 0
-        # rows first: every row of the class in one take when n of them fit
-        # the budget, and the candidates cut to fit beside them, so that
-        # each index copies a run of rows, not a single float
-        step = min(c, cap)
-        width = max(1, _BROADCAST_BUDGET // (n * step))
-        for raised, kept in _index_blocks(n, r, cap):
-            for a in range(0, raised.shape[1], width):
-                kc = min(width, raised.shape[1] - a)
-                # the kept coordinates, then the raised ones shifted to
-                # P1's rows, in the intp that take would cast them to on
-                # every call
-                idx = _WS.array("index", (n, kc), np.intp, room=n * most)
-                np.copyto(idx[: n - r], kept[:, a : a + kc])
-                np.add(raised[:, a : a + kc], n, out=idx[n - r :], dtype=np.intp)
-                for j in range(0, c, step):
-                    s = min(step, c - j)
-                    # (n - r, kc, s) kept entries above (r, kc, s) raised
-                    # ones, each reduced over whole (kc, s) slabs
-                    taken = _WS.array("taken", (n, kc, s), room=widest)
-                    both[:, j : j + s].take(idx, axis=0, out=taken, mode="clip")
-                    hi, lo = _WS.array("norms", (2, kc, s), room=2 * widest // n)
-                    hit = _WS.array("hit", (kc, s), bool, room=widest // n)
-                    np.maximum.reduce(taken[: n - r], axis=0, out=hi)
-                    np.minimum.reduce(taken[n - r :], axis=0, out=lo)
-                    hi -= lo
-                    np.less_equal(hi, bound, out=hit)
-                    found[j : j + s] += np.add.reduce(hit, axis=0, out=hits[:s])
+        raised, kept = _subsets(n, r)
+        # every row of the class in each take, so that each index copies a
+        # run of rows, not a single float, and the candidates cut to fit
+        width = max(1, _BROADCAST_BUDGET // (n * c))
+        for a in range(0, len(raised), width):
+            kc = min(width, len(raised) - a)
+            # the kept coordinates, then the raised ones shifted to P1's
+            # rows, in the intp that take would cast them to on every call
+            idx = _WS.array("index", (n, kc), np.intp, room=n * most)
+            np.copyto(idx[: n - r], kept[a : a + kc].T)
+            np.add(raised[a : a + kc].T, n, out=idx[n - r :], dtype=np.intp)
+            # (n - r, kc, c) kept entries above (r, kc, c) raised ones, each
+            # reduced over whole (kc, c) slabs
+            taken = _WS.array("taken", (n, kc, c), room=widest)
+            both.take(idx, axis=0, out=taken, mode="clip")
+            hi, lo = _WS.array("norms", (2, kc, c), room=2 * widest // n)
+            hit = _WS.array("hit", (kc, c), bool, room=widest // n)
+            np.maximum.reduce(taken[: n - r], axis=0, out=hi)
+            np.minimum.reduce(taken[n - r :], axis=0, out=lo)
+            hi -= lo
+            np.less_equal(hi, bound, out=hit)
+            found[:c] += np.add.reduce(hit, axis=0, out=hits[:c])
         count[cols] = found[:c]
     return count
 
 
 @functools.lru_cache(maxsize=64)
-def _index_blocks(n: int, r: int, cap: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The weight-r subsets S of range(n), in blocks of at most cap.
+def _subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-r subsets S of range(n), as read-only index arrays
+    (raised, kept) of shapes (C(n, r), r) and (C(n, r), n - r).
 
-    Each block is a pair (raised, kept) of read-only index arrays of shapes
-    (r, k) and (n - r, k): column j lists the coordinates in the j-th
-    subset and, ascending, those of its complement, ready for a take along
-    the coordinate axis of an (n, rows) array.  The smallest unsigned dtype
-    holds the indices, so a block takes as many bytes as n bools per
-    subset.  Cached, since every shard asks for the same blocks.
+    Row j lists the coordinates in the j-th subset of combinations(range(n),
+    r) and, ascending, those of its complement, ready for a take along the
+    coordinate axis of an (n, rows) array.  The complements of the r-subsets,
+    in combinations order, are the (n - r)-subsets in reverse order.  The
+    smallest unsigned dtype holds the indices, so the pair takes as many
+    bytes as n bools per subset.  Cached, since every shard asks for them.
     """
     dtype = np.min_scalar_type(n - 1)
-    combos = itertools.combinations(range(n), r)
-    blocks = []
-    while chunk := list(itertools.islice(combos, cap)):
-        raised = np.array(chunk, dtype=dtype)
-        free = np.ones((len(chunk), n), dtype=bool)
-        free[np.arange(len(chunk))[:, None], raised] = False
-        kept = free.nonzero()[1].astype(dtype).reshape(len(chunk), n - r)
-        raised, kept = raised.T.copy(), kept.T.copy()
-        raised.flags.writeable = kept.flags.writeable = False
-        blocks.append((raised, kept))
-    return tuple(blocks)
+
+    def rows(k):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        count = math.comb(n, k)
+        return np.fromiter(flat, dtype, count=count * k).reshape(count, k)
+
+    raised, kept = rows(r), rows(n - r)[::-1].copy()
+    raised.flags.writeable = kept.flags.writeable = False
+    return raised, kept

@@ -198,12 +198,32 @@ def facet_contains(f: FacetId, x, eps: float = DEFAULT_EPS) -> bool:
 
 
 def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
-    """All facets through a point of the unit sphere, in facets() order."""
+    """All facets through a point of the unit sphere, in facets() order.
+
+    Only the facets that pass necessary conditions of facet_contains are
+    tried: upper(i) needs |x_i - 1| <= eps and lower(i) |x_i + 1| <= eps,
+    and diff(i, j) needs |x_i - x_j - 1| <= eps with every coordinate in
+    [x_j - eps, x_i + eps], that is max(x) <= x_i + eps and x_j - eps <=
+    min(x).  facet_contains confirms each, in facets() order, so the list is
+    the one a scan of all n(n+1) facets gives, at O(n) per candidate.
+    """
     check_eps(eps)
     px = as_point(x)
     if abs(_norm(px) - 1.0) > eps:
         raise DomainError("point is not on the unit sphere")
-    return [f for f in _facets(len(px)) if facet_contains(f, px, eps)]
+    top, bottom = max(px), min(px)
+    coords = list(enumerate(px, 1))
+    tops = [(i, v) for i, v in coords if top <= v + eps]
+    bottoms = [(j, v) for j, v in coords if v - eps <= bottom]
+    candidates = [FacetId("upper", i) for i, v in coords if abs(v - 1.0) <= eps]
+    candidates += [FacetId("lower", i) for i, v in coords if abs(v + 1.0) <= eps]
+    candidates += [
+        FacetId("diff", i, j)
+        for i, xi in tops
+        for j, xj in bottoms
+        if i != j and abs(xi - xj - 1.0) <= eps
+    ]
+    return [f for f in candidates if facet_contains(f, px, eps)]
 
 
 def is_diametral_pair(ball: Ball, p, q, eps: float = DEFAULT_EPS) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import tropgeo as tg
-from tropgeo import honeycomb
+from tropgeo import ball, honeycomb
 from tropgeo.core import DomainError, Point, _dist, _pair, as_point
 from tropgeo.honeycomb import Center
 
@@ -141,6 +141,15 @@ def batch_norm(X):
 def batch_dist(X, Y):
     """Vectorized dist between paired rows of X and Y."""
     return batch_norm(np.asarray(X, dtype=float) - np.asarray(Y, dtype=float))
+
+
+def facet_of_oracle(x, eps=tg.DEFAULT_EPS):
+    """facet_of as first written: every one of the n(n+1) facets, in
+    facets() order, tested by facet_contains, so O(n^3) per point."""
+    px = as_point(x)
+    if abs(ball._norm(px) - 1.0) > eps:
+        raise DomainError("point is not on the unit sphere")
+    return [f for f in ball._facets(len(px)) if ball.facet_contains(f, px, eps)]
 
 
 def containing_count_oracle(X, F, eps):

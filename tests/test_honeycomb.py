@@ -771,6 +771,20 @@ def test_containing_counts_match_the_exhaustive_oracle_at_n16():
         assert np.array_equal(got, containing_count_oracle(X, F, eps))
 
 
+def test_containing_counts_match_the_exhaustive_oracle_at_n17():
+    # from n = 17 on, C(n, r) at r = 7..10 is more candidates than one take
+    # of the budget holds even for a class of one row
+    n = 17
+    X = _count_cases(n, np.random.default_rng(117))[::44]
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        F = _snapped_floors(X, eps)
+        weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
+        assert np.isin(weight, range(7, 11)).any()
+        assert math.comb(n, 7) > _batch._BROADCAST_BUDGET // n
+        got = _counts(X, F, eps)
+        assert np.array_equal(got, containing_count_oracle(X, F, eps))
+
+
 def test_verify_tiling_at_n16():
     report = tg.verify_tiling(16, samples=1500, seed=1)
     assert report.mismatches == 0
@@ -802,33 +816,27 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
         monkeypatch.undo()
 
 
-def test_index_blocks_list_each_subset_once_with_its_complement():
+def test_subsets_list_each_subset_once_with_its_complement():
     for n in range(1, 8):
         for r in range(n + 1):
-            for cap in (1, 4, 1000):
-                blocks = _batch._index_blocks(n, r, cap)
-                assert all(1 <= raised.shape[1] <= cap for raised, _ in blocks)
-                seen = []
-                for raised, kept in blocks:
-                    assert raised.dtype == kept.dtype == np.uint8
-                    assert raised.shape == (r, kept.shape[1]) and kept.shape[0] == n - r
-                    for S, rest in zip(raised.T.tolist(), kept.T.tolist()):
-                        assert sorted(S + rest) == list(range(n))
-                        assert rest == sorted(rest)
-                        seen.append(tuple(sorted(S)))
-                assert sorted(seen) == list(itertools.combinations(range(n), r))
+            raised, kept = _batch._subsets(n, r)
+            assert raised.dtype == kept.dtype == np.uint8
+            assert raised.shape == (math.comb(n, r), r)
+            assert kept.shape == (math.comb(n, r), n - r)
+            for S, rest in zip(raised.tolist(), kept.tolist()):
+                assert sorted(S + rest) == list(range(n))
+                assert rest == sorted(rest)
+            assert [tuple(S) for S in raised.tolist()] == list(itertools.combinations(range(n), r))
 
 
-def test_index_blocks_are_cached_and_read_only():
-    # the blocks are shared by every call, so none may be written
-    blocks = _batch._index_blocks(5, 2, 4)
-    assert _batch._index_blocks(5, 2, 4) is blocks
-    assert [raised.shape[1] for raised, _ in blocks] == [4, 4, 2]
-    for raised, kept in blocks:
-        with pytest.raises(ValueError):
-            raised[0, 0] = 0
-        with pytest.raises(ValueError):
-            kept[0, 0] = 0
+def test_subsets_are_cached_and_read_only():
+    # the arrays are shared by every call, so neither may be written
+    raised, kept = pair = _batch._subsets(5, 2)
+    assert _batch._subsets(5, 2) is pair
+    with pytest.raises(ValueError):
+        raised[0, 0] = 0
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0
 
 
 def test_verify_tiling_memory_stays_bounded():
