@@ -14,30 +14,30 @@ verify_tiling draws each shard of samples in blocks of at most
 _TILING_BUDGET // n rows and works on each block as one coordinate-major
 (n, m) array, so every numpy reduction runs over the leading coordinate
 axis: the batch locator takes the floors, their sum mod n+1 and a stable
-rank of the fractional parts written out as one comparison per pair of
-coordinates.  A floor-plus-0/1 candidate F + b is a center exactly when |b|
+rank of the fractional parts, one comparison of each coordinate against all
+later ones.  A floor-plus-0/1 candidate F + b is a center exactly when |b|
 is r = (-sum F) mod (n+1), so the count evaluates only the C(n, r) offsets
 of that weight.  It reads each one's distance from x - F and x - (F + 1),
-gathered once per residue class: the max of the kept coordinates of the
-first, with 0, minus the min of the raised coordinates of the second.  That
-is the norm of x - (F + b) bit for bit, as x - F >= -eps >= x - (F + 1)
-when the floors snap only within eps < 1/4 of an integer (see
-_containing_counts).  The coordinates come from the cached weight-r subsets,
-and each take holds all rows of a class, and as many candidates as fit
-_BROADCAST_BUDGET.
+formed once per block: the max of the kept coordinates of the first, with
+0, minus the min of the raised coordinates of the second.  That is the norm
+of x - (F + b) bit for bit, as x - F >= -eps >= x - (F + 1) when the floors
+snap only within eps < 1/4 of an integer (see _containing_counts).  One
+stable sort of the columns by residue makes each class a run: one take
+copies out its columns, and takes by the cached weight-r subsets read its
+candidates, all its rows and as many candidates as fit _BROADCAST_BUDGET.
 
-Every array of those kernels -- the block, its transpose, the floors, the
-masks, the rank, the residues, the gathered columns, the takes and the
-norms -- is a view of a buffer in ``_WS``, a grow-only workspace per thread,
-and every step writes into it with ``out=``.  The buffers outlive the call:
-an allocator hands a large freed array back to the OS, and the next call
-would fault its pages in again, which cost more than the arithmetic.  Each
-buffer is sized by the budgets, not by the samples, the shard size or the
-number of calls.  A thread reserves about 8 MiB of address space after the
-benchmark's blocks at n = 3, 6 and 9, of which only the pages a call writes
-are resident, and at most about 18 MiB, reached at n = 1 where a block has
-the most rows.  The kernels return views of the workspace, valid until the
-next call in the same thread.
+Every array of those kernels but the class sort's order -- the block, its
+transpose, the floors, the masks, the rank, the residues, x - F and
+x - (F + 1), a class's columns, the takes and the norms -- is a view of a
+buffer in ``_WS``, a grow-only workspace per thread, written with ``out=``.
+The buffers outlive the call: an allocator hands a large freed array back
+to the OS, and the next call would fault its pages in again, which cost
+more than the arithmetic.  Each is sized by the budgets, not by the
+samples, the shard size or the number of calls.  A thread reserves about
+7 MiB of address space after the benchmark's blocks at n = 3, 6 and 9, of
+which only the pages a call writes are resident, and at most about 14 MiB,
+at n = 1, where a block has the most rows.  The kernels return views of
+the workspace, valid until the next call in the same thread.
 
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
@@ -308,23 +308,22 @@ class _Workspace(threading.local):
     buffer per name and per thread.
 
     array() hands out a C-contiguous view of the named buffer and replaces
-    the buffer only when the view needs more elements (or another dtype),
-    with at least ``room`` of them: the most any view of that name needs in
-    the current block, so that the buffer does not grow again with the
-    sizes of the residue classes.  Kept for the life of the thread, so a
-    call after the first maps in no new pages, and two threads never share
-    a buffer.  A view is valid until the next request for the same name in
-    the same thread.
+    the buffer only when the view needs more elements (or another dtype).
+    A kernel asks once per block for the most it may need, so a buffer does
+    not grow with the sizes of the residue classes.  Kept for the life of
+    the thread, so a call after the first maps in no new pages, and two
+    threads never share a buffer.  A view is valid until the next request
+    for the same name in the same thread.
     """
 
     def __init__(self):
         self.buffers = {}
 
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64, room: int = 0):
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64):
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self.buffers[name] = np.empty(max(size, room), dtype)
+            buf = self.buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -336,15 +335,16 @@ def _sample_blocks(seed: int, shard: int, m: int, n: int, box_halfwidth: float):
     box drawn from the substream seeded by (seed, shard), yielded in (k, n)
     blocks of at most _TILING_BUDGET // n rows.
 
-    Each block is drawn into the same workspace buffer, so it is valid
-    until the next one is yielded.  random() then ``* 2 box`` and ``- box``
-    is the arithmetic of ``uniform(-box, box)``, on the same stream, so the
+    Each block is drawn into the first half of the pair buffer, which
+    _verify_block reuses once it has transposed the block, so a block is
+    valid until it is checked.  random() then ``* 2 box`` and ``- box`` is
+    the arithmetic of ``uniform(-box, box)``, on the same stream, so the
     blocks concatenate to ``rng.uniform(-box, box, (m, n))`` byte for byte.
     """
     rng = np.random.default_rng([seed, shard])
     step = max(1, _TILING_BUDGET // n)
     for start in range(0, m, step):
-        X = _WS.array("X", (min(step, m - start), n))
+        X = _WS.array("pair", (2, min(step, m - start), n))[0]
         rng.random(out=X)
         X *= 2 * box_halfwidth
         X += -box_halfwidth
@@ -356,7 +356,8 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     ``locate`` the scalar locator that answers for snapped rows."""
     m, n = X.shape
     # one transpose per block: every kernel below reduces over the leading
-    # coordinate axis of this (n, m) copy, never over a short trailing one
+    # coordinate axis of this (n, m) copy, never over a short trailing one.
+    # X is not read again: its buffer holds the locator's and count's scratch
     XT = _WS.array("XT", (n, m))
     np.copyto(XT, X.T)
     F, _, d, snapped, k = _locate_rows(XT, eps)
@@ -365,21 +366,21 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     # floor-plus-0/1 count, so scalar locate answers for them
     for idx in np.flatnonzero(snapped):
         # its distance is d[idx] already: _locate_rows snaps as locate does
-        count[idx] = len(locate(tuple(X[idx]), eps).all_centers)
+        count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
 
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
     # count != 1, a boundary row when d > 1 + eps or (count < 2 and
     # |d - 1| > eps)
-    single = np.equal(count, 1, out=_WS.array("single", (m,), bool))
-    mask = _WS.array("mask", (m,), bool)
-    interior = np.logical_not(snapped, out=_WS.array("interior", (m,), bool))
+    single, mask, interior, far = _WS.array("status", (4, m), bool)
+    np.equal(count, 1, out=single)
+    np.logical_not(snapped, out=interior)
     interior |= single
     interior &= np.less(d, 1.0 - eps, out=mask)
     wrong = np.logical_not(single, out=single)
     wrong &= interior
     bad = int(np.count_nonzero(wrong))
-    far = np.greater(d, 1.0 + eps, out=_WS.array("far", (m,), bool))
+    np.greater(d, 1.0 + eps, out=far)
     d -= 1.0  # d is not read again
     off = np.greater(np.abs(d, out=d), eps, out=mask)
     off &= np.less(count, 2, out=wrong)
@@ -405,11 +406,16 @@ def _locate_rows(
     workspace views, valid until the next call in the same thread.
     """
     n, m = XT.shape
-    R = np.rint(XT, out=_WS.array("R", (n, m)))
+    # rint, then x - F, in the pair buffer, free until _containing_counts
+    # runs; near in the buffer of inc, which is written after the rank
+    scratch, R = _WS.array("pair", (2, n, m))
+    np.rint(XT, out=R)
     F = np.subtract(XT, R, out=_WS.array("F", (n, m)))
-    near = np.less_equal(np.abs(F, out=F), eps, out=_WS.array("near", (n, m), bool))
+    near = np.less_equal(np.abs(F, out=F), eps, out=_WS.array("inc", (n, m), bool))
+    snapped = np.logical_or.reduce(near, axis=0, out=_WS.array("snapped", (m,), bool))
     np.floor(XT, out=F)
-    np.copyto(F, R, where=near)
+    if snapped.any():
+        np.copyto(F, R, where=near)
     k = _floor_sum_residue(F)
     diffs = np.subtract(XT, F, out=R)
     rank = _stable_rank(diffs)
@@ -421,8 +427,7 @@ def _locate_rows(
     # x - F is exact, so taking inc off it rounds once, to the same
     # doubles as x - (F + inc) and as _fast_center's dist
     diffs -= inc
-    d = _norms(diffs, _WS.array("d", (m,)), _WS.array("d-lo", (m,)))
-    snapped = np.logical_or.reduce(near, axis=0, out=_WS.array("snapped", (m,), bool))
+    d = _norms(diffs, _WS.array("d", (m,)), scratch[0])
     return F, inc, d, snapped, k
 
 
@@ -456,23 +461,21 @@ def _stable_rank(f: np.ndarray) -> np.ndarray:
     """Per column of the (n, m) array f, each entry's position in a stable
     ascending sort of that column: #{j < i : f_j <= f_i} + #{j > i : f_j < f_i}.
 
-    Written as one comparison per pair of coordinates, each across all m
-    columns, which beats two argsorts along short rows.
+    One comparison per row i, f[i+1:] < f[i] across all m columns: its
+    sums are rank i's second term, and each true entry, a later f_j below
+    f_i, takes one off j's first term, which starts at j.  Last row first,
+    so rank i is written before an earlier row subtracts from it.
     """
     n, m = f.shape
-    # row i starts at i, as if every earlier entry sorted first; then each
-    # pair i < j with f_j < f_i moves i up one place and j down one, so
-    # every partial rank stays in [0, n)
     rank = _WS.array("rank", (n, m), np.min_scalar_type(n))
-    rank[...] = np.arange(n, dtype=rank.dtype)[:, None]
-    later_smaller = _WS.array("later-smaller", (m,), bool)
-    # added as uint8 when the rank is, which skips a cast per pair
-    moves = later_smaller.view(rank.dtype) if rank.itemsize == 1 else later_smaller
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.less(f[j], f[i], out=later_smaller)
-            rank[i] += moves
-            rank[j] -= moves
+    rank[-1] = n - 1
+    smaller = _WS.array("later-smaller", (n - 1, m), bool)
+    for i in range(n - 2, -1, -1):
+        later = np.less(f[i + 1 :], f[i], out=smaller[: n - 1 - i])
+        # added as uint8 when the rank is, which skips a cast
+        moves = later.view(rank.dtype) if rank.itemsize == 1 else later
+        np.add.reduce(moves, axis=0, dtype=rank.dtype, out=rank[i], initial=i)
+        rank[i + 1 :] -= moves
     return rank
 
 
@@ -492,9 +495,9 @@ def _containing_counts(
     sits within eps of an integer.  A workspace view, valid until the next
     call in the same thread.
 
-    No candidate x - (F + b) is ever built.  Per residue class the kernel
-    takes P0 = x - F and P1 = x - (F + 1), each in that order: x - F is
-    not exact for x in (-1, 0), so (x - F) - 1 could round twice.  For a
+    No candidate x - (F + b) is ever built.  The kernel forms P0 = x - F
+    and P1 = x - (F + 1) once per block, each in that order: x - F is not
+    exact for x in (-1, 0), so (x - F) - 1 could round twice.  For a
     candidate with raised set S, 0 < |S| < n, the norm of x - (F + b) is
 
         max(0, max_{i not in S} P0_i) - min_{i in S} P1_i
@@ -511,77 +514,74 @@ def _containing_counts(
     single candidates b = 0 and b = 1 of r = 0 and r = n are _norms of P0
     and of P1.
 
-    So a candidate costs a gather, not arithmetic on n coordinates: one
-    take of P0 and P1 stacked, by a slice of the cached _subsets(n, r),
-    lays the kept entries of P0 above the raised entries of P1, and one
-    maximum.reduce and one minimum.reduce over whole (candidates, rows)
-    slabs give the two terms.  A take holds all rows of the class, and as
-    many candidates as fit _BROADCAST_BUDGET.
+    So a candidate costs a gather, not arithmetic on n coordinates.  One
+    stable sort by residue makes each class a run of columns; one take
+    copies its columns of P0 (clamped at 0 past r = 0) and P1 out to a
+    contiguous (2n, c) block, since take copies a strided source first.  A
+    take of that block by a slice of the cached _subsets(n, r) lays the
+    kept entries of P0 above the raised ones of P1, and one maximum.reduce
+    and one minimum.reduce over whole (candidates, rows) slabs give the two
+    terms.  A take holds all rows of the class, and as many candidates as
+    fit _BROADCAST_BUDGET.
     """
     n, m = XT.shape
-    count = _WS.array("count", (m,), np.int64)
-    in_class = _WS.array("in-class", (m,), bool)
-    found, hits = _WS.array("found", (2, m), np.int64)
-    bound = 1.0 + eps
-    # the most candidates of one take
+    # a radix sort in the small dtype; residue s, the class of weight
+    # r = (-s) mod (n+1), is order[start[s]:start[s + 1]]
+    key = _WS.array("class", (m,), np.min_scalar_type(n))
+    np.copyto(key, k, casting="unsafe")
+    order = key.argsort(kind="stable")
+    start = [*np.searchsorted(key, np.arange(n + 1, dtype=key.dtype), sorter=order).tolist(), m]
+    P0, P1 = pair = _WS.array("pair", (2, n, m))
+    np.subtract(XT, FT, out=P0)
+    np.subtract(XT, np.add(FT, 1.0, out=P1), out=P1)
+    # one request per buffer, for the largest class and take of m rows
     most = min(max(1, _BROADCAST_BUDGET // n), math.comb(n, n // 2))
-    # the largest take of any class
-    widest = min(_BROADCAST_BUDGET, n * m * most)
-    # every column has one residue, so each is written by exactly one r
-    for r in range(n + 1):
-        cols = np.equal(k, -r % (n + 1), out=in_class).nonzero()[0]
-        c = cols.size
+    slab = max(m, min(_BROADCAST_BUDGET // n, m * most))
+    block = _WS.array("class-pair", (2 * n * m,))
+    taken = _WS.array("taken", (n * slab,))
+    hi = _WS.array("norms", (slab,))
+    hit = _WS.array("hit", (slab,), bool)
+    index = _WS.array("index", (n * most,), np.intp)
+    found, count = _WS.array("count", (2, m), np.int64)
+    # residues 0 and 1 are r = 0 and r = n: _norms of P0 and of P1.  mode
+    # "clip" writes straight into out, where "raise" goes through a copy
+    for s, Q in enumerate((P0, P1)):
+        a, c = start[s], start[s + 1] - start[s]
+        B = block[: n * c].reshape(n, c)
+        Q.take(order[a : a + c], axis=1, out=B, mode="clip")
+        np.less_equal(_norms(B, hi[:c], taken[:c]), 1.0 + eps, out=found[a : a + c])
+    # max(0, max of the kept P0) is the max of the kept max(P0, 0), as some
+    # coordinate is kept: clamped once here, not once per candidate
+    np.maximum(P0, 0.0, out=P0)
+    for s in range(2, n + 1):
+        a, c, r = start[s], start[s + 1] - start[s], n + 1 - s
         if c == 0:
             continue
-        # mode "clip" writes straight into out, where "raise" goes through
-        # a copy; x goes in P1's slot and F in P0's, so that each
-        # subtraction below overwrites an operand it no longer needs
-        P = _WS.array("gathered", (2, n, c), room=2 * n * m)
-        P0, P1 = P
-        XT.take(cols, axis=1, out=P1, mode="clip")
-        FT.take(cols, axis=1, out=P0, mode="clip")
-        F1 = np.add(P0, 1.0, out=_WS.array("taken", (n, c), room=widest))
-        np.subtract(P1, P0, out=P0)
-        np.subtract(P1, F1, out=P1)
-        if r in (0, n):
-            hi, lo = _WS.array("norms", (2, c), room=2 * widest // n)
-            hit = _WS.array("hit", (c,), bool, room=widest // n)
-            np.less_equal(_norms(P1 if r else P0, hi, lo), bound, out=hit)
-            # cast in place: a bool value array would make count[cols] =
-            # allocate an int64 copy of it
-            np.copyto(found[:c], hit)
-            count[cols] = found[:c]
-            continue
-        # max(0, max of the kept P0) is the max of the kept max(P0, 0), as
-        # some coordinate is kept: clamped once here, not once per candidate
-        np.maximum(P0, 0.0, out=P0)
-        # rows [0, n) of both are P0 and rows [n, 2n) are P1, so one take
-        # reads the kept coordinates of P0 and the raised ones of P1
-        both = P.reshape(2 * n, c)
-        found[:c] = 0
+        # rows [0, n) are P0 and rows [n, 2n) are P1
+        B = block[: 2 * n * c].reshape(2 * n, c)
+        pair.reshape(2 * n, m).take(order[a : a + c], axis=1, out=B, mode="clip")
         raised, kept = _subsets(n, r)
-        # every row of the class in each take, so that each index copies a
-        # run of rows, not a single float, and the candidates cut to fit
         width = max(1, _BROADCAST_BUDGET // (n * c))
-        for a in range(0, len(raised), width):
-            kc = min(width, len(raised) - a)
+        for t in range(0, len(raised), width):
+            kc = min(width, len(raised) - t)
             # the kept coordinates, then the raised ones shifted to P1's
             # rows, in the intp that take would cast them to on every call
-            idx = _WS.array("index", (n, kc), np.intp, room=n * most)
-            np.copyto(idx[: n - r], kept[a : a + kc].T)
-            np.add(raised[a : a + kc].T, n, out=idx[n - r :], dtype=np.intp)
-            # (n - r, kc, c) kept entries above (r, kc, c) raised ones, each
-            # reduced over whole (kc, c) slabs
-            taken = _WS.array("taken", (n, kc, c), room=widest)
-            both.take(idx, axis=0, out=taken, mode="clip")
-            hi, lo = _WS.array("norms", (2, kc, c), room=2 * widest // n)
-            hit = _WS.array("hit", (kc, c), bool, room=widest // n)
-            np.maximum.reduce(taken[: n - r], axis=0, out=hi)
-            np.minimum.reduce(taken[n - r :], axis=0, out=lo)
-            hi -= lo
-            np.less_equal(hi, bound, out=hit)
-            found[:c] += np.add.reduce(hit, axis=0, out=hits[:c])
-        count[cols] = found[:c]
+            idx = index[: n * kc].reshape(n, kc)
+            np.copyto(idx[: n - r], kept[t : t + kc].T)
+            np.add(raised[t : t + kc].T, n, out=idx[n - r :], dtype=np.intp)
+            # (n - r, kc, c) kept entries above (r, kc, c) raised ones; the
+            # min goes in T[0], which the max has read
+            T = taken[: n * kc * c].reshape(n, kc, c)
+            B.take(idx, axis=0, out=T, mode="clip")
+            h = np.maximum.reduce(T[: n - r], axis=0, out=hi[: kc * c].reshape(kc, c))
+            h -= np.minimum.reduce(T[n - r :], axis=0, out=T[0])
+            ok = np.less_equal(h, 1.0 + eps, out=hit[: kc * c].reshape(kc, c))
+            # count, not read until the scatter, holds a later take's hits
+            if t == 0:
+                np.add.reduce(ok, axis=0, out=found[a : a + c])
+            else:
+                found[a : a + c] += np.add.reduce(ok, axis=0, out=count[:c])
+    count[order] = found
     return count
 
 

@@ -200,12 +200,14 @@ def facet_contains(f: FacetId, x, eps: float = DEFAULT_EPS) -> bool:
 def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
     """All facets through a point of the unit sphere, in facets() order.
 
-    Only the facets that pass necessary conditions of facet_contains are
-    tried: upper(i) needs |x_i - 1| <= eps and lower(i) |x_i + 1| <= eps,
-    and diff(i, j) needs |x_i - x_j - 1| <= eps with every coordinate in
-    [x_j - eps, x_i + eps], that is max(x) <= x_i + eps and x_j - eps <=
-    min(x).  facet_contains confirms each, in facets() order, so the list is
-    the one a scan of all n(n+1) facets gives, at O(n) per candidate.
+    The tests of facet_contains, with the whole-point range tests read once
+    from max(x) and min(x): upper(i) is |x_i - 1| <= eps with min(x) >= -eps
+    and max(x) <= 1 + eps, and lower(i) is |x_i + 1| <= eps with min(x) >=
+    -1 - eps and max(x) <= eps.  diff(i, j) is |x_i - x_j - 1| <= eps with
+    -eps <= x_i <= 1 + eps and every coordinate in [x_j - eps, x_i + eps],
+    that is max(x) <= x_i + eps and x_j - eps <= min(x).  So a call is O(n)
+    plus one O(1) test per pair of a coordinate near the max and one near
+    the min, most of which are facets through x.
     """
     check_eps(eps)
     px = as_point(x)
@@ -213,17 +215,20 @@ def facet_of(x, eps: float = DEFAULT_EPS) -> list[FacetId]:
         raise DomainError("point is not on the unit sphere")
     top, bottom = max(px), min(px)
     coords = list(enumerate(px, 1))
-    tops = [(i, v) for i, v in coords if top <= v + eps]
+    found = []
+    if -eps <= bottom and top <= 1.0 + eps:
+        found += [FacetId("upper", i) for i, v in coords if abs(v - 1.0) <= eps]
+    if -1.0 - eps <= bottom and top <= eps:
+        found += [FacetId("lower", i) for i, v in coords if abs(v + 1.0) <= eps]
+    tops = [(i, v) for i, v in coords if top <= v + eps and -eps <= v <= 1.0 + eps]
     bottoms = [(j, v) for j, v in coords if v - eps <= bottom]
-    candidates = [FacetId("upper", i) for i, v in coords if abs(v - 1.0) <= eps]
-    candidates += [FacetId("lower", i) for i, v in coords if abs(v + 1.0) <= eps]
-    candidates += [
+    found += [
         FacetId("diff", i, j)
         for i, xi in tops
         for j, xj in bottoms
         if i != j and abs(xi - xj - 1.0) <= eps
     ]
-    return [f for f in candidates if facet_contains(f, px, eps)]
+    return found
 
 
 def is_diametral_pair(ball: Ball, p, q, eps: float = DEFAULT_EPS) -> bool:

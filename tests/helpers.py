@@ -177,6 +177,13 @@ def containing_count_oracle(X, F, eps):
     return count
 
 
+def stable_rank_oracle(f):
+    """Per column of the (n, m) array f, each entry's position in a stable
+    ascending sort of the column, from two argsorts: the stable sort's
+    order, then its inverse permutation."""
+    return np.argsort(np.argsort(f, axis=0, kind="stable"), axis=0, kind="stable")
+
+
 def fast_center_oracle(x, eps: float):
     """honeycomb._fast_center as first written: a per-coordinate round and
     floor loop, a generator for the center, and ``_dist`` over all n

@@ -681,9 +681,12 @@ def test_every_operation_is_reachable(tmp_path, capsys):
     }
     # every public operation runs under some command, except these library
     # helpers; `ball decompose` takes its outside-the-ball error from
-    # minkowski_coeffs, so no command calls contains
+    # minkowski_coeffs, so no command calls contains, and `sphere poles`
+    # reads each facet's test from the point's max and min in facet_of, so
+    # no command calls facet_contains
     assert unreached == {
         "canon", "orthant_to_projective", "polyline_evaluator", "unit_ball", "contains",
+        "facet_contains",
     }
 
 

@@ -25,6 +25,7 @@ from helpers import (
     facet_neighbors_oracle,
     fast_center_oracle,
     locate_enumeration_oracle,
+    stable_rank_oracle,
     tiling_report_oracle,
 )
 
@@ -791,15 +792,61 @@ def test_verify_tiling_at_n16():
     assert report.interior + report.boundary == report.samples == 1500
 
 
-def test_containing_counts_cross_row_chunks_at_n12():
+def test_containing_counts_cut_a_class_into_several_takes_at_n12():
     n = 12
     X = np.random.default_rng(12).uniform(-10, 10, (600, n))
     F = _snapped_floors(X, tg.DEFAULT_EPS)
     weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
-    rows_per_chunk = [_batch._BROADCAST_BUDGET // (math.comb(n, r) * n) for r in range(n + 1)]
-    assert any((weight == r).sum() > rows_per_chunk[r] for r in range(n + 1))
+    # a take holds all c rows of a class and _BROADCAST_BUDGET // (n c)
+    # candidates, so some class here needs more than one take
+    sizes = [(r, int(np.count_nonzero(weight == r))) for r in range(n + 1)]
+    assert any(c and math.comb(n, r) > _batch._BROADCAST_BUDGET // (n * c) for r, c in sizes)
     got = _counts(X, F, tg.DEFAULT_EPS)
     assert np.array_equal(got, containing_count_oracle(X, F, tg.DEFAULT_EPS))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_containing_counts_of_blocks_of_one_to_three_rows(n):
+    # most residue classes are empty, so most class runs have no columns
+    rng = np.random.default_rng(200 + n)
+    X = _count_cases(n, rng)
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        for m in (1, 2, 3):
+            for start in rng.choice(len(X) - m, 40, replace=False):
+                rows = X[start : start + m]
+                F = _snapped_floors(rows, eps)
+                assert np.array_equal(_counts(rows, F, eps), containing_count_oracle(rows, F, eps))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_containing_counts_of_one_row_per_residue_class(n):
+    # a row shifted by t = 0..n along the first axis has floor sums s + t,
+    # so the n + 1 shifts fill every class, r = 0 and r = n included, once
+    rng = np.random.default_rng(210 + n)
+    shifts = np.zeros((n + 1, n))
+    shifts[:, 0] = np.arange(n + 1)
+    bases = np.vstack([rng.uniform(-6, 6, (6, n)), rng.integers(-24, 24, (6, n)) / 4])
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        for base in bases:
+            X = base + shifts
+            F = _snapped_floors(X, eps)
+            weight = -F.sum(axis=1).astype(np.int64) % (n + 1)
+            assert sorted(weight.tolist()) == list(range(n + 1))
+            assert np.array_equal(_counts(X, F, eps), containing_count_oracle(X, F, eps))
+
+
+@pytest.mark.parametrize("m", [1, 7, 500])
+@pytest.mark.parametrize("n", range(1, 25))
+def test_stable_rank_matches_two_argsorts(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    cases = [
+        rng.random((n, m)),
+        rng.integers(-8, 8, (n, m)) / 4,  # quarters: ties in most columns
+        rng.choice([0.0, -0.0, 0.5], (n, m)),  # a few repeated values
+        np.full((n, m), 0.25),  # every entry of a column tied
+    ]
+    for f in cases:
+        assert np.array_equal(_batch._stable_rank(f), stable_rank_oracle(f))
 
 
 def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
