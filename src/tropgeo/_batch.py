@@ -15,29 +15,20 @@ _TILING_BUDGET // n rows and works on each block as one coordinate-major
 (n, m) array, so every numpy reduction runs over the leading coordinate
 axis: the batch locator takes the floors, their sum mod n+1 and a stable
 rank of the fractional parts, one comparison of each coordinate against all
-later ones.  A floor-plus-0/1 candidate F + b is a center exactly when |b|
-is r = (-sum F) mod (n+1), so the count evaluates only the C(n, r) offsets
-of that weight.  It reads each one's distance from x - F and x - (F + 1),
-formed once per block: the max of the kept coordinates of the first, with
-0, minus the min of the raised coordinates of the second.  That is the norm
-of x - (F + b) bit for bit, as x - F >= -eps >= x - (F + 1) when the floors
-snap only within eps < 1/4 of an integer (see _containing_counts).  One
-stable sort of the columns by residue makes each class a run: one take
-copies out its columns, and takes by the cached weight-r subsets read its
-candidates, all its rows and as many candidates as fit _BROADCAST_BUDGET.
+later ones, and the count evaluates only the floor-plus-0/1 candidates that
+are lattice points (see _containing_counts).
 
-Every array of those kernels but the class sort's order -- the block, its
+Every array of those kernels but the class sort's order and take's intp
+copy of each slice of the cached candidate index -- the block, its
 transpose, the floors, the masks, the rank, the residues, x - F and
 x - (F + 1), a class's columns, the takes and the norms -- is a view of a
 buffer in ``_WS``, a grow-only workspace per thread, written with ``out=``.
 The buffers outlive the call: an allocator hands a large freed array back
 to the OS, and the next call would fault its pages in again, which cost
 more than the arithmetic.  Each is sized by the budgets, not by the
-samples, the shard size or the number of calls.  A thread reserves about
-7 MiB of address space after the benchmark's blocks at n = 3, 6 and 9, of
-which only the pages a call writes are resident, and at most about 14 MiB,
-at n = 1, where a block has the most rows.  The kernels return views of
-the workspace, valid until the next call in the same thread.
+samples, the shard size or the number of calls; verify_tiling states what
+a thread retains.  The kernels return views of the workspace, valid until
+the next call in the same thread.
 
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
@@ -422,7 +413,7 @@ def _locate_rows(
     # column j raises the entries of rank >= k - 1; k - 1 is taken in the
     # rank's unsigned dtype, where k = 0 wraps to its maximum, above every
     # rank, so such a column raises none
-    km1 = np.subtract(k, 1, out=_WS.array("k-1", (m,), rank.dtype), casting="unsafe")
+    km1 = np.subtract(k, 1, out=_WS.array("k-1", (m,), rank.dtype))
     inc = np.greater_equal(rank, km1, out=_WS.array("inc", (n, m), bool))
     # x - F is exact, so taking inc off it rounds once, to the same
     # doubles as x - (F + inc) and as _fast_center's dist
@@ -443,18 +434,20 @@ def _norms(D: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _floor_sum_residue(F: np.ndarray) -> np.ndarray:
-    """Per column of the (n, m) floors F, (sum of F) mod (n+1), as int64.
+    """Per column of the (n, m) floors F, (sum of F) mod (n+1), in the
+    rank's dtype, np.min_scalar_type(n).
 
     Summed in int64, so exact while n * max|F| < 2^63.  The remainder is
     spelled with floor division, which numpy vectorizes for a scalar
     divisor while its integer % is several times slower.
     """
-    p, m = F.shape[0] + 1, F.shape[1]
-    s = np.add.reduce(F, axis=0, dtype=np.int64, out=_WS.array("residue", (m,), np.int64))
-    q = np.floor_divide(s, p, out=_WS.array("quotient", (m,), np.int64))
-    q *= p
-    s -= q
-    return s
+    n, m = F.shape
+    s, q = _WS.array("floor-sum", (2, m), np.int64)
+    np.add.reduce(F, axis=0, dtype=np.int64, out=s)
+    np.floor_divide(s, n + 1, out=q)
+    q *= n + 1
+    # s - q is in [0, n], so the cast is exact
+    return np.subtract(s, q, out=_WS.array("residue", (m,), np.min_scalar_type(n)), casting="unsafe")
 
 
 def _stable_rank(f: np.ndarray) -> np.ndarray:
@@ -471,9 +464,7 @@ def _stable_rank(f: np.ndarray) -> np.ndarray:
     rank[-1] = n - 1
     smaller = _WS.array("later-smaller", (n - 1, m), bool)
     for i in range(n - 2, -1, -1):
-        later = np.less(f[i + 1 :], f[i], out=smaller[: n - 1 - i])
-        # added as uint8 when the rank is, which skips a cast
-        moves = later.view(rank.dtype) if rank.itemsize == 1 else later
+        moves = np.less(f[i + 1 :], f[i], out=smaller[: n - 1 - i]).view(np.uint8)
         np.add.reduce(moves, axis=0, dtype=rank.dtype, out=rank[i], initial=i)
         rank[i + 1 :] -= moves
     return rank
@@ -516,21 +507,19 @@ def _containing_counts(
 
     So a candidate costs a gather, not arithmetic on n coordinates.  One
     stable sort by residue makes each class a run of columns; one take
-    copies its columns of P0 (clamped at 0 past r = 0) and P1 out to a
-    contiguous (2n, c) block, since take copies a strided source first.  A
-    take of that block by a slice of the cached _subsets(n, r) lays the
-    kept entries of P0 above the raised ones of P1, and one maximum.reduce
-    and one minimum.reduce over whole (candidates, rows) slabs give the two
-    terms.  A take holds all rows of the class, and as many candidates as
-    fit _BROADCAST_BUDGET.
+    copies its columns of P0 and P1 out to a contiguous (2n, c) block,
+    since take copies a strided source first.  A take of that block by a
+    slice of the cached index _subsets(n, r) lays the kept entries of P0
+    above the raised ones of P1, and one maximum.reduce from 0 and one
+    minimum.reduce over whole (candidates, rows) slabs give the two terms.
+    A take holds all rows of the class, and as many candidates as fit
+    _BROADCAST_BUDGET.
     """
     n, m = XT.shape
     # a radix sort in the small dtype; residue s, the class of weight
     # r = (-s) mod (n+1), is order[start[s]:start[s + 1]]
-    key = _WS.array("class", (m,), np.min_scalar_type(n))
-    np.copyto(key, k, casting="unsafe")
-    order = key.argsort(kind="stable")
-    start = [*np.searchsorted(key, np.arange(n + 1, dtype=key.dtype), sorter=order).tolist(), m]
+    order = k.argsort(kind="stable")
+    start = [*np.searchsorted(k, np.arange(n + 1, dtype=k.dtype), sorter=order).tolist(), m]
     P0, P1 = pair = _WS.array("pair", (2, n, m))
     np.subtract(XT, FT, out=P0)
     np.subtract(XT, np.add(FT, 1.0, out=P1), out=P1)
@@ -541,7 +530,6 @@ def _containing_counts(
     taken = _WS.array("taken", (n * slab,))
     hi = _WS.array("norms", (slab,))
     hit = _WS.array("hit", (slab,), bool)
-    index = _WS.array("index", (n * most,), np.intp)
     found, count = _WS.array("count", (2, m), np.int64)
     # residues 0 and 1 are r = 0 and r = n: _norms of P0 and of P1.  mode
     # "clip" writes straight into out, where "raise" goes through a copy
@@ -550,9 +538,6 @@ def _containing_counts(
         B = block[: n * c].reshape(n, c)
         Q.take(order[a : a + c], axis=1, out=B, mode="clip")
         np.less_equal(_norms(B, hi[:c], taken[:c]), 1.0 + eps, out=found[a : a + c])
-    # max(0, max of the kept P0) is the max of the kept max(P0, 0), as some
-    # coordinate is kept: clamped once here, not once per candidate
-    np.maximum(P0, 0.0, out=P0)
     for s in range(2, n + 1):
         a, c, r = start[s], start[s + 1] - start[s], n + 1 - s
         if c == 0:
@@ -560,20 +545,15 @@ def _containing_counts(
         # rows [0, n) are P0 and rows [n, 2n) are P1
         B = block[: 2 * n * c].reshape(2 * n, c)
         pair.reshape(2 * n, m).take(order[a : a + c], axis=1, out=B, mode="clip")
-        raised, kept = _subsets(n, r)
+        index = _subsets(n, r)
         width = max(1, _BROADCAST_BUDGET // (n * c))
-        for t in range(0, len(raised), width):
-            kc = min(width, len(raised) - t)
-            # the kept coordinates, then the raised ones shifted to P1's
-            # rows, in the intp that take would cast them to on every call
-            idx = index[: n * kc].reshape(n, kc)
-            np.copyto(idx[: n - r], kept[t : t + kc].T)
-            np.add(raised[t : t + kc].T, n, out=idx[n - r :], dtype=np.intp)
+        for t in range(0, index.shape[1], width):
+            kc = min(width, index.shape[1] - t)
             # (n - r, kc, c) kept entries above (r, kc, c) raised ones; the
             # min goes in T[0], which the max has read
             T = taken[: n * kc * c].reshape(n, kc, c)
-            B.take(idx, axis=0, out=T, mode="clip")
-            h = np.maximum.reduce(T[: n - r], axis=0, out=hi[: kc * c].reshape(kc, c))
+            B.take(index[:, t : t + kc], axis=0, out=T, mode="clip")
+            h = np.maximum.reduce(T[: n - r], axis=0, out=hi[: kc * c].reshape(kc, c), initial=0.0)
             h -= np.minimum.reduce(T[n - r :], axis=0, out=T[0])
             ok = np.less_equal(h, 1.0 + eps, out=hit[: kc * c].reshape(kc, c))
             # count, not read until the scatter, holds a later take's hits
@@ -586,24 +566,24 @@ def _containing_counts(
 
 
 @functools.lru_cache(maxsize=64)
-def _subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-r subsets S of range(n), as read-only index arrays
-    (raised, kept) of shapes (C(n, r), r) and (C(n, r), n - r).
+def _subsets(n: int, r: int) -> np.ndarray:
+    """The weight-r subsets S of range(n) as one read-only (n, C(n, r)) take
+    index into the 2n rows of P0 over P1.
 
-    Row j lists the coordinates in the j-th subset of combinations(range(n),
-    r) and, ascending, those of its complement, ready for a take along the
-    coordinate axis of an (n, rows) array.  The complements of the r-subsets,
-    in combinations order, are the (n - r)-subsets in reverse order.  The
-    smallest unsigned dtype holds the indices, so the pair takes as many
-    bytes as n bools per subset.  Cached, since every shard asks for them.
+    Column j holds, ascending, the n - r coordinates outside the j-th
+    subset of combinations(range(n), r), then its r coordinates plus n.
+    The complements of the r-subsets, in combinations order, are the
+    (n - r)-subsets in reverse order.  In the smallest unsigned dtype that
+    holds 2n - 1, which take casts a slice of at a time, so the index takes
+    as many bytes as n bools per subset.  Cached, since every shard asks
+    for it.
     """
-    dtype = np.min_scalar_type(n - 1)
+    dtype, count = np.min_scalar_type(2 * n - 1), math.comb(n, r)
 
-    def rows(k):
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-        count = math.comb(n, k)
+    def rows(k, first):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(first, first + n), k))
         return np.fromiter(flat, dtype, count=count * k).reshape(count, k)
 
-    raised, kept = rows(r), rows(n - r)[::-1].copy()
-    raised.flags.writeable = kept.flags.writeable = False
-    return raised, kept
+    index = np.concatenate([rows(n - r, 0)[::-1].T, rows(r, n).T])
+    index.flags.writeable = False
+    return index

@@ -289,8 +289,12 @@ def generator_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
 
 
 def eval_trop_combination(coeffs, generators) -> Point:
-    """Evaluate a min-plus combination: coordinatewise min of coeff + generator."""
-    a = [float(v) for v in coeffs]
+    """Evaluate a min-plus combination: coordinatewise min of coeff + generator.
+
+    The coefficients are read as a point is, so one that is not a finite
+    real raises DomainError, and so does a result that overflows float64.
+    """
+    a = as_point(coeffs)
     gens = [as_point(g) for g in generators]
     if len(a) != len(gens):
         raise DimensionMismatch("one coefficient per generator required")
@@ -300,7 +304,10 @@ def eval_trop_combination(coeffs, generators) -> Point:
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch("generators have mixed dimensions")
-    return tuple(min(a[i] + g[k] for i, g in enumerate(gens)) for k in range(n))
+    out = tuple(min(a[i] + g[k] for i, g in enumerate(gens)) for k in range(n))
+    if not all(map(math.isfinite, out)):
+        raise DomainError("the combination overflows float64")
+    return out
 
 
 def pole_distances(x, eps: float = DEFAULT_EPS) -> tuple[float, float]:

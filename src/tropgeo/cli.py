@@ -196,8 +196,8 @@ def cmd_length(args):
 
 
 def cmd_circle_length(args):
-    if args.radius <= 0:
-        raise ParseError("radius must be positive")
+    if not 0 < args.radius < math.inf:  # also false for NaN
+        raise ParseError("radius must be positive and finite")
     cx, cy = parse_point(args.center) if args.center else (0.0, 0.0)
 
     def circle(t):

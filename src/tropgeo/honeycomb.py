@@ -343,36 +343,21 @@ def verify_tiling(
     than one containing center, or when a boundary point's fast-path center
     is not among its containing centers.  Sampling is sharded in
     _SHARD_SIZE samples; shard s uses the substream seeded by (seed, s), so
-    a report depends only on (n, box, samples, seed, eps).
+    a report depends only on (n, box, samples, seed, eps), not on the
+    blocks a shard is checked in, the thread or earlier calls.
 
-    Each shard is drawn and checked in blocks of at most 2^17 // n samples
-    (the block budget, 1 MiB of float64), each transposed once to an (n, m)
-    array, one sample per column; the blocks concatenate to the shard's
-    ``uniform`` draws, so the report does not depend on the budget.  The
-    batch locator is the fast path of ``locate`` on every column, with the
-    stable sort of the fractional parts replaced by a rank that compares
-    each coordinate with all later ones at once; it gives the same centers
-    and distances.  The enumeration tests, for each sample, every
-    floor-plus-0/1 candidate that is a lattice point: the C(n, r) offsets
-    of weight r = (-sum of floors) mod (n+1), about 2^n / (n+1) per sample
-    rather than 2^n.  A candidate's distance is the max of x - F over its
-    kept coordinates, with 0, minus the min of x - (F + 1) over its raised
-    ones, bit for bit the norm of x - (F + b): the floors snap only within
-    eps < 1/4 of an integer, so x - F >= -eps >= x - (F + 1).  Both are
-    formed once per block.  One stable sort of the block by r makes each
-    class of samples a run of columns, which one take copies out, and takes
-    of at most 2^18 elements (2 MiB of float64) by the cached weight-r
-    index sets read its candidates.  Samples with a coordinate within eps
-    of an integer go through ``locate`` instead.
+    The enumeration evaluates dist to every floor-plus-0/1 candidate that
+    is a lattice point, about 2^n / (n+1) per sample rather than 2^n;
+    samples with a coordinate within eps of an integer go through
+    ``locate`` instead.  The batch locator gives the same centers and
+    distances as the fast path of ``locate``.
 
-    Every array of a block lives in a workspace of the calling thread that
-    is kept between calls and sized by those two budgets, so a call after
-    the first maps in no new pages; the one array it allocates is the sort's
-    column order, 8 bytes per sample of a block.  Memory does not grow with
-    samples, C(n, r) or the number of calls; a thread retains about 7 MiB
-    of address space after blocks of the benchmark's sizes at n = 3, 6 and
-    9, and at most about 14 MiB, at n = 1.
-    Threads may call this at once; each has its own workspace.
+    Memory does not grow with samples, C(n, r) or the number of calls: a
+    thread keeps its arrays in a workspace sized by the block budgets of
+    _batch, so a call after the first maps in no new pages.  A thread
+    retains about 7 MiB of address space after the benchmark's sizes at
+    n = 3, 6 and 9, and at most about 14 MiB, at n = 1.  Threads may call
+    this at once; each has its own workspace.
 
     n, samples and seed must be integers (anything ``operator.index``
     takes), and seed nonnegative, and box_halfwidth a real number; other

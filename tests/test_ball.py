@@ -346,6 +346,24 @@ def test_eval_trop_combination_basics():
         tg.eval_trop_combination((0.0, 0.0), [(1.0,)])
 
 
+@pytest.mark.parametrize(
+    "coeffs, gens",
+    [
+        (["a", 0.0], [(0.0, 1.0), (1.0, 0.0)]),
+        ([None, 0.0], [(0.0, 1.0), (1.0, 0.0)]),
+        ([float("nan"), 0.0], [(0.0, 1.0), (1.0, 0.0)]),
+        ([float("inf"), 0.0], [(0.0, 1.0), (1.0, 0.0)]),
+        ([0.0, float("-inf")], [(0.0, 1.0), (1.0, 0.0)]),
+        # finite input whose sum overflows
+        ((1e308,), [(1e308,)]),
+        ((-1e308,), [(-1e308, 0.0)]),
+    ],
+)
+def test_eval_trop_combination_rejects_bad_coefficients(coeffs, gens):
+    with pytest.raises(tg.DomainError):
+        tg.eval_trop_combination(coeffs, gens)
+
+
 def test_generators_are_minimal():
     # no unit direction is a normalized min-plus combination of the others;
     # the coefficient grid is normalized (min entry 0) because combinations

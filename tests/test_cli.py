@@ -115,6 +115,13 @@ def test_circle_length_rejects_bad_radius(capsys):
     assert "radius" in err
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_circle_length_rejects_non_finite_radius(capsys, radius):
+    code, out, err = run(capsys, "circle-length", "--radius=" + radius)
+    assert (code, out) == (2, "")
+    assert err == "error: radius must be positive and finite\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_circle_length_rejects_non_finite_tol(capsys, monkeypatch, tol):
     # the check must run before any refinement, which a NaN tol never stops

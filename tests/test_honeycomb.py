@@ -731,7 +731,8 @@ def _count_cases(n, rng):
     return np.vstack([uniform, tied, quarters, eighths, snapping, huge, near_integer])
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+# from n = 256 on, the rank and the residues are uint16
+@pytest.mark.parametrize("n", [*range(1, 13), 255, 256, 300])
 def test_batch_locator_matches_fast_center_bit_for_bit(n):
     rng = np.random.default_rng(300 + n)
     scale = 2.0 ** rng.integers(0, 54, (200, n))
@@ -739,9 +740,13 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
         _count_cases(n, rng),
         rng.uniform(-1, 1, (200, n)) * scale,
         rng.uniform(-(2.0**53), 2.0**53, (50, n)),
+        rng.uniform(-1, 1, (50, n)) * 2.0**50,
     ])
     for eps in (tg.DEFAULT_EPS, 0.05):
-        F, inc, d, snapped, _ = _batch._locate_rows(X.T.copy(), eps)
+        F, inc, d, snapped, k = _batch._locate_rows(X.T.copy(), eps)
+        # the residues, against Python's exact integer sums of the floors
+        assert k.dtype == np.min_scalar_type(n)
+        assert k.tolist() == [sum(map(int, col)) % (n + 1) for col in F.T.tolist()]
         # summed as integers: F + 1 rounds back to F at 2^53 in float64
         centers = (F.astype(np.int64) + inc).T.tolist()
         for j, row in enumerate(X.tolist()):
@@ -835,8 +840,11 @@ def test_containing_counts_of_one_row_per_residue_class(n):
             assert np.array_equal(_counts(X, F, eps), containing_count_oracle(X, F, eps))
 
 
-@pytest.mark.parametrize("m", [1, 7, 500])
-@pytest.mark.parametrize("n", range(1, 25))
+@pytest.mark.parametrize(
+    "n, m",
+    # from n = 256 on, the rank is uint16
+    [(n, m) for n in range(1, 25) for m in (1, 7, 500)] + [(n, m) for n in (255, 256, 300) for m in (1, 7)],
+)
 def test_stable_rank_matches_two_argsorts(n, m):
     rng = np.random.default_rng(n * 1000 + m)
     cases = [
@@ -866,24 +874,27 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
 def test_subsets_list_each_subset_once_with_its_complement():
     for n in range(1, 8):
         for r in range(n + 1):
-            raised, kept = _batch._subsets(n, r)
-            assert raised.dtype == kept.dtype == np.uint8
-            assert raised.shape == (math.comb(n, r), r)
-            assert kept.shape == (math.comb(n, r), n - r)
-            for S, rest in zip(raised.tolist(), kept.tolist()):
+            index = _batch._subsets(n, r)
+            assert index.dtype == np.uint8
+            assert index.shape == (n, math.comb(n, r))
+            # the kept coordinates, then the raised ones plus n
+            kept = index[: n - r].T.tolist()
+            raised = (index[n - r :].T.astype(int) - n).tolist()
+            for S, rest in zip(raised, kept):
                 assert sorted(S + rest) == list(range(n))
                 assert rest == sorted(rest)
-            assert [tuple(S) for S in raised.tolist()] == list(itertools.combinations(range(n), r))
+            assert [tuple(S) for S in raised] == list(itertools.combinations(range(n), r))
+    # 2n - 1 indexes the last row of P1, so one byte holds it up to n = 128
+    assert _batch._subsets(128, 127).dtype == np.uint8
+    assert _batch._subsets(129, 128).dtype == np.uint16
 
 
 def test_subsets_are_cached_and_read_only():
-    # the arrays are shared by every call, so neither may be written
-    raised, kept = pair = _batch._subsets(5, 2)
-    assert _batch._subsets(5, 2) is pair
+    # the index is shared by every call, so it may not be written
+    index = _batch._subsets(5, 2)
+    assert _batch._subsets(5, 2) is index
     with pytest.raises(ValueError):
-        raised[0, 0] = 0
-    with pytest.raises(ValueError):
-        kept[0, 0] = 0
+        index[0, 0] = 0
 
 
 def test_verify_tiling_memory_stays_bounded():
@@ -1006,7 +1017,7 @@ def test_verify_tiling_workspace_is_bounded_by_the_budget(monkeypatch):
         sizes = _in_fresh_thread(lambda: retained(n))
         # once a full block has been checked, nothing grows
         assert len(set(sizes[2:])) == 1
-        # n = 1 has the most rows per block, and reserves 17.5 MiB
+        # n = 1 has the most rows per block, and reserves about 14.25 MiB
         assert max(sizes) <= 20 * 8 * _batch._TILING_BUDGET
 
 
