@@ -18,17 +18,18 @@ rank of the fractional parts, one comparison of each coordinate against all
 later ones, and the count evaluates only the floor-plus-0/1 candidates that
 are lattice points (see _containing_counts).
 
-Every array of those kernels but the class sort's order and take's intp
-copy of each slice of the cached candidate index -- the block, its
-transpose, the floors, the masks, the rank, the residues, x - F and
-x - (F + 1), a class's columns, the takes and the norms -- is a view of a
-buffer in ``_WS``, a grow-only workspace per thread, written with ``out=``.
-The buffers outlive the call: an allocator hands a large freed array back
-to the OS, and the next call would fault its pages in again, which cost
-more than the arithmetic.  Each is sized by the budgets, not by the
-samples, the shard size or the number of calls; verify_tiling states what
-a thread retains.  The kernels return views of the workspace, valid until
-the next call in the same thread.
+Only the float64 arrays of a block live in ``_WS``, a grow-only workspace
+per thread, written with ``out=``: the transpose XT, the floors F, the pair
+buffer (the samples as drawn, then rint and x - F, then x - F and
+x - (F + 1)), a class's columns, the takes and their norms.  They outlive
+the call because an allocator hands so large a freed array back to the
+OS, and a fresh one each block faulted its pages in again, at several
+times the cost of its arithmetic.  Each is sized by the budgets, not by
+the samples, the shard size or the number of calls; verify_tiling states
+what a thread retains.  Every other array -- the masks, the rank, the
+residues, the class order, the per-row distances and counts -- is a plain
+numpy array, new in each block, and so is every result but
+_locate_rows' F.
 
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
@@ -295,8 +296,8 @@ _BROADCAST_BUDGET = 1 << 18
 
 
 class _Workspace(threading.local):
-    """The arrays of the tiling kernels and of contains_batch, one grow-only
-    buffer per name and per thread.
+    """The float64 block arrays of the tiling kernels and the buffers of
+    contains_batch, one grow-only buffer per name and per thread.
 
     array() hands out a C-contiguous view of the named buffer and replaces
     the buffer only when the view needs more elements (or another dtype).
@@ -358,28 +359,15 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     for idx in np.flatnonzero(snapped):
         # its distance is d[idx] already: _locate_rows snaps as locate does
         count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
-
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
     # count != 1, a boundary row when d > 1 + eps or (count < 2 and
     # |d - 1| > eps)
-    single, mask, interior, far = _WS.array("status", (4, m), bool)
-    np.equal(count, 1, out=single)
-    np.logical_not(snapped, out=interior)
-    interior |= single
-    interior &= np.less(d, 1.0 - eps, out=mask)
-    wrong = np.logical_not(single, out=single)
-    wrong &= interior
-    bad = int(np.count_nonzero(wrong))
-    np.greater(d, 1.0 + eps, out=far)
-    d -= 1.0  # d is not read again
-    off = np.greater(np.abs(d, out=d), eps, out=mask)
-    off &= np.less(count, 2, out=wrong)
-    far |= off
-    far &= np.logical_not(interior, out=wrong)
-    bad += int(np.count_nonzero(far))
+    interior = (d < 1.0 - eps) & (~snapped | (count == 1))
+    far = (d > 1.0 + eps) | ((np.abs(d - 1.0) > eps) & (count < 2))
+    bad = np.where(interior, count != 1, far)
     n_interior = int(np.count_nonzero(interior))
-    return n_interior, m - n_interior, bad
+    return n_interior, m - n_interior, int(np.count_nonzero(bad))
 
 
 def _locate_rows(
@@ -393,17 +381,17 @@ def _locate_rows(
     d[j] to it, whether any coordinate of column j snapped to an integer,
     and the residues _floor_sum_residue(F), which _containing_counts takes
     on the same floors.  Each entry equals _fast_center's on the same point
-    while |x| <= 2^53, where the floors and x - F are exact.  All five are
-    workspace views, valid until the next call in the same thread.
+    while |x| <= 2^53, where the floors are exact and x - F rounds as
+    _fast_center's fractional parts do.  F is the workspace's, valid until
+    the next call in the same thread; the other four are new arrays.
     """
     n, m = XT.shape
-    # rint, then x - F, in the pair buffer, free until _containing_counts
-    # runs; near in the buffer of inc, which is written after the rank
-    scratch, R = _WS.array("pair", (2, n, m))
+    # rint, then x - F, in the pair buffer, free until _containing_counts runs
+    R = _WS.array("pair", (n, m))
     np.rint(XT, out=R)
     F = np.subtract(XT, R, out=_WS.array("F", (n, m)))
-    near = np.less_equal(np.abs(F, out=F), eps, out=_WS.array("inc", (n, m), bool))
-    snapped = np.logical_or.reduce(near, axis=0, out=_WS.array("snapped", (m,), bool))
+    near = np.abs(F, out=F) <= eps
+    snapped = near.any(axis=0)
     np.floor(XT, out=F)
     if snapped.any():
         np.copyto(F, R, where=near)
@@ -413,21 +401,21 @@ def _locate_rows(
     # column j raises the entries of rank >= k - 1; k - 1 is taken in the
     # rank's unsigned dtype, where k = 0 wraps to its maximum, above every
     # rank, so such a column raises none
-    km1 = np.subtract(k, 1, out=_WS.array("k-1", (m,), rank.dtype))
-    inc = np.greater_equal(rank, km1, out=_WS.array("inc", (n, m), bool))
-    # x - F is exact, so taking inc off it rounds once, to the same
-    # doubles as x - (F + inc) and as _fast_center's dist
+    inc = rank >= np.subtract(k, 1, dtype=rank.dtype)
+    # taking inc off x - F is _fast_center's inc - f negated, so d is its
+    # distance bit for bit.  x - F is not exact for x in (-1/2, -eps), where
+    # it is 1 - |x| rounded, so d can be an ulp from dist(F + inc, x)
     diffs -= inc
-    d = _norms(diffs, _WS.array("d", (m,)), scratch[0])
+    d = _norms(diffs)
     return F, inc, d, snapped, k
 
 
-def _norms(D: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _norms(D: np.ndarray) -> np.ndarray:
     """max(0, max D) - min(0, min D) over axis 0 of D: the norm of each
-    column, written into hi, with lo as scratch."""
-    np.maximum.reduce(D, axis=0, out=hi)
+    column."""
+    hi = np.maximum.reduce(D, axis=0)
     np.maximum(hi, 0.0, out=hi)
-    np.minimum.reduce(D, axis=0, out=lo)
+    lo = np.minimum.reduce(D, axis=0)
     np.minimum(lo, 0.0, out=lo)
     hi -= lo
     return hi
@@ -441,13 +429,11 @@ def _floor_sum_residue(F: np.ndarray) -> np.ndarray:
     spelled with floor division, which numpy vectorizes for a scalar
     divisor while its integer % is several times slower.
     """
-    n, m = F.shape
-    s, q = _WS.array("floor-sum", (2, m), np.int64)
-    np.add.reduce(F, axis=0, dtype=np.int64, out=s)
-    np.floor_divide(s, n + 1, out=q)
-    q *= n + 1
-    # s - q is in [0, n], so the cast is exact
-    return np.subtract(s, q, out=_WS.array("residue", (m,), np.min_scalar_type(n)), casting="unsafe")
+    n = len(F)
+    s = np.add.reduce(F, axis=0, dtype=np.int64)
+    s -= s // (n + 1) * (n + 1)
+    # s is in [0, n] now, so the cast is exact
+    return s.astype(np.min_scalar_type(n))
 
 
 def _stable_rank(f: np.ndarray) -> np.ndarray:
@@ -460,9 +446,9 @@ def _stable_rank(f: np.ndarray) -> np.ndarray:
     so rank i is written before an earlier row subtracts from it.
     """
     n, m = f.shape
-    rank = _WS.array("rank", (n, m), np.min_scalar_type(n))
+    rank = np.empty((n, m), np.min_scalar_type(n))
     rank[-1] = n - 1
-    smaller = _WS.array("later-smaller", (n - 1, m), bool)
+    smaller = np.empty((n - 1, m), bool)
     for i in range(n - 2, -1, -1):
         moves = np.less(f[i + 1 :], f[i], out=smaller[: n - 1 - i]).view(np.uint8)
         np.add.reduce(moves, axis=0, dtype=rank.dtype, out=rank[i], initial=i)
@@ -483,8 +469,7 @@ def _containing_counts(
     tested against the C(n, r) weight-r vectors only, and every one of them
     is tested: the count comes from evaluating dist, not from the sorted
     fractional parts the locator uses.  Complete whenever no coordinate
-    sits within eps of an integer.  A workspace view, valid until the next
-    call in the same thread.
+    sits within eps of an integer.
 
     No candidate x - (F + b) is ever built.  The kernel forms P0 = x - F
     and P1 = x - (F + 1) once per block, each in that order: x - F is not
@@ -529,15 +514,14 @@ def _containing_counts(
     block = _WS.array("class-pair", (2 * n * m,))
     taken = _WS.array("taken", (n * slab,))
     hi = _WS.array("norms", (slab,))
-    hit = _WS.array("hit", (slab,), bool)
-    found, count = _WS.array("count", (2, m), np.int64)
+    found = np.zeros(m, np.int64)
     # residues 0 and 1 are r = 0 and r = n: _norms of P0 and of P1.  mode
     # "clip" writes straight into out, where "raise" goes through a copy
     for s, Q in enumerate((P0, P1)):
         a, c = start[s], start[s + 1] - start[s]
         B = block[: n * c].reshape(n, c)
         Q.take(order[a : a + c], axis=1, out=B, mode="clip")
-        np.less_equal(_norms(B, hi[:c], taken[:c]), 1.0 + eps, out=found[a : a + c])
+        found[a : a + c] += _norms(B) <= 1.0 + eps
     for s in range(2, n + 1):
         a, c, r = start[s], start[s + 1] - start[s], n + 1 - s
         if c == 0:
@@ -555,12 +539,8 @@ def _containing_counts(
             B.take(index[:, t : t + kc], axis=0, out=T, mode="clip")
             h = np.maximum.reduce(T[: n - r], axis=0, out=hi[: kc * c].reshape(kc, c), initial=0.0)
             h -= np.minimum.reduce(T[n - r :], axis=0, out=T[0])
-            ok = np.less_equal(h, 1.0 + eps, out=hit[: kc * c].reshape(kc, c))
-            # count, not read until the scatter, holds a later take's hits
-            if t == 0:
-                np.add.reduce(ok, axis=0, out=found[a : a + c])
-            else:
-                found[a : a + c] += np.add.reduce(ok, axis=0, out=count[:c])
+            found[a : a + c] += np.add.reduce(h <= 1.0 + eps, axis=0)
+    count = np.empty_like(found)
     count[order] = found
     return count
 

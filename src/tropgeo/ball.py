@@ -21,7 +21,7 @@ from .core import (
     _norm,
     _Record,
     _as_dim,
-    _as_real,
+    _as_radius,
     _setfield,
     as_point,
     check_eps,
@@ -36,10 +36,7 @@ class Ball(_Record):
 
     def __init__(self, center: Point, radius: float = 1.0):
         _setfield(self, "center", as_point(center))
-        radius = _as_real(radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise DomainError("radius must be a positive real")
-        _setfield(self, "radius", radius)
+        _setfield(self, "radius", _as_radius(radius))
 
 
 def unit_ball(n: int) -> Ball:
@@ -93,7 +90,7 @@ _MAX_FACET_DIM = 800
 def _capped_dim(n, cap: int, what: str) -> int:
     n = _as_dim(n)
     if n > cap:
-        raise DomainError("%s are listed up to dimension %d, got %d" % (what, cap, n))
+        raise DomainError("%s up to dimension %d, got %d" % (what, cap, n))
     return n
 
 
@@ -114,7 +111,7 @@ def _vertices(n: int):
 def vertices(n: int) -> list[Point]:
     """The 2^(n+1) - 2 vertices as a list; DomainError above
     _MAX_VERTEX_DIM, where iter_vertices still runs."""
-    return list(iter_vertices(_capped_dim(n, _MAX_VERTEX_DIM, "vertices")))
+    return list(iter_vertices(_capped_dim(n, _MAX_VERTEX_DIM, "vertices are listed")))
 
 
 class FacetId(_Record):
@@ -149,7 +146,7 @@ class FacetId(_Record):
 def facets(n: int) -> list[FacetId]:
     """All n(n+1) facets, uppers then lowers then diff pairs; DomainError
     above _MAX_FACET_DIM."""
-    return list(_facets(_capped_dim(n, _MAX_FACET_DIM, "facets")))
+    return list(_facets(_capped_dim(n, _MAX_FACET_DIM, "facets are listed")))
 
 
 def _facets(n: int):

@@ -21,8 +21,10 @@ import sys
 import tropgeo as tg
 from .core import (
     DEFAULT_EPS,
+    DimensionMismatch,
     ParseError,
     TropgeoError,
+    _as_radius,
     check_eps,
     format_number,
     format_point,
@@ -196,16 +198,19 @@ def cmd_length(args):
 
 
 def cmd_circle_length(args):
-    if not 0 < args.radius < math.inf:  # also false for NaN
-        raise ParseError("radius must be positive and finite")
-    cx, cy = parse_point(args.center) if args.center else (0.0, 0.0)
+    # Ball's radius rule, which ball hrep applies, without loading ball
+    r = _as_radius(args.radius)
+    center = parse_point(args.center) if args.center else (0.0, 0.0)
+    if len(center) != 2:
+        raise DimensionMismatch("circles are planar only")
+    cx, cy = center
 
     def circle(t):
         ang = 2.0 * math.pi * t
-        return (cx + args.radius * math.cos(ang), cy + args.radius * math.sin(ang))
+        return (cx + r * math.cos(ang), cy + r * math.sin(ang))
 
     value = tg.curve_length(circle, tol=args.tol)
-    rec = {"op": "circle-length", "radius": format_number(args.radius), "value": format_number(value)}
+    rec = {"op": "circle-length", "radius": format_number(r), "value": format_number(value)}
     return [rec], _answer
 
 

@@ -115,6 +115,14 @@ def _as_real(value) -> float:
         return math.nan
 
 
+def _as_radius(value) -> float:
+    """A ball's radius: a positive finite real, else DomainError."""
+    radius = _as_real(value)
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError("radius must be a positive real")
+    return radius
+
+
 def _same_dim(px: Point, py: Point) -> None:
     if len(px) != len(py):
         raise DimensionMismatch(

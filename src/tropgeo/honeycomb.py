@@ -32,14 +32,13 @@ from .core import (
     Point,
     TropgeoError,
     _Record,
-    _as_dim,
     _as_int,
     _as_real,
     _setfield,
     as_point,
     check_eps,
 )
-from .ball import Ball, hrep, _HEX_RING
+from .ball import Ball, hrep, _HEX_RING, _capped_dim
 
 Center = tuple[int, ...]
 
@@ -71,7 +70,7 @@ class LocateResult(_Record):
     ``center`` is the fast-path center; ``status`` is "interior" or
     "boundary"; ``all_centers`` lists every center whose closed ball
     contains the point (just one in the interior case); ``distance`` is
-    dist(center, x).
+    dist(center, x), up to an ulp (see _fast_center).
     """
 
     __slots__ = ("center", "status", "all_centers", "distance")
@@ -86,13 +85,15 @@ class LocateResult(_Record):
 
 
 def _fast_center(x, eps: float):
-    """Case analysis on floors: returns (center, dist(center, x), snapped_any).
+    """Case analysis on floors: returns (center, distance, snapped_any).
 
     A coordinate within eps of an integer takes that integer as its floor,
     the others math.floor; k = (sum of floors) mod (n+1) says how many to
     raise.  The distance is the norm of the 0/1 raises c minus the
-    fractional parts f = x - floors, both exact, so it is exact at every
-    magnitude.  It is read from the extreme fractional parts, not from all
+    fractional parts f = x - floors.  f is exact but for x in (-1/2, -eps),
+    where it is 1 - |x| rounded, so the distance can be an ulp from
+    dist(center, x): at x = (-0.3,) it is 0.30000000000000004, and dist
+    gives 0.3.  It is read from the extreme fractional parts, not from all
     n deltas: fl(c - f) falls as f grows, so the largest delta of the
     raised coordinates is 1 - (their least f), and the smallest is
     1 - (their greatest f), and likewise 0 - f for the kept ones.  The sort
@@ -208,9 +209,16 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
     return LocateResult(c, status, tuple(all_centers), d)
 
 
+# The largest dimension whose basis is listed, n vectors of n ints, so
+# that the list stays under about 64 MB: it takes 59.5 MiB at n = 2800, as
+# ball's listing caps were measured (the process's peak RSS).
+_MAX_BASIS_DIM = 2800
+
+
 def lattice_basis(n: int) -> list[Center]:
-    """A basis of the tiling lattice: e_i - e_{i+1} and (n+1) e_n."""
-    n = _as_dim(n)
+    """A basis of the tiling lattice: e_i - e_{i+1} and (n+1) e_n;
+    DomainError above _MAX_BASIS_DIM."""
+    n = _capped_dim(n, _MAX_BASIS_DIM, "basis vectors are listed")
     basis = []
     for i in range(n - 1):
         v = [0] * n
@@ -305,6 +313,11 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
 # Memory is bounded by _batch's block budget, not by the shard.
 _SHARD_SIZE = 65_536
 
+# The largest n that verify_tiling checks: its count caches one take index
+# per weight class, n C(n, r) bytes, so n 2^n over all classes, which is
+# 42 MiB at n = 21 and would pass about 64 MB at n = 22.
+_MAX_TILING_DIM = 21
+
 
 class TilingReport(_Record):
     """Summary of a randomized covering/disjointness check."""
@@ -353,17 +366,20 @@ def verify_tiling(
     distances as the fast path of ``locate``.
 
     Memory does not grow with samples, C(n, r) or the number of calls: a
-    thread keeps its arrays in a workspace sized by the block budgets of
-    _batch, so a call after the first maps in no new pages.  A thread
-    retains about 7 MiB of address space after the benchmark's sizes at
-    n = 3, 6 and 9, and at most about 14 MiB, at n = 1.  Threads may call
-    this at once; each has its own workspace.
+    thread keeps its float64 block arrays in a workspace sized by the block
+    budgets of _batch, so a call after the first maps in few new pages.  A
+    thread retains about 5.9 MiB of address space after the benchmark's
+    sizes at n = 3, 6 and 9, and at most 9 MiB, at n = 2, whose blocks are
+    the largest at this shard size.  Threads may call this at once; each
+    has its own workspace.
 
     n, samples and seed must be integers (anything ``operator.index``
     takes), and seed nonnegative, and box_halfwidth a real number; other
-    values raise DomainError.
+    values raise DomainError.  So does n above _MAX_TILING_DIM, past which
+    the cached candidate index of all weight classes, n 2^n bytes, would
+    pass about 64 MB.
     """
-    n = _as_dim(n)
+    n = _capped_dim(n, _MAX_TILING_DIM, "tiling checks run")
     samples = _as_int("samples", samples)
     seed = _as_int("seed", seed)
     box_halfwidth = _as_real(box_halfwidth)

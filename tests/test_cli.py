@@ -110,16 +110,31 @@ def test_circle_length(capsys):
 
 
 def test_circle_length_rejects_bad_radius(capsys):
+    # Ball's radius rule, the one ball hrep applies
     code, _, err = run(capsys, "circle-length", "--radius", "-1")
-    assert code == 2
-    assert "radius" in err
+    assert code == 1
+    assert err == "error: radius must be a positive real\n"
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
 def test_circle_length_rejects_non_finite_radius(capsys, radius):
     code, out, err = run(capsys, "circle-length", "--radius=" + radius)
-    assert (code, out) == (2, "")
-    assert err == "error: radius must be positive and finite\n"
+    assert (code, out) == (1, "")
+    assert err == "error: radius must be a positive real\n"
+
+
+@pytest.mark.parametrize("center", ["0", "1,2,3"])
+def test_circle_length_rejects_a_center_that_is_not_planar(capsys, center):
+    code, out, err = run(capsys, "circle-length", "--radius", "1", "--center", center)
+    assert (code, out) == (1, "")
+    assert err == "error: circles are planar only\n"
+
+
+def test_circle_length_takes_a_center(capsys):
+    # a translate of the circle has the same length
+    _, at_origin, _ = run(capsys, "circle-length", "--radius", "2")
+    code, out, _ = run(capsys, "circle-length", "--radius", "2", "--center", "1,-3")
+    assert (code, out) == (0, at_origin)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
@@ -420,6 +435,24 @@ def test_ball_listing_above_its_cap_is_a_domain_error(capsys, listing, dim, cap)
     code, out, err = run(capsys, "ball", listing, "--dim", dim)
     assert (code, out) == (1, "")
     assert err == "error: %s are listed up to dimension %d, got %s\n" % (listing, cap, dim)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["honeycomb", "verify", "--dim", "22"], "tiling checks run up to dimension 21, got 22"),
+        (["honeycomb", "verify", "--dim", "9007199254740993", "--samples", "1"],
+         "tiling checks run up to dimension 21, got 9007199254740993"),
+        (["honeycomb", "basis", "--dim", "9007199254740993"],
+         "basis vectors are listed up to dimension 2800, got 9007199254740993"),
+    ],
+    ids=["verify", "verify-huge", "basis-huge"],
+)
+def test_honeycomb_dimension_above_its_cap_is_a_domain_error(capsys, argv, err):
+    # one error line, where a MemoryError traceback was
+    code, out, got = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert got == "error: %s\n" % err
 
 
 def test_hull_overflow_is_a_domain_error(capsys):

@@ -1,7 +1,9 @@
 import itertools
 import logging
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -588,6 +590,17 @@ def test_lattice_basis():
         assert det == n + 1
 
 
+def test_lattice_basis_is_capped_at_about_64_mb():
+    # the cap is a dimension whose whole list fits; one above raises before
+    # anything is built, at any size
+    cap = honeycomb._MAX_BASIS_DIM
+    assert len(tg.lattice_basis(cap)) == cap
+    for n in (cap + 1, 2**53 + 1):
+        with pytest.raises(tg.DomainError) as exc:
+            tg.lattice_basis(n)
+        assert str(exc.value) == "basis vectors are listed up to dimension %d, got %d" % (cap, n)
+
+
 def test_hex_basis_spans_the_same_lattice():
     assert tg.spans_same_lattice(tg.lattice_basis(2), HEX_BASIS_2D)
     assert tg.spans_same_lattice(HEX_BASIS_2D, ((1, -1), (0, 3)))
@@ -631,6 +644,17 @@ def test_verify_tiling_crosses_shard_boundaries(monkeypatch):
     rep = tg.verify_tiling(2, box_halfwidth=5.0, samples=3000, seed=3)
     assert rep.mismatches == 0
     assert rep.interior + rep.boundary == 3000
+
+
+def test_verify_tiling_is_capped_where_its_candidate_index_passes_64_mb():
+    # n 2^n bytes of take index over all weight classes: 42 MiB at the cap
+    cap = honeycomb._MAX_TILING_DIM
+    assert cap * 2**cap < 64 * 10**6 < (cap + 1) * 2 ** (cap + 1)
+    assert tg.verify_tiling(cap, samples=0).samples == 0
+    for n in (cap + 1, 2**53 + 1):
+        with pytest.raises(tg.DomainError) as exc:
+            tg.verify_tiling(n, samples=1)
+        assert str(exc.value) == "tiling checks run up to dimension %d, got %d" % (cap, n)
 
 
 def test_verify_tiling_rejects_bad_arguments():
@@ -864,7 +888,7 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
         X = _count_cases(n, rng)[::10]
         XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
         k = _batch._floor_sum_residue(FT)
-        # the result is a workspace view that the next call overwrites
+        # the result is a new array; the copy is only a precaution
         want = _batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS).copy()
         monkeypatch.setattr(_batch, "_BROADCAST_BUDGET", 2 * n)
         assert np.array_equal(_batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS), want)
@@ -1017,8 +1041,49 @@ def test_verify_tiling_workspace_is_bounded_by_the_budget(monkeypatch):
         sizes = _in_fresh_thread(lambda: retained(n))
         # once a full block has been checked, nothing grows
         assert len(set(sizes[2:])) == 1
-        # n = 1 has the most rows per block, and reserves about 14.25 MiB
+        # n = 1 has the most rows per block and reserves 8 MiB, n = 3 about
+        # 8.67 MiB, since its takes hold up to three candidates
         assert max(sizes) <= 20 * 8 * _batch._TILING_BUDGET
+
+
+def test_batch_results_share_no_memory_with_the_workspace():
+    # only the block's float64 arrays live in the workspace; what the kernels
+    # hand back per row is new, so no later block can overwrite it
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        XT = _count_cases(n, rng).T.copy()
+        F, inc, d, snapped, k = _batch._locate_rows(XT, tg.DEFAULT_EPS)
+        count = _batch._containing_counts(XT, F, k, tg.DEFAULT_EPS)
+        for out in (inc, d, snapped, k, count):
+            assert not any(np.shares_memory(out, buf) for buf in _batch._WS.buffers.values())
+
+
+# the benchmark's tiling loop in a fresh interpreter, so that no earlier
+# test's memory decides where the allocator puts the plain arrays: it prints
+# the minor page faults per call once the workspace is warm
+TILING_FAULTS = (
+    "import resource, tropgeo as tg\n"
+    "sizes = [(3, 24_000), (6, 3_400), (9, 480)]\n"
+    "def run(calls):\n"
+    "    for i in range(calls):\n"
+    "        n, samples = sizes[i % 3]\n"
+    "        tg.verify_tiling(n, samples=samples, seed=i)\n"
+    "run(30)\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "run(150)\n"
+    "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 150)\n"
+)
+
+
+def test_verify_tiling_maps_in_no_pages_once_warm():
+    # the workspace's purpose: a fresh float64 block array each call faulted
+    # its pages in again
+    src = os.path.dirname(os.path.dirname(tg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TILING_FAULTS], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2
 
 
 def test_batch_engine_agrees_with_scalar_locate():

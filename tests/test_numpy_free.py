@@ -106,6 +106,19 @@ def test_a_batch_command_fails_with_numpy_unimportable():
     assert "numpy" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["honeycomb", "verify", "--dim", "9007199254740993", "--samples", "1"],
+     ["honeycomb", "basis", "--dim", "9007199254740993"]],
+    ids=["verify", "basis"],
+)
+def test_a_dimension_above_its_cap_fails_before_numpy_loads(argv):
+    # one error line, where a MemoryError traceback was
+    proc = python("-c", BLOCKED_CLI, *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.parametrize("argv", BATCH_EXAMPLES, ids=" ".join)
 def test_batch_commands_run_with_numpy(capsys, argv):
     proc = python("-m", "tropgeo.cli", *argv)
@@ -130,6 +143,13 @@ def test_batch_commands_run_with_numpy(capsys, argv):
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+
+def test_circle_length_loads_neither_ball_nor_numpy():
+    # it reads the radius by Ball's rule, which lives in core
+    proc = python("-c", LOADED_BY_CLI, "tropgeo.ball tropgeo.honeycomb numpy",
+                  "circle-length", "--radius", "1")
     assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
 
 
