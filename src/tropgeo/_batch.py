@@ -16,14 +16,17 @@ _TILING_BUDGET // n rows and works on each block as one coordinate-major
 axis: the batch locator takes the floors, their sum mod n+1 and a stable
 rank of the fractional parts, one comparison of each coordinate against all
 later ones, and the count evaluates only the floor-plus-0/1 candidates that
-are lattice points (see _containing_counts).
+are lattice points (see _containing_counts).  The fractional parts x - F
+are formed once per block, by the locator, before any snap test: they
+decide which entries take the exact test, they are what the rank sorts,
+and the count reads them as its P0.
 
 Only the float64 arrays of a block live in ``_WS``, a grow-only workspace
 per thread, written with ``out=``: the transpose XT, the floors F, the pair
-buffer (the samples as drawn, then rint and x - F, then x - F and
-x - (F + 1)), a class's columns, the takes and their norms.  They outlive
-the call because an allocator hands so large a freed array back to the
-OS, and a fresh one each block faulted its pages in again, at several
+buffer (the samples as drawn, then x - F beside x - F - inc, then x - F
+beside x - (F + 1)), a class's columns, the takes and their norms.  They
+outlive the call because an allocator hands so large a freed array back to
+the OS, and a fresh one each block faulted its pages in again, at several
 times the cost of its arithmetic.  Each is sized by the budgets, not by
 the samples, the shard size or the number of calls; verify_tiling states
 what a thread retains.  Every other array -- the masks, the rank, the
@@ -66,6 +69,7 @@ import threading
 import numpy as np
 
 from .core import DimensionMismatch, DomainError
+from .honeycomb import _SNAP_MARGIN
 
 
 def _close_bounds(lower, upper, diff):
@@ -353,7 +357,8 @@ def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
     XT = _WS.array("XT", (n, m))
     np.copyto(XT, X.T)
     F, _, d, snapped, k = _locate_rows(XT, eps)
-    count = _containing_counts(XT, F, k, eps)
+    # x - F, formed once by the locator, is the count's P0
+    count = _containing_counts(XT, F, _WS.array("pair", (2, n, m)), k, eps)
     # rows with a coordinate within eps of an integer are not complete in the
     # floor-plus-0/1 count, so scalar locate answers for them
     for idx in np.flatnonzero(snapped):
@@ -384,20 +389,42 @@ def _locate_rows(
     while |x| <= 2^53, where the floors are exact and x - F rounds as
     _fast_center's fractional parts do.  F is the workspace's, valid until
     the next call in the same thread; the other four are new arrays.
+
+    As in _fast_center, the floors and x - F come first, and only an entry
+    whose x - F lies within eps + _SNAP_MARGIN of 0 or of 1 takes the exact
+    test |x - rint(x)| <= eps.  fl(x - floor x) is within 2^-54 of the
+    exact value, so no other entry lies within eps of an integer (see
+    _fast_center for the margin), and in a block with no flagged entry the
+    test costs two comparisons per entry.  An entry that snaps takes rint(x)
+    as its floor and x - rint(x) as its x - F; every other entry, flagged
+    or not, keeps the floor and x - F already formed.
+
+    x - F is left in the first half of the workspace's (2, n, m) pair
+    buffer, where _containing_counts reads it as P0, and d is taken from
+    x - F - inc in the second half, which the count overwrites.
     """
     n, m = XT.shape
-    # rint, then x - F, in the pair buffer, free until _containing_counts runs
-    R = _WS.array("pair", (n, m))
-    np.rint(XT, out=R)
-    F = np.subtract(XT, R, out=_WS.array("F", (n, m)))
-    near = np.abs(F, out=F) <= eps
-    snapped = near.any(axis=0)
-    np.floor(XT, out=F)
-    if snapped.any():
-        np.copyto(F, R, where=near)
+    F = np.floor(XT, out=_WS.array("F", (n, m)))
+    P0, D = _WS.array("pair", (2, n, m))
+    np.subtract(XT, F, out=P0)
+    near = eps + _SNAP_MARGIN
+    flag = np.less_equal(P0, near)
+    flag |= np.greater_equal(P0, 1.0 - near)
+    snapped = np.zeros(m, bool)
+    if flag.any():
+        # the flat indices of the flagged entries, and their x - rint(x)
+        at = np.flatnonzero(flag)
+        x = XT.take(at)
+        r = np.rint(x)
+        x -= r
+        hit = np.abs(x) <= eps
+        at = at[hit]
+        # a snapped entry's floor is rint(x), so its x - F is x - rint(x)
+        F.put(at, r[hit])
+        P0.put(at, x[hit])
+        snapped[at % m] = True
     k = _floor_sum_residue(F)
-    diffs = np.subtract(XT, F, out=R)
-    rank = _stable_rank(diffs)
+    rank = _stable_rank(P0)
     # column j raises the entries of rank >= k - 1; k - 1 is taken in the
     # rank's unsigned dtype, where k = 0 wraps to its maximum, above every
     # rank, so such a column raises none
@@ -405,8 +432,7 @@ def _locate_rows(
     # taking inc off x - F is _fast_center's inc - f negated, so d is its
     # distance bit for bit.  x - F is not exact for x in (-1/2, -eps), where
     # it is 1 - |x| rounded, so d can be an ulp from dist(F + inc, x)
-    diffs -= inc
-    d = _norms(diffs)
+    d = _norms(np.subtract(P0, inc, out=D))
     return F, inc, d, snapped, k
 
 
@@ -457,24 +483,27 @@ def _stable_rank(f: np.ndarray) -> np.ndarray:
 
 
 def _containing_counts(
-    XT: np.ndarray, FT: np.ndarray, k: np.ndarray, eps: float
+    XT: np.ndarray, FT: np.ndarray, pair: np.ndarray, k: np.ndarray, eps: float
 ) -> np.ndarray:
     """Per column of XT, the number of tiling centers F + b, b in {0,1}^n,
     within 1 + eps.
 
     XT holds m points as columns, shape (n, m), FT their floors and k the
-    residues _floor_sum_residue(FT), as _locate_rows returns them.  F + b
-    has coordinate sum divisible by n+1 exactly when the weight |b| equals
-    r = (-sum F) mod (n+1), because |b| lies in [0, n].  So each point is
-    tested against the C(n, r) weight-r vectors only, and every one of them
-    is tested: the count comes from evaluating dist, not from the sorted
-    fractional parts the locator uses.  Complete whenever no coordinate
-    sits within eps of an integer.
+    residues _floor_sum_residue(FT), as _locate_rows returns them.  pair is
+    a C-contiguous (2, n, m) array whose first half holds x - F, where
+    _locate_rows leaves it in the workspace; its second half is scratch,
+    and is overwritten.  F + b has coordinate sum divisible by n+1 exactly
+    when the weight |b| equals r = (-sum F) mod (n+1), because |b| lies in
+    [0, n].  So each point is tested against the C(n, r) weight-r vectors
+    only, and every one of them is tested: the count comes from evaluating
+    dist, not from the sorted fractional parts the locator uses.  Complete
+    whenever no coordinate sits within eps of an integer.
 
-    No candidate x - (F + b) is ever built.  The kernel forms P0 = x - F
-    and P1 = x - (F + 1) once per block, each in that order: x - F is not
-    exact for x in (-1, 0), so (x - F) - 1 could round twice.  For a
-    candidate with raised set S, 0 < |S| < n, the norm of x - (F + b) is
+    No candidate x - (F + b) is ever built.  P0 = x - F comes formed, and
+    the kernel forms P1 = x - (F + 1) once per block, in that order: x - F
+    is not exact for x in (-1/2, 0), so (x - F) - 1 could round twice.
+    For a candidate with raised set S, 0 < |S| < n, the norm of
+    x - (F + b) is
 
         max(0, max_{i not in S} P0_i) - min_{i in S} P1_i
 
@@ -505,8 +534,7 @@ def _containing_counts(
     # r = (-s) mod (n+1), is order[start[s]:start[s + 1]]
     order = k.argsort(kind="stable")
     start = [*np.searchsorted(k, np.arange(n + 1, dtype=k.dtype), sorter=order).tolist(), m]
-    P0, P1 = pair = _WS.array("pair", (2, n, m))
-    np.subtract(XT, FT, out=P0)
+    P0, P1 = pair
     np.subtract(XT, np.add(FT, 1.0, out=P1), out=P1)
     # one request per buffer, for the largest class and take of m rows
     most = min(max(1, _BROADCAST_BUDGET // n), math.comb(n, n // 2))

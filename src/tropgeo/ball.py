@@ -63,14 +63,15 @@ def contains(ball: Ball, x, eps: float = DEFAULT_EPS) -> bool:
 
 
 def hrep(ball: Ball, eps: float = DEFAULT_EPS):
-    """Ball as a canonical GeodesicRegion (already tight as written)."""
+    """Ball as a canonical GeodesicRegion (already tight as written);
+    DomainError above _MAX_HREP_DIM."""
     # geodesy loads here, on the first region: the ball decompositions and
     # locate build none
     from .geodesy import GeodesicRegion
 
     c = ball.center
     r = ball.radius
-    n = len(c)
+    n = _hrep_dim(len(c))
     lo = tuple(v - r for v in c)
     up = tuple(v + r for v in c)
     diff = [
@@ -92,6 +93,19 @@ def _capped_dim(n, cap: int, what: str) -> int:
     if n > cap:
         raise DomainError("%s up to dimension %d, got %d" % (what, cap, n))
     return n
+
+
+# The largest dimension of a ball written as a bound system.  Its region
+# holds n^2 difference bounds as float tuples, about 61 MiB at n = 800 (the
+# process's peak RSS above the interpreter with numpy loaded), and its
+# closure is O(n^3), about 0.8 s there on a 2-core host.
+_MAX_HREP_DIM = 800
+
+
+def _hrep_dim(n) -> int:
+    """n checked as hrep's dimension: DomainError below 1 or above
+    _MAX_HREP_DIM."""
+    return _capped_dim(n, _MAX_HREP_DIM, "balls are written as bound systems")
 
 
 def iter_vertices(n: int):

@@ -278,6 +278,10 @@ def cmd_ball_facets(args):
 
 
 def cmd_ball_hrep(args):
+    from .ball import _hrep_dim
+
+    # hrep's dimension check, before (0.0,) * dim is built
+    _hrep_dim(args.dim)
     center = parse_point(args.center) if args.center else (0.0,) * args.dim
     if len(center) != args.dim:
         raise ParseError("--center does not match --dim")

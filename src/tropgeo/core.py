@@ -65,7 +65,13 @@ def as_point(coords) -> Point:
     """Validate a coordinate sequence and return it as a float tuple.
 
     A coordinate that float() rejects, such as "a", None or 10**400, raises
-    DomainError.
+    DomainError, and so does an infinite or NaN one.
+
+    Finiteness is read from one sum s: s - s is 0.0 only when s is finite,
+    and s is inf or NaN whenever a coordinate is, since an inf or a NaN
+    survives every addition.  A sum that overflows from finite coordinates
+    fails the test too, so the per-coordinate check decides; it accepts and
+    rejects the same points, with the same message, as it does alone.
     """
     try:
         pt = tuple(map(float, coords))
@@ -73,7 +79,8 @@ def as_point(coords) -> Point:
         raise DomainError("a point must be a sequence of real numbers: %s" % exc) from None
     if not pt:
         raise DomainError("a point needs at least one coordinate")
-    if not all(map(math.isfinite, pt)):
+    s = sum(pt)
+    if s - s != 0.0 and not all(map(math.isfinite, pt)):
         raise DomainError("coordinates must be finite, got %r" % (pt,))
     return pt
 

@@ -84,6 +84,12 @@ class LocateResult(_Record):
         _setfield(self, "distance", distance)
 
 
+# Margin of the snap filter in _fast_center and _batch._locate_rows: a
+# point whose fractional parts all lie in (eps + _SNAP_MARGIN,
+# 1 - eps - _SNAP_MARGIN) has no coordinate within eps of an integer.
+_SNAP_MARGIN = 2.0**-50
+
+
 def _fast_center(x, eps: float):
     """Case analysis on floors: returns (center, distance, snapped_any).
 
@@ -102,21 +108,43 @@ def _fast_center(x, eps: float):
     delta is -0.0 (0 - 0.0 and 1 - 1.0 are +0.0), so the max and min of
     those four with 0.0 are the very doubles that max and min of all n
     deltas give, and the last subtraction is the one _dist makes.
+
+    The floors and f come first, and the exact snap test |x - round(x)| <= eps
+    runs only on a coordinate whose f is within eps + _SNAP_MARGIN of 0 or
+    of 1.  fl(x - floor x) is within 2^-54 of the exact f for every double:
+    it is exact (Sterbenz) but for x in (-1/2, 0), where x + 1 rounds in
+    (1/2, 1).  The thresholds eps + 2^-50 and 1 minus it round by at most
+    2^-55 and 2^-54, so a computed f strictly between them leaves the exact
+    f more than 2^-50 - 2^-52 > 0 inside (eps, 1 - eps): that coordinate is
+    more than eps from both neighbouring integers and cannot snap.  A
+    skipped test would have failed, so the floors, center, distance bits
+    and flag are those of rounding every coordinate first, and a point
+    with a flagged coordinate keeps the floors of those that do not snap.
     """
-    sub = operator.sub
-    R = list(map(round, x))
-    snapped = min(map(abs, map(sub, x, R))) <= eps
-    if snapped:
-        floors = [r if abs(v - r) <= eps else math.floor(v) for v, r in zip(x, R)]
-    else:
-        floors = list(map(math.floor, x))
+    floors = list(map(math.floor, x))
+    fracs = list(map(operator.sub, x, floors))
+    lo, hi = min(fracs), max(fracs)
+    near = eps + _SNAP_MARGIN
+    far = 1.0 - near
+    snapped = False
+    if lo <= near or hi >= far:
+        for i, f in enumerate(fracs):
+            if near < f < far:
+                continue
+            v = x[i]
+            r = round(v)
+            if abs(v - r) <= eps:
+                snapped = True
+                floors[i] = r
+                fracs[i] = v - r
+        if snapped:
+            lo, hi = min(fracs), max(fracs)
     n = len(x)
     k = sum(floors) % (n + 1)
-    fracs = list(map(sub, x, floors))
     if k < 2:
         # raise none (k = 0) or all (k = 1): one delta k - f per coordinate
         center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
-        d = max(k - min(fracs), 0.0) - min(k - max(fracs), 0.0)
+        d = max(k - lo, 0.0) - min(k - hi, 0.0)
         return center, d, snapped
     # raise all but the k - 1 with the smallest fractional parts (a stable
     # sort breaks ties by index): order[:k-1] are kept, order[k-1:] raised
@@ -124,8 +152,8 @@ def _fast_center(x, eps: float):
     raised = [1] * n
     for i in order[: k - 1]:
         raised[i] = 0
-    d = max(1 - fracs[order[k - 1]], 0 - fracs[order[0]], 0.0) - min(
-        0 - fracs[order[k - 2]], 1 - fracs[order[-1]], 0.0
+    d = max(1 - fracs[order[k - 1]], 0 - lo, 0.0) - min(
+        0 - fracs[order[k - 2]], 1 - hi, 0.0
     )
     return tuple(map(operator.add, floors, raised)), d, snapped
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -208,6 +209,42 @@ def fast_center_oracle(x, eps: float):
         for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
             raised[i] = 0
     return tuple(f + b for f, b in zip(floors, raised)), _dist(raised, fracs), snapped
+
+
+def snap_by_rounding(x, eps: float):
+    """(floors, snapped) of fast_center_rounding_oracle: every coordinate
+    rounded, and one within eps of its nearest integer floored to it."""
+    R = list(map(round, x))
+    snapped = min(map(abs, map(operator.sub, x, R))) <= eps
+    if snapped:
+        floors = [r if abs(v - r) <= eps else math.floor(v) for v, r in zip(x, R)]
+    else:
+        floors = list(map(math.floor, x))
+    return floors, snapped
+
+
+def fast_center_rounding_oracle(x, eps: float):
+    """honeycomb._fast_center before its snap filter: it rounds every
+    coordinate and measures |x - round(x)| before it takes any floor.  The
+    reference rule that the filtered decoder, scalar and batch, must match
+    bit for bit on every point: center, snapped flag and distance bytes."""
+    sub = operator.sub
+    floors, snapped = snap_by_rounding(x, eps)
+    n = len(x)
+    k = sum(floors) % (n + 1)
+    fracs = list(map(sub, x, floors))
+    if k < 2:
+        center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
+        d = max(k - min(fracs), 0.0) - min(k - max(fracs), 0.0)
+        return center, d, snapped
+    order = sorted(range(n), key=fracs.__getitem__)
+    raised = [1] * n
+    for i in order[: k - 1]:
+        raised[i] = 0
+    d = max(1 - fracs[order[k - 1]], 0 - fracs[order[0]], 0.0) - min(
+        0 - fracs[order[k - 2]], 1 - fracs[order[-1]], 0.0
+    )
+    return tuple(map(operator.add, floors, raised)), d, snapped
 
 
 def locate_enumeration_oracle(x, eps=tg.DEFAULT_EPS):

@@ -113,6 +113,20 @@ def test_a_listing_is_capped_at_about_64_mb(listing, cap):
             listing.__name__, cap, n)
 
 
+def test_hrep_is_capped_at_about_64_mb(monkeypatch):
+    # the region and its O(n^3) closure at the cap itself are too slow for
+    # tier-1, so a lowered cap shows where the check sits
+    for n in (801, 10**6):
+        with pytest.raises(tg.DomainError) as exc:
+            tg.hrep(tg.Ball((0.0,) * n))
+        assert str(exc.value) == (
+            "balls are written as bound systems up to dimension 800, got %d" % n)
+    monkeypatch.setattr(ball, "_MAX_HREP_DIM", 3)
+    assert tg.hrep(tg.unit_ball(3)) == tg.hull(tg.units(3))
+    with pytest.raises(tg.DomainError):
+        tg.hrep(tg.unit_ball(4))
+
+
 def test_iter_vertices_has_no_cap():
     it = iter_vertices(30)
     assert next(it) == (0.0,) * 29 + (1.0,)

@@ -437,6 +437,16 @@ def test_ball_listing_above_its_cap_is_a_domain_error(capsys, listing, dim, cap)
     assert err == "error: %s are listed up to dimension %d, got %s\n" % (listing, cap, dim)
 
 
+@pytest.mark.parametrize("dim", ["801", "9007199254740993"])
+def test_ball_hrep_above_its_cap_is_a_domain_error(capsys, dim):
+    # one error line, before the center is built, where a MemoryError
+    # traceback was
+    code, out, err = run(capsys, "ball", "hrep", "--dim", dim)
+    assert (code, out) == (1, "")
+    cap = "balls are written as bound systems up to dimension 800"
+    assert err == "error: %s, got %s\n" % (cap, dim)
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -232,6 +232,12 @@ AS_POINT_INPUTS = {
     "generator": lambda: (v / 2 for v in range(3)),
     "numpy row": lambda: np.arange(6.0).reshape(2, 3)[1],
     "ints": lambda: [1, -2, 3],
+    # sums that overflow to +-inf, so the per-coordinate check decides
+    "sum overflows": lambda: (1e308, 1e308),
+    "sum overflows down": lambda: (-1e308, -1e308, 5.0),
+    "nan alone": lambda: (math.nan,),
+    "inf - inf": lambda: (math.inf, -math.inf),
+    "1e308 + inf": lambda: (1e308, math.inf),
 }
 
 

@@ -26,7 +26,9 @@ from helpers import (
     dist_oracle,
     facet_neighbors_oracle,
     fast_center_oracle,
+    fast_center_rounding_oracle,
     locate_enumeration_oracle,
+    snap_by_rounding,
     stable_rank_oracle,
     tiling_report_oracle,
 )
@@ -728,11 +730,20 @@ def _snapped_floors(X, eps):
     return np.floor(np.where(np.abs(X - R) <= eps, R, X))
 
 
+def _pair_buffer(XT, FT):
+    """A (2, n, m) pair buffer whose first half holds x - F, as _locate_rows
+    leaves it for _containing_counts."""
+    pair = np.empty((2,) + XT.shape)
+    np.subtract(XT, FT, out=pair[0])
+    return pair
+
+
 def _counts(X, F, eps):
     """_containing_counts on the (m, n) rows X with floors F, given the
-    residues as _locate_rows hands them over."""
+    residues and x - F as _locate_rows hands them over."""
     XT, FT = X.T.copy(), F.T.copy()
-    return _batch._containing_counts(XT, FT, _batch._floor_sum_residue(FT), eps)
+    k = _batch._floor_sum_residue(FT)
+    return _batch._containing_counts(XT, FT, _pair_buffer(XT, FT), k, eps)
 
 
 def _count_cases(n, rng):
@@ -778,6 +789,82 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
             assert tuple(centers[j]) == c
             assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
             assert bool(snapped[j]) == sj
+
+
+SNAP_FILTER_EPS = [5e-324, 1e-300, 1e-9, 0.2]
+
+
+def _snap_filter_points(n, eps, rng, count=300):
+    """count points of dimension n against the decoder's snap filter.
+
+    A coordinate is an integer plus one of 0, 5e-324, 1e-300, 2^-50,
+    eps (1 +- 2^-40), eps, eps + 2^-50 and its neighbours, either sign; or
+    uniform in (-1/2, 0), where x - floor(x) rounds; or +-[2^51, 2^53],
+    where a float holds at most a half; or uniform in (-10, 10).
+    """
+    near = eps + 2.0**-50
+    offsets = [0.0, 5e-324, 1e-300, 2.0**-50, eps]
+    offsets += [eps * (1 + 2.0**-40), eps * (1 - 2.0**-40)]
+    offsets += [near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)]
+    offsets += [-v for v in offsets]
+    bases = [0, 1, -1, 2, -3, 7, 2**20, -(2**40)]
+    pts = []
+    for _ in range(count):
+        coords = []
+        for kind in rng.choice(4, n, p=[0.5, 0.2, 0.1, 0.2]):
+            if kind == 0:
+                coords.append(int(rng.choice(bases)) + float(rng.choice(offsets)))
+            elif kind == 1:
+                coords.append(-0.5 * float(rng.random()))
+            elif kind == 2:
+                coords.append(float(rng.choice([-1, 1]) * rng.uniform(2.0**51, 2.0**53)))
+            else:
+                coords.append(float(rng.uniform(-10, 10)))
+        pts.append(tuple(coords))
+    return pts
+
+
+@pytest.mark.parametrize("eps", SNAP_FILTER_EPS)
+def test_fast_center_matches_the_rounding_rule_bit_for_bit(eps):
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 8, 12):
+        for x in _snap_filter_points(n, eps, rng):
+            c, d, snapped = honeycomb._fast_center(x, eps)
+            wc, wd, wsnapped = fast_center_rounding_oracle(x, eps)
+            # repr tells an int center from a float one
+            assert repr((c, snapped)) == repr((wc, wsnapped)), x
+            assert np.float64(d).tobytes() == np.float64(wd).tobytes(), x
+
+
+@pytest.mark.parametrize("eps", SNAP_FILTER_EPS)
+def test_batch_locator_matches_the_rounding_rule_bit_for_bit(eps):
+    rng = np.random.default_rng(2029)
+    for n in (1, 2, 3, 5, 8, 12):
+        pts = _snap_filter_points(n, eps, rng)
+        F, inc, d, snapped, k = _batch._locate_rows(np.array(pts).T.copy(), eps)
+        for j, x in enumerate(pts):
+            center, dj, sj = fast_center_rounding_oracle(x, eps)
+            floors, _ = snap_by_rounding(x, eps)
+            assert F[:, j].tolist() == floors, x
+            assert inc[:, j].tolist() == [a - b for a, b in zip(center, floors)], x
+            assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes(), x
+            assert bool(snapped[j]) == sj, x
+            assert int(k[j]) == sum(floors) % (n + 1), x
+
+
+def test_fractional_parts_are_within_2_pow_minus_54_of_exact():
+    # the snap filter's premise: fl(x - floor x) errs only for x in
+    # (-1/2, 0), and there by at most half an ulp of (1/2, 1)
+    rng = np.random.default_rng(54)
+    xs = [v for eps in SNAP_FILTER_EPS for x in _snap_filter_points(3, eps, rng, 100)
+          for v in x]
+    xs += [-0.3, -0.5, math.nextafter(-0.5, 0.0), -5e-324, -1e-300, -(2.0**-54)]
+    for x in xs:
+        exact = Fraction(x) - math.floor(x)
+        got = Fraction(x - math.floor(x))
+        assert abs(got - exact) <= Fraction(1, 2**54), x
+        if not -0.5 < x < 0.0:
+            assert got == exact, x
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -889,9 +976,11 @@ def test_containing_counts_do_not_depend_on_the_budget(monkeypatch):
         XT, FT = X.T.copy(), _snapped_floors(X, tg.DEFAULT_EPS).T.copy()
         k = _batch._floor_sum_residue(FT)
         # the result is a new array; the copy is only a precaution
-        want = _batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS).copy()
+        want = _batch._containing_counts(XT, FT, _pair_buffer(XT, FT), k, tg.DEFAULT_EPS)
+        want = want.copy()
         monkeypatch.setattr(_batch, "_BROADCAST_BUDGET", 2 * n)
-        assert np.array_equal(_batch._containing_counts(XT, FT, k, tg.DEFAULT_EPS), want)
+        got = _batch._containing_counts(XT, FT, _pair_buffer(XT, FT), k, tg.DEFAULT_EPS)
+        assert np.array_equal(got, want)
         monkeypatch.undo()
 
 
@@ -1053,7 +1142,7 @@ def test_batch_results_share_no_memory_with_the_workspace():
     for n in (1, 3, 6):
         XT = _count_cases(n, rng).T.copy()
         F, inc, d, snapped, k = _batch._locate_rows(XT, tg.DEFAULT_EPS)
-        count = _batch._containing_counts(XT, F, k, tg.DEFAULT_EPS)
+        count = _batch._containing_counts(XT, F, _pair_buffer(XT, F), k, tg.DEFAULT_EPS)
         for out in (inc, d, snapped, k, count):
             assert not any(np.shares_memory(out, buf) for buf in _batch._WS.buffers.values())
 

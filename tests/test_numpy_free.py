@@ -109,8 +109,9 @@ def test_a_batch_command_fails_with_numpy_unimportable():
 @pytest.mark.parametrize(
     "argv",
     [["honeycomb", "verify", "--dim", "9007199254740993", "--samples", "1"],
-     ["honeycomb", "basis", "--dim", "9007199254740993"]],
-    ids=["verify", "basis"],
+     ["honeycomb", "basis", "--dim", "9007199254740993"],
+     ["ball", "hrep", "--dim", "9007199254740993"]],
+    ids=["verify", "basis", "hrep"],
 )
 def test_a_dimension_above_its_cap_fails_before_numpy_loads(argv):
     # one error line, where a MemoryError traceback was
