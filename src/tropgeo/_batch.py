@@ -431,8 +431,11 @@ def _locate_rows(
     inc = rank >= np.subtract(k, 1, dtype=rank.dtype)
     # taking inc off x - F is _fast_center's inc - f negated, so d is its
     # distance bit for bit.  x - F is not exact for x in (-1/2, -eps), where
-    # it is 1 - |x| rounded, so d can be an ulp from dist(F + inc, x)
-    d = _norms(np.subtract(P0, inc, out=D))
+    # it is 1 - |x| rounded, so d can be an ulp from dist(F + inc, x).
+    # inc is copied into D first, so the subtraction is float64 only and
+    # skips numpy's cast of a bool operand
+    np.copyto(D, inc)
+    d = _norms(np.subtract(P0, D, out=D))
     return F, inc, d, snapped, k
 
 

@@ -3,9 +3,13 @@
 Each command is one row of ``COMMANDS``: its path, help, arguments and
 handler.  ``main`` builds the parser of only the row argv names; it builds
 every row of a group whose leaf is missing or bad, and every row for
-``--help`` or a bad command.  Each command returns its result as records;
-``--format records`` prints them as ``key=value`` blocks and the text
-format is rendered from them.  Global flags come before the subcommand:
+``--help`` or a bad command.  Each command returns one header record, its
+item records and the renderer of its text; ``--format records`` prints the
+records as ``key=value`` blocks and the text format is rendered from them.
+A command makes every library call and check before it returns, so a
+failing command writes nothing to stdout; the records and text lines are
+then written as they come, so a listing holds little more than its library
+result.  Global flags come before the subcommand:
 ``tropgeo --format records norm -- -3,-2,1``.  Exit codes: 0 success,
 1 domain violation, 2 usage or parse failure, 3 verification failure.
 """
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from itertools import chain, islice
 
 # commands call the library through the package, which loads a module on
 # first use, so each command loads only the modules it runs
@@ -37,32 +43,46 @@ def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _emit(args, recs, text):
-    """Print the records, or the text lines ``text(recs)`` renders from them."""
+def _emit(args, head, items, text):
+    """Write the header record and then the item records, or the text lines
+    ``text(head, items)`` renders from them, as they come.
+
+    The command has made every library call and check before this runs, so
+    only formatting is left, and a failing command has written nothing."""
     if args.format == "records":
-        blocks = ["\n".join("%s=%s" % kv for kv in rec.items()) for rec in recs]
-        sys.stdout.write("\n\n".join(blocks) + "\n")
+        def block(rec):
+            return "".join(["%s=%s\n" % kv for kv in rec.items()])
+
+        chunks = chain([block(head)], ("\n" + block(rec) for rec in items))
     else:
-        sys.stdout.write("".join(line + "\n" for line in text(recs)))
+        chunks = (line + "\n" for line in text(head, items))
+    _write(sys.stdout, chunks)
 
 
-# Text renderers: each turns a command's records into its text lines.
+def _write(out, chunks):
+    """Write an iterator of strings to out, 256 a write, where an unbuffered
+    stream (python -u) would make one system call a string."""
+    for first in chunks:
+        out.write("".join(chain([first], islice(chunks, 255))))
 
 
-def _answer(recs):
+# Text renderers: each turns a command's header and item records into its
+# text lines.
+
+
+def _answer(head, items):
     """The single value or boolean result of a one-answer command."""
-    rec = recs[0]
-    return [rec["value"] if "value" in rec else rec["result"]]
+    return [head["value"] if "value" in head else head["result"]]
 
 
-def _fields(recs):
+def _fields(head, items):
     """One ``key: value`` line per field of the header record."""
-    return ["%s: %s" % kv for kv in recs[0].items() if kv[0] != "op"]
+    return ["%s: %s" % kv for kv in head.items() if kv[0] != "op"]
 
 
-def _items(recs):
+def _items(head, items):
     """One line per item record: its last field."""
-    return [list(rec.values())[-1] for rec in recs[1:]]
+    return (list(rec.values())[-1] for rec in items)
 
 
 def _parse_any(text: str):
@@ -97,38 +117,31 @@ def _gather_points(args):
 
 
 def _region_records(region):
-    recs = [{"op": "region", "dim": region.dim}]
     for i in range(region.dim):
-        recs.append(
-            {
-                "kind": "bound",
-                "i": i + 1,
-                "lower": format_number(region.lower[i]),
-                "upper": format_number(region.upper[i]),
-            }
-        )
+        yield {
+            "kind": "bound",
+            "i": i + 1,
+            "lower": format_number(region.lower[i]),
+            "upper": format_number(region.upper[i]),
+        }
     for i in range(region.dim):
         for j in range(region.dim):
             if i != j:
-                recs.append(
-                    {
-                        "kind": "diff",
-                        "i": i + 1,
-                        "j": j + 1,
-                        "lower": format_number(region.diff_lb[i][j]),
-                    }
-                )
-    return recs
+                yield {
+                    "kind": "diff",
+                    "i": i + 1,
+                    "j": j + 1,
+                    "lower": format_number(region.diff_lb[i][j]),
+                }
 
 
-def _region_text(recs):
-    lines = ["dim: %d" % recs[0]["dim"]]
-    for rec in recs[1:]:
+def _region_text(head, items):
+    yield "dim: %d" % head["dim"]
+    for rec in items:
         if rec["kind"] == "bound":
-            lines.append("%s <= x%d <= %s" % (rec["lower"], rec["i"], rec["upper"]))
+            yield "%s <= x%d <= %s" % (rec["lower"], rec["i"], rec["upper"])
         else:
-            lines.append("x%d - x%d >= %s" % (rec["i"], rec["j"], rec["lower"]))
-    return lines
+            yield "x%d - x%d >= %s" % (rec["i"], rec["j"], rec["lower"])
 
 
 def _require_text(args):
@@ -136,13 +149,12 @@ def _require_text(args):
         raise ParseError("--format %s is only available for honeycomb plot2d" % args.format)
 
 
-# Commands: each returns its records and the renderer of its text, and an
-# exit code when that is not 0.
+# Commands: each returns its header record, an iterable of its item records,
+# the renderer of its text, and an exit code when that is not 0.
 
 
-def _lp_text(recs):
-    rec = recs[0]
-    return ["trop: %s" % rec["value"], "l1: %s" % rec["l1"], "linf: %s" % rec["linf"]]
+def _lp_text(head, items):
+    return ["trop: %s" % head["value"], "l1: %s" % head["l1"], "linf: %s" % head["linf"]]
 
 
 def cmd_dist(args):
@@ -151,50 +163,48 @@ def cmd_dist(args):
     if px != py:
         raise ParseError("mix of projective and plain coordinates")
     if px:
-        return [{"op": "dist_proj", "value": format_number(tg.dist_proj(x, y))}], _answer
+        return {"op": "dist_proj", "value": format_number(tg.dist_proj(x, y))}, (), _answer
     rec = {"op": "dist", "value": format_number(tg.dist(x, y))}
     if not args.lp:
-        return [rec], _answer
+        return rec, (), _answer
     d1, dinf = tg.lp_distances(x, y)
     rec["l1"] = format_number(d1)
     rec["linf"] = format_number(dinf)
-    return [rec], _lp_text
+    return rec, (), _lp_text
 
 
 def cmd_norm(args):
     x, proj = _parse_any(args.x)
     value = tg.norm_proj(x) if proj else tg.norm(x)
     op = "norm_proj" if proj else "norm"
-    return [{"op": op, "value": format_number(value)}], _answer
+    return {"op": op, "value": format_number(value)}, (), _answer
 
 
-def _segment_text(recs):
-    lines = ["apex: %s" % recs[0]["apex"]]
-    lines += ["vertex: %s" % rec["point"] for rec in recs[1:]]
-    lines.append("length: %s" % recs[0]["length"])
-    return lines
+def _segment_text(head, items):
+    yield "apex: %s" % head["apex"]
+    for rec in items:
+        yield "vertex: %s" % rec["point"]
+    yield "length: %s" % head["length"]
 
 
 def cmd_segment(args):
     seg = tg.segment(parse_point(args.x), parse_point(args.y), mode=args.mode)
-    recs = [
-        {
-            "op": "segment",
-            "mode": seg.mode,
-            "apex": format_point(seg.apex),
-            "length": format_number(seg.length()),
-        }
-    ]
-    recs += [
+    head = {
+        "op": "segment",
+        "mode": seg.mode,
+        "apex": format_point(seg.apex),
+        "length": format_number(seg.length()),
+    }
+    items = [
         {"kind": "vertex", "index": i, "point": format_point(v)}
         for i, v in enumerate(seg.vertices)
     ]
-    return recs, _segment_text
+    return head, items, _segment_text
 
 
 def cmd_length(args):
     value = tg.polyline_length(_gather_points(args))
-    return [{"op": "length", "value": format_number(value)}], _answer
+    return {"op": "length", "value": format_number(value)}, (), _answer
 
 
 def cmd_circle_length(args):
@@ -211,29 +221,30 @@ def cmd_circle_length(args):
 
     value = tg.curve_length(circle, tol=args.tol)
     rec = {"op": "circle-length", "radius": format_number(r), "value": format_number(value)}
-    return [rec], _answer
+    return rec, (), _answer
 
 
 def cmd_geodesic_check(args):
     ok = tg.is_geodesic(_gather_points(args), eps=args.eps)
-    return [{"op": "geodesic-check", "result": _bool_text(ok)}], _answer
+    return {"op": "geodesic-check", "result": _bool_text(ok)}, (), _answer
 
 
 def cmd_between(args):
     ok = tg.is_between(
         parse_point(args.x), parse_point(args.z), parse_point(args.y), eps=args.eps
     )
-    return [{"op": "between", "result": _bool_text(ok)}], _answer
+    return {"op": "between", "result": _bool_text(ok)}, (), _answer
 
 
 def cmd_hull(args):
-    return _region_records(tg.hull(_gather_points(args), eps=args.eps)), _region_text
+    region = tg.hull(_gather_points(args), eps=args.eps)
+    return {"op": "region", "dim": region.dim}, _region_records(region), _region_text
 
 
 def cmd_region_contains(args):
     region = tg.hull(_read_points_file(args.file), eps=args.eps)
     ok = region.contains(parse_point(args.point), eps=args.eps)
-    return [{"op": "region-contains", "result": _bool_text(ok)}], _answer
+    return {"op": "region-contains", "result": _bool_text(ok)}, (), _answer
 
 
 def cmd_classify2d(args):
@@ -249,32 +260,30 @@ def cmd_classify2d(args):
         "edge_count": shape.edge_count,
         "canonical_id": shape.canonical_id,
     }
-    return [rec], _fields
+    return rec, (), _fields
 
 
 def cmd_ball_vertices(args):
     verts = tg.vertices(args.dim)
-    recs = [{"op": "vertices", "dim": args.dim, "count": len(verts)}]
-    recs += [{"kind": "vertex", "index": i, "point": format_point(v)} for i, v in enumerate(verts)]
-    return recs, _items
+    head = {"op": "vertices", "dim": args.dim, "count": len(verts)}
+    items = ({"kind": "vertex", "index": i, "point": format_point(v)} for i, v in enumerate(verts))
+    return head, items, _items
 
 
-def _facets_text(recs):
-    return [
-        "%s opposite %s" % (tg.FacetId(rec["kind"], rec["i"], rec.get("j")), rec["opposite"])
-        for rec in recs[1:]
-    ]
+def _facets_text(head, items):
+    for rec in items:
+        f = tg.FacetId(rec["kind"], rec["i"], rec.get("j"))
+        yield "%s opposite %s" % (f, rec["opposite"])
 
 
 def cmd_ball_facets(args):
     fs = tg.facets(args.dim)
-    recs = [{"op": "facets", "dim": args.dim, "count": len(fs)}]
-    for f in fs:
-        rec = {"kind": f.kind, "i": f.i, "opposite": str(tg.opposite(f))}
-        if f.j is not None:
-            rec["j"] = f.j
-        recs.append(rec)
-    return recs, _facets_text
+    items = (
+        {"kind": f.kind, "i": f.i, "opposite": str(tg.opposite(f)),
+         **({} if f.j is None else {"j": f.j})}
+        for f in fs
+    )
+    return {"op": "facets", "dim": args.dim, "count": len(fs)}, items, _facets_text
 
 
 def cmd_ball_hrep(args):
@@ -286,21 +295,20 @@ def cmd_ball_hrep(args):
     if len(center) != args.dim:
         raise ParseError("--center does not match --dim")
     region = tg.hrep(tg.Ball(center, args.radius), eps=args.eps)
-    return _region_records(region), _region_text
+    return {"op": "region", "dim": region.dim}, _region_records(region), _region_text
 
 
-def _decompose_text(recs):
-    rec = recs[0]
-    n = len(parse_point(rec["point"]))
+def _decompose_text(head, items):
+    n = len(parse_point(head["point"]))
     return [
-        "point: %s" % rec["point"],
-        "orthant: %s" % rec["orthant"],
-        "orthant_coords: omit=%d %s" % (rec["orthant_omit"], rec["orthant_values"]),
-        "minkowski: %s" % rec["minkowski"],
+        "point: %s" % head["point"],
+        "orthant: %s" % head["orthant"],
+        "orthant_coords: omit=%d %s" % (head["orthant_omit"], head["orthant_values"]),
+        "minkowski: %s" % head["minkowski"],
         "generators: %s" % " ".join(format_point(g) for g in tg.neg_units(n)),
-        "generator_coeffs: %s" % rec["generator_coeffs"],
-        "recomposed: %s" % rec["recomposed"],
-        "max_error: %s" % rec["max_error"],
+        "generator_coeffs: %s" % head["generator_coeffs"],
+        "recomposed: %s" % head["recomposed"],
+        "max_error: %s" % head["max_error"],
     ]
 
 
@@ -326,7 +334,7 @@ def cmd_ball_decompose(args):
         "recomposed": format_point(recomposed),
         "max_error": format_number(err),
     }
-    return [rec], _decompose_text
+    return rec, (), _decompose_text
 
 
 def cmd_sphere_poles(args):
@@ -339,14 +347,14 @@ def cmd_sphere_poles(args):
         "d_plus": format_number(d_plus),
         "d_minus": format_number(d_minus),
     }
-    return [rec], _fields
+    return rec, (), _fields
 
 
 def cmd_sphere_angle(args):
     value = tg.angle_2d(
         parse_point(args.at), parse_point(args.v1), parse_point(args.v2), eps=args.eps
     )
-    return [{"op": "angle", "value": format_number(value)}], _answer
+    return {"op": "angle", "value": format_number(value)}, (), _answer
 
 
 def cmd_sphere_distance(args):
@@ -354,7 +362,7 @@ def cmd_sphere_distance(args):
     value = tg.intrinsic_distance_2d(
         center, parse_point(args.x), parse_point(args.y), eps=args.eps
     )
-    return [{"op": "sphere-distance", "value": format_number(value)}], _answer
+    return {"op": "sphere-distance", "value": format_number(value)}, (), _answer
 
 
 def cmd_sphere_diametral(args):
@@ -363,7 +371,7 @@ def cmd_sphere_diametral(args):
     q = parse_point(args.q)
     b = tg.Ball(center if center else (0.0,) * len(p), args.radius)
     ok = tg.is_diametral_pair(b, p, q, eps=args.eps)
-    return [{"op": "diametral", "result": _bool_text(ok)}], _answer
+    return {"op": "diametral", "result": _bool_text(ok)}, (), _answer
 
 
 def cmd_honeycomb_locate(args):
@@ -375,7 +383,7 @@ def cmd_honeycomb_locate(args):
         "distance": format_number(res.distance),
         "all_centers": " ".join(format_point(c) for c in res.all_centers),
     }
-    return [rec], _fields
+    return rec, (), _fields
 
 
 def cmd_honeycomb_verify(args):
@@ -396,7 +404,7 @@ def cmd_honeycomb_verify(args):
         "boundary": report.boundary,
         "mismatches": report.mismatches,
     }
-    return [rec], _fields, 3 if report.mismatches else 0
+    return rec, (), _fields, 3 if report.mismatches else 0
 
 
 def cmd_honeycomb_neighbors(args):
@@ -405,60 +413,50 @@ def cmd_honeycomb_neighbors(args):
     # as_center keeps the entries ints, so large centers print exactly
     center = as_center(parse_point(args.center))
     ns = tg.neighbors(center, eps=args.eps)
-    recs = [{"op": "neighbors", "center": format_point(center), "count": len(ns)}]
-    recs += [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]
-    return recs, _items
+    head = {"op": "neighbors", "center": format_point(center), "count": len(ns)}
+    items = [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]
+    return head, items, _items
 
 
-def _basis_text(recs):
-    return [
+def _basis_text(head, items):
+    return (
         "%s: %s" % (rec["kind"], rec["vector"]) if "vector" in rec
         else "same_lattice: %s" % rec["same_lattice"]
-        for rec in recs[1:]
-    ]
+        for rec in items
+    )
 
 
 def cmd_honeycomb_basis(args):
     basis = tg.lattice_basis(args.dim)
-    recs = [{"op": "basis", "dim": args.dim}]
-    recs += [{"kind": "basis", "index": i, "vector": format_point(v)} for i, v in enumerate(basis)]
+    items = [{"kind": "basis", "index": i, "vector": format_point(v)} for i, v in enumerate(basis)]
     if args.dim == 2:
-        recs += [{"kind": "hex_basis", "vector": format_point(v)} for v in tg.HEX_BASIS_2D]
+        items += [{"kind": "hex_basis", "vector": format_point(v)} for v in tg.HEX_BASIS_2D]
         same = tg.spans_same_lattice(basis, tg.HEX_BASIS_2D)
-        recs.append({"kind": "check", "same_lattice": _bool_text(same)})
-    return recs, _basis_text
+        items.append({"kind": "check", "same_lattice": _bool_text(same)})
+    return {"op": "basis", "dim": args.dim}, items, _basis_text
 
 
 def _render_svg(rings, w):
+    """The svg lines of the rings, each with its newline."""
     pad = 1.6
     lo = -(w + pad)
     size = 2 * (w + pad)
-    out = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%g %g %g %g" '
-        'width="640" height="640">' % (lo, lo, size, size),
-        '<rect x="%g" y="%g" width="%g" height="%g" fill="white"/>' % (lo, lo, size, size),
-    ]
+        'width="640" height="640">\n' % (lo, lo, size, size)
+    )
+    yield '<rect x="%g" y="%g" width="%g" height="%g" fill="white"/>\n' % (lo, lo, size, size)
     for center, ring in rings:
         pts = " ".join("%g,%g" % (x, -y) for x, y in ring)
-        out.append(
-            '<polygon points="%s" fill="#dbe7f3" stroke="#444" stroke-width="0.06"/>' % pts
-        )
-        out.append(
-            '<circle cx="%g" cy="%g" r="0.08" fill="#444"/>' % (center[0], -center[1])
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        yield '<polygon points="%s" fill="#dbe7f3" stroke="#444" stroke-width="0.06"/>\n' % pts
+        yield '<circle cx="%g" cy="%g" r="0.08" fill="#444"/>\n' % (center[0], -center[1])
+    yield "</svg>\n"
 
 
 def _render_rings_csv(rings):
-    lines = []
+    """One csv line per ring, with its newline: x1,y1,x2,y2,..."""
     for _, ring in rings:
-        flat = []
-        for x, y in ring:
-            flat.append(format_number(x))
-            flat.append(format_number(y))
-        lines.append(",".join(flat))
-    return "\n".join(lines) + "\n"
+        yield ",".join(format_number(v) for xy in ring for v in xy) + "\n"
 
 
 def cmd_honeycomb_plot2d(args):
@@ -468,16 +466,15 @@ def cmd_honeycomb_plot2d(args):
     if fmt not in ("svg", "csv"):
         raise ParseError("plot2d supports --format svg or csv")
     rings = tg.hexagon_rings(args.box)
-    payload = _render_svg(rings, args.box) if fmt == "svg" else _render_rings_csv(rings)
+    lines = _render_svg(rings, args.box) if fmt == "svg" else _render_rings_csv(rings)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(payload)
+                _write(fh, lines)
         except OSError as exc:
             raise ParseError("cannot write %s: %s" % (args.out, exc)) from None
     else:
-        sys.stdout.write(payload)
-    return 0
+        _write(sys.stdout, lines)
 
 
 def _a(*flags, **kw):
@@ -617,19 +614,27 @@ def main(argv=None) -> int:
     except TropgeoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    code = 0
     try:
         if args.handler is cmd_honeycomb_plot2d:
-            return cmd_honeycomb_plot2d(args)
-        _require_text(args)
-        recs, text, *code = args.handler(args)
-        _emit(args, recs, text)
-        return code[0] if code else 0
+            cmd_honeycomb_plot2d(args)
+        else:
+            _require_text(args)
+            head, items, text, *rest = args.handler(args)
+            code = rest[0] if rest else 0
+            _emit(args, head, items, text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as ``| head`` does: send what is left,
+        # the exit's flush included, to devnull and exit as if written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except TropgeoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    return code
 
 
 def entry():

@@ -1,6 +1,9 @@
 import argparse
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 
@@ -445,6 +448,66 @@ def test_ball_hrep_above_its_cap_is_a_domain_error(capsys, dim):
     assert (code, out) == (1, "")
     cap = "balls are written as bound systems up to dimension 800"
     assert err == "error: %s, got %s\n" % (cap, dim)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["ball", "facets", "--dim", "200"], lambda: tropgeo.facets(200)),
+        (["ball", "vertices", "--dim", "12"], lambda: tropgeo.vertices(12)),
+        (["--format", "records", "ball", "hrep", "--dim", "100"],
+         lambda: tropgeo.hrep(tropgeo.Ball((0.0,) * 100, 1.0))),
+    ],
+    ids=["facets", "vertices", "hrep"],
+)
+def test_a_listing_holds_little_more_than_its_library_result(monkeypatch, argv, library):
+    # the records are written as they come; a list of them and their joined
+    # text peaked at 3x to 7x the library result
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        main(argv)  # loads every module the command runs, numpy for hrep
+        lib = _traced_peak(library)
+        cli_peak = _traced_peak(lambda: main(argv))
+    assert cli_peak <= 1.5 * lib, (cli_peak, lib)
+
+
+@pytest.mark.parametrize(
+    "fmt, dim, first",
+    [
+        ("text", "300", b"upper(1) opposite lower(1)\n"),
+        ("records", "300", b"op=facets\n"),
+        # closed before the command writes, so the flush meets the closed pipe
+        ("text", "3", None),
+    ],
+    ids=["text", "records", "closed-at-once"],
+)
+def test_a_closed_stdout_pipe_ends_a_listing_quietly(fmt, dim, first):
+    # as ``| head -1`` does: the reader takes a line and closes the pipe
+    # while the command still writes
+    src = os.path.dirname(os.path.dirname(tropgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # stdout buffered, as it is by default, so that a short listing meets
+    # the closed pipe only when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "tropgeo.cli", "--format", fmt, "ball", "facets", "--dim", dim],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        if first is not None:
+            assert proc.stdout.readline() == first
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err, err.decode()
 
 
 @pytest.mark.parametrize(
