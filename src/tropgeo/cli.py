@@ -43,6 +43,20 @@ def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
+# the entries of the library's own listed points: -0.0 prints "0" too
+_TOKENS = {0: "0", 1: "1", -1: "-1"}
+
+
+def _own_point(p) -> str:
+    """format_point without its check, for a point the library built (a
+    vertex, a basis vector, a neighbour): any entry outside the table sends
+    the point to format_number."""
+    try:
+        return ",".join(map(_TOKENS.__getitem__, p))
+    except KeyError:
+        return ",".join(map(format_number, p))
+
+
 def _emit(args, head, items, text):
     """Write the header record and then the item records, or the text lines
     ``text(head, items)`` renders from them, as they come.
@@ -266,7 +280,7 @@ def cmd_classify2d(args):
 def cmd_ball_vertices(args):
     verts = tg.vertices(args.dim)
     head = {"op": "vertices", "dim": args.dim, "count": len(verts)}
-    items = ({"kind": "vertex", "index": i, "point": format_point(v)} for i, v in enumerate(verts))
+    items = ({"kind": "vertex", "index": i, "point": _own_point(v)} for i, v in enumerate(verts))
     return head, items, _items
 
 
@@ -414,7 +428,7 @@ def cmd_honeycomb_neighbors(args):
     center = as_center(parse_point(args.center))
     ns = tg.neighbors(center, eps=args.eps)
     head = {"op": "neighbors", "center": format_point(center), "count": len(ns)}
-    items = [{"kind": "neighbor", "index": i, "center": format_point(c)} for i, c in enumerate(ns)]
+    items = [{"kind": "neighbor", "index": i, "center": _own_point(c)} for i, c in enumerate(ns)]
     return head, items, _items
 
 
@@ -428,9 +442,9 @@ def _basis_text(head, items):
 
 def cmd_honeycomb_basis(args):
     basis = tg.lattice_basis(args.dim)
-    items = [{"kind": "basis", "index": i, "vector": format_point(v)} for i, v in enumerate(basis)]
+    items = [{"kind": "basis", "index": i, "vector": _own_point(v)} for i, v in enumerate(basis)]
     if args.dim == 2:
-        items += [{"kind": "hex_basis", "vector": format_point(v)} for v in tg.HEX_BASIS_2D]
+        items += [{"kind": "hex_basis", "vector": _own_point(v)} for v in tg.HEX_BASIS_2D]
         same = tg.spans_same_lattice(basis, tg.HEX_BASIS_2D)
         items.append({"kind": "check", "same_lattice": _bool_text(same)})
     return {"op": "basis", "dim": args.dim}, items, _basis_text

@@ -348,9 +348,12 @@ def segment(x, y, mode: str = "min") -> TropSegment:
     # branch stops at the times its coordinates reach the apex; at time t a
     # coordinate sits at min(apex + t, base) (min mode) or max(apex - t,
     # base) (max mode).  The last stop of each branch is its endpoint, which
-    # is pinned below instead.  One flat comprehension runs over (branch,
-    # stop, coordinate), so each coordinate costs one comprehension step,
-    # and zip(*[iter(flat)] * n) cuts the flat list into the n-tuples of the
+    # is pinned below instead.  The second branch starts after its zero
+    # stop: there every coordinate is z + t0 (z - t0), numerically the first
+    # branch's last vertex, or px when the first branch is empty, so the
+    # dedupe would drop it.  One flat comprehension runs over (branch, stop,
+    # coordinate), so each coordinate costs one comprehension step, and
+    # zip(*[iter(flat)] * n) cuts the flat list into the n-tuples of the
     # inner vertices, in travel order.
     if mode == "min":
         apex = tuple([b if b < a else a for a, b in zip(px, py)])
@@ -358,7 +361,7 @@ def segment(x, y, mode: str = "min") -> TropSegment:
         ty = sorted({*map(sub, py, apex), 0.0})
         flat = [
             b if b < (s := z + t) else s
-            for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
+            for base, ts in ((px, tx[-2::-1]), (py, ty[1:-1]))
             for t in ts
             for z, b in zip(apex, base)
         ]
@@ -368,7 +371,7 @@ def segment(x, y, mode: str = "min") -> TropSegment:
         ty = sorted({*map(sub, apex, py), 0.0})
         flat = [
             b if b > (s := z - t) else s
-            for base, ts in ((px, tx[-2::-1]), (py, ty[:-1]))
+            for base, ts in ((px, tx[-2::-1]), (py, ty[1:-1]))
             for t in ts
             for z, b in zip(apex, base)
         ]
@@ -379,14 +382,14 @@ def segment(x, y, mode: str = "min") -> TropSegment:
     # coordinate magnitudes differ wildly; the chain must start and end
     # at the inputs themselves
     deduped = [px]
+    last = px
     for p in zip(*[iter(flat)] * len(px)):
-        if p != deduped[-1]:
+        if p != last:
             deduped.append(p)
-    if py != deduped[-1]:
+            last = p
+    if py != last:
         deduped.append(py)
-    return TropSegment(
-        start=px, end=py, apex=apex, vertices=tuple(deduped), mode=mode
-    )
+    return TropSegment(px, py, apex, tuple(deduped), mode)
 
 
 def parse_point(text: str) -> Point:

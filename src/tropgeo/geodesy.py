@@ -262,15 +262,15 @@ class GeodesicRegion(_Record):
     def contains(self, x, eps: float = DEFAULT_EPS) -> bool:
         check_eps(eps)
         px = as_point(x)
-        if len(px) != self.dim:
+        if len(px) != len(self.lower):
             raise DimensionMismatch("point dimension does not match region")
         for v, lo, up in zip(px, self.lower, self.upper):
             if v < lo - eps or v > up + eps:
                 return False
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j and px[i] - px[j] < self.diff_lb[i][j] - eps:
+        # the stored 0.0 diagonal never fails: 0.0 < 0.0 - eps is false
+        for v, row in zip(px, self.diff_lb):
+            for w, b in zip(px, row):
+                if v - w < b - eps:
                     return False
         return True
 

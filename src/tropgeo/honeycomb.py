@@ -109,6 +109,14 @@ def _fast_center(x, eps: float):
     those four with 0.0 are the very doubles that max and min of all n
     deltas give, and the last subtraction is the one _dist makes.
 
+    For k >= 2 the cut comes from the plain sort of f: the k - 1 smallest
+    are kept and the rest raised, so a coordinate is raised when its f is
+    above srt[k-2].  That sort is stable, as is the keyed sort of the
+    indices, so srt[j] is the very double f[order[j]] and the distance keeps
+    its bits.  When srt[k-2] == srt[k-1], a tie at the cut (-0.0 and 0.0
+    tie), the comparison would raise too few, and the keyed stable sort
+    runs to keep the tied coordinates of least index.
+
     The floors and f come first, and the exact snap test |x - round(x)| <= eps
     runs only on a coordinate whose f is within eps + _SNAP_MARGIN of 0 or
     of 1.  fl(x - floor x) is within 2^-54 of the exact f for every double:
@@ -146,15 +154,17 @@ def _fast_center(x, eps: float):
         center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
         d = max(k - lo, 0.0) - min(k - hi, 0.0)
         return center, d, snapped
-    # raise all but the k - 1 with the smallest fractional parts (a stable
-    # sort breaks ties by index): order[:k-1] are kept, order[k-1:] raised
+    # raise all but the k - 1 with the smallest fractional parts
+    srt = sorted(fracs)
+    cut = srt[k - 2]
+    d = max(1 - srt[k - 1], 0 - lo, 0.0) - min(0 - cut, 1 - hi, 0.0)
+    if cut != srt[k - 1]:
+        return tuple([c + (f > cut) for c, f in zip(floors, fracs)]), d, snapped
+    # a tie at the cut: a stable sort breaks it by index, order[:k-1] kept
     order = sorted(range(n), key=fracs.__getitem__)
     raised = [1] * n
     for i in order[: k - 1]:
         raised[i] = 0
-    d = max(1 - fracs[order[k - 1]], 0 - lo, 0.0) - min(
-        0 - fracs[order[k - 2]], 1 - hi, 0.0
-    )
     return tuple(map(operator.add, floors, raised)), d, snapped
 
 

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import operator
 import os
 import re
 import subprocess
@@ -192,6 +193,52 @@ def test_locate_matches_the_fast_center_oracle(case):
     with mock.patch.object(honeycomb, "_fast_center", fast_center_oracle):
         want = [repr(tg.locate(y, eps)) for y in shifts]
     assert got == want
+
+
+def _cut_tie_points(n):
+    """Points whose sorted fractional parts tie at positions p and p + 1,
+    for every p = 0..n-2, so the shift with k = p + 2 has a tie at the cut.
+    The parts are multiples of 1/32 in shuffled positions, so every shift
+    keeps them exactly.  Then -0.0 (a snapped coordinate) ties 0.0 at
+    positions 0 and 1, either one first, and three zeros tie."""
+    rng = np.random.default_rng(n)
+    pts = []
+    for p in range(n - 1):
+        fracs = [(i + 1) / 32 for i in range(n)]
+        fracs[p + 1] = fracs[p]
+        order = rng.permutation(n).tolist()
+        pts.append(tuple(float(b) + fracs[i] for b, i in zip(rng.integers(-4, 4, n), order)))
+    rest = tuple((i + 1) / 32 for i in range(n))
+    for zeros in ((-0.0, 0.0), (0.0, -0.0), (-0.0, 0.0, 0.0)):
+        pts.append(((0.75,) + zeros + rest)[:n])
+    return pts
+
+
+def _tie_at_the_cut(y, eps):
+    floors, _ = snap_by_rounding(y, eps)
+    k = sum(floors) % (len(y) + 1)
+    srt = sorted(map(operator.sub, y, floors))
+    return k >= 2 and srt[k - 2] == srt[k - 1]
+
+
+def _bits(center, d, snapped):
+    # repr tells an int center from a float one
+    return repr(center), np.float64(d).tobytes(), snapped
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_fast_center_breaks_a_tie_at_the_cut_by_index(n):
+    eps = tg.DEFAULT_EPS
+    shifts = [_residue_shifts(x) for x in _cut_tie_points(n)]
+    assert all(any(_tie_at_the_cut(y, eps) for y in ys) for ys in shifts)
+    rows = [y for ys in shifts for y in ys]
+    F, inc, bd, bsnapped, _ = _batch._locate_rows(np.array(rows).T.copy(), eps)
+    centers = (F.astype(np.int64) + inc).T.tolist()
+    for j, y in enumerate(rows):
+        got = _bits(*honeycomb._fast_center(y, eps))
+        assert got == _bits(*fast_center_oracle(y, eps)), y
+        assert got == _bits(*fast_center_rounding_oracle(y, eps)), y
+        assert got == _bits(tuple(centers[j]), bd[j], bool(bsnapped[j])), y
 
 
 def _mixed_points(n, rng, count):
