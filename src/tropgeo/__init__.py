@@ -81,7 +81,6 @@ _EXPORTS = {
         "in_lattice",
         "LocateResult",
         "locate",
-        "locate_bruteforce",
         "neighbors",
         "lattice_basis",
         "HEX_BASIS_2D",

@@ -69,12 +69,15 @@ import threading
 import numpy as np
 
 from .core import DimensionMismatch, DomainError
-from .honeycomb import _SNAP_MARGIN
+from .honeycomb import _SNAP_MARGIN, locate
 
 
-def _close_bounds(lower, upper, diff):
-    """The canonical matrix of the system ``lower <= x <= upper``,
-    ``x_i - x_j >= diff[i][j]``.
+def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
+    """The closed matrix of GeodesicRegion(lo, up, diff_lb) as nested lists.
+
+    lo and up are float tuples of one length n; diff_lb is None (the
+    loosest box-consistent difference bounds) or an n by n table.  The
+    system is ``lo <= x <= up``, ``x_i - x_j >= diff_lb[i][j]``.
 
     Node 0 stands for the constant 0 and node i for x_i; entry L[i, j] is
     the best lower bound on x_i - x_j.  Floyd-Warshall in max-plus, one
@@ -84,26 +87,6 @@ def _close_bounds(lower, upper, diff):
     finite bounds overflows float64 upward, which leaves an inf in L; a sum
     that overflows downward loses to the finite bound it is compared with,
     as it would in exact arithmetic, so L never holds -inf or NaN.
-    """
-    n = len(lower)
-    L = np.empty((n + 1, n + 1))
-    L[1:, 1:] = diff
-    L[1:, 0] = lower
-    L[0, 1:] = [-v for v in upper]
-    L.flat[:: n + 2] = 0.0  # x_i - x_i >= 0, whatever diff's diagonal holds
-    with np.errstate(over="ignore"):
-        for k in range(n + 1):
-            np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
-    if not np.isfinite(L).all():
-        raise DomainError("the bound system overflows float64")
-    return L
-
-
-def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
-    """The closed matrix of GeodesicRegion(lo, up, diff_lb) as nested lists.
-
-    lo and up are float tuples of one length n; diff_lb is None (the
-    loosest box-consistent difference bounds) or an n by n table.
     """
     n = len(lo)
     if diff_lb is None:
@@ -121,7 +104,16 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
             raise DimensionMismatch("diff_lb must be an n by n table")
         if not np.isfinite(diff).all():
             raise DomainError("difference bounds must be finite")
-    L = _close_bounds(lo, up, diff)
+    L = np.empty((n + 1, n + 1))
+    L[1:, 1:] = diff
+    L[1:, 0] = lo
+    L[0, 1:] = [-v for v in up]
+    L.flat[:: n + 2] = 0.0  # x_i - x_i >= 0, whatever diff's diagonal holds
+    with np.errstate(over="ignore"):
+        for k in range(n + 1):
+            np.maximum(L, L[:, k : k + 1] + L[k : k + 1, :], out=L)
+    if not np.isfinite(L).all():
+        raise DomainError("the bound system overflows float64")
     # np.maximum breaks a tie of -0.0 and 0.0 either way, so every zero
     # is stored as 0.0
     L += 0.0
@@ -347,9 +339,9 @@ def _sample_blocks(seed: int, shard: int, m: int, n: int, box_halfwidth: float):
         yield X
 
 
-def _verify_block(X: np.ndarray, eps: float, locate) -> tuple[int, int, int]:
-    """(interior, boundary, mismatches) over the (m, n) samples X, with
-    ``locate`` the scalar locator that answers for snapped rows."""
+def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
+    """(interior, boundary, mismatches) over the (m, n) samples X; scalar
+    ``locate`` answers for the snapped rows."""
     m, n = X.shape
     # one transpose per block: every kernel below reduces over the leading
     # coordinate axis of this (n, m) copy, never over a short trailing one.

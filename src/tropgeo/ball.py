@@ -21,6 +21,7 @@ from .core import (
     _norm,
     _Record,
     _as_dim,
+    _as_int,
     _as_radius,
     _setfield,
     as_point,
@@ -140,9 +141,12 @@ class FacetId(_Record):
     def __init__(self, kind: str, i: int, j: int | None = None):
         if kind not in ("upper", "lower", "diff"):
             raise DomainError("facet kind must be upper, lower or diff")
+        i = _as_int("facet index", i)
         if i < 1:
             raise DomainError("facet indices are 1-based")
         if kind == "diff":
+            if j is not None:
+                j = _as_int("facet index", j)
             if j is None or j < 1 or j == i:
                 raise DomainError("diff facet needs two distinct indices")
         elif j is not None:
@@ -391,6 +395,7 @@ def angle_2d(p, v1, v2, eps: float = DEFAULT_EPS) -> float:
     directions alone, so it is taken at the origin, where no magnitude of
     p can round them away.
     """
+    check_eps(eps)
     if len(as_point(p)) != 2:
         raise DimensionMismatch("angles are planar only")
     out = []

@@ -300,7 +300,7 @@ def to_orthant_coords(h) -> OrthantCoords:
 
 def orthant_to_projective(oc: OrthantCoords) -> Point:
     """Homogeneous representative reconstructed from an orthant chart."""
-    k = oc.omitted_index - 1
+    k = _as_int("omitted index", oc.omitted_index) - 1
     values = [float(v) for v in oc.values]
     if k < 0 or k > len(values):
         raise DomainError("omitted index out of range")

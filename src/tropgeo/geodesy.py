@@ -37,6 +37,7 @@ from .core import (
     Point,
     _dist,
     _Record,
+    _as_real,
     _setfield,
     _same_dim,
     as_point,
@@ -59,14 +60,18 @@ def polyline_length(points) -> float:
 
 def polyline_evaluator(points):
     """Callable t in [0,1] -> point, tracing the polyline at uniform speed
-    in parameter space (breakpoints at i/m for m segments)."""
+    in parameter space (breakpoints at i/m for m segments).  A t outside
+    [0, 1] extends the first or last segment; a t that is not a real, or
+    whose t * m is not finite, raises DomainError."""
     pts = [as_point(p) for p in points]
     if len(pts) < 2:
         raise DomainError("evaluator needs at least two vertices")
     m = len(pts) - 1
 
     def curve(t: float) -> Point:
-        s = t * m
+        s = _as_real(t) * m
+        if not math.isfinite(s):
+            raise DomainError("t must be a real with t * %d finite, got %r" % (m, t))
         i = int(math.floor(s))
         if i < 0:
             i = 0
@@ -96,6 +101,7 @@ def curve_length(curve, tol: float = 1e-6) -> float:
     smooth curves of bounded turning.  Each level's length is summed as its
     samples are taken, so memory does not grow with the depth.
     """
+    tol = _as_real(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be positive and finite")
     start = as_point(curve(0.0))
@@ -167,7 +173,7 @@ def _closed_rows(lo, up, diff_lb) -> list[list[float]] | None:
     in pure Python; None when the system is above _SMALL_WORK or needs
     ``_batch._closed_rows`` to read it.
 
-    The rule is that of ``_batch._close_bounds``, in the same float64
+    The rule is that of ``_batch._closed_rows``, in the same float64
     arithmetic: max-plus Floyd-Warshall, where pass k reads row k and
     column k as they stood before the pass, as numpy's temporary
     ``L[:, k:k+1] + L[k:k+1, :]`` does.  So the two layouts agree bit for
@@ -216,7 +222,7 @@ class GeodesicRegion(_Record):
 
     The canonical form is the max-plus Kleene star of the (n+1) x (n+1)
     difference-bound matrix whose node 0 is the constant 0 (see
-    ``_batch._close_bounds``): construction tightens every bound to the
+    ``_batch._closed_rows``): construction tightens every bound to the
     value the system implies, and raises EmptyRegionError when a cycle of
     bounds contradicts itself by more than eps, as the closed diagonal
     measures it; rounding can leave a feasible system's a few ulps above 0.

@@ -6,7 +6,8 @@ boundaries, so almost every point has exactly one containing ball.  locate
 finds it in O(n log n) from floors and sorted fractional parts, the A_n
 decoder, with a distance certificate.  Near a boundary it lists every
 containing center in closed form, in O(n^2) plus n per center, with no
-search over offsets.  The facet neighbors of a ball are its center plus the
+search over offsets; ``LocateResult.all_centers`` is that list, and the
+only public one.  The facet neighbors of a ball are its center plus the
 roots of A_n.  One root is checked to give a shared facet: permuting the
 n+1 homogeneous coordinates, the Weyl group S_{n+1} of A_n, keeps the
 tiling and moves that root onto every other.
@@ -68,9 +69,10 @@ class LocateResult(_Record):
     """Outcome of point location.
 
     ``center`` is the fast-path center; ``status`` is "interior" or
-    "boundary"; ``all_centers`` lists every center whose closed ball
-    contains the point (just one in the interior case); ``distance`` is
-    dist(center, x), up to an ulp (see _fast_center).
+    "boundary"; ``all_centers`` lists, sorted, every center whose closed
+    ball contains the point (just one in the interior case), and is the
+    library's public list of them; ``distance`` is dist(center, x), up to
+    an ulp (see _fast_center).
     """
 
     __slots__ = ("center", "status", "all_centers", "distance")
@@ -176,8 +178,18 @@ def _local_frame(px: Point) -> tuple[Center, Point]:
     return R, tuple(v - f for v, f in zip(px, R))
 
 
-def locate_bruteforce(x, eps: float = DEFAULT_EPS) -> list[Center]:
-    """All tiling centers whose closed ball contains x, sorted.
+def locate_bruteforce(px: Point, eps: float) -> list[Center]:
+    """All tiling centers whose closed ball contains px, sorted: the list
+    step of ``locate``, whose ``all_centers`` is the public list.
+
+    The caller guarantees what ``locate`` has checked: px is a nonempty
+    tuple of finite floats (``as_point``'s output) and eps a real in
+    (0, 1/4) (``check_eps``).  Neither is checked again.  An eps of 1/4 or
+    more gives a tie more than two offsets, and the list misses centers.
+    It is not exported.  Its name stays because perfbench wraps
+    ``honeycomb.locate_bruteforce`` by name and its smoke test pins one
+    call per listed ``locate``; both move to a counter on ``locate``, and
+    then this name can go.
 
     A closed form, not a search.  With R the nearest integers of x and
     u = x - R, the center R + off contains x when the d_i = off_i - u_i and
@@ -192,7 +204,6 @@ def locate_bruteforce(x, eps: float = DEFAULT_EPS) -> list[Center]:
     is exactly the lattice points that ``_dist`` puts within 1 + eps of x
     in this frame.  The cost is O(n^2), plus n per answer.
     """
-    px = as_point(x)
     n = len(px)
     R, u = _local_frame(px)
     bound = 1.0 + eps
@@ -230,10 +241,12 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
     fractional parts: the A_n decoder of Conway and Sloane.  The resulting
     distance is the certificate: below 1 - eps the point is interior and the
     center unique.  Near-integer coordinates or a certificate at 1 or above
-    engage ``locate_bruteforce``, which lists every containing center in
-    closed form; a list without the fast-path center breaks the tiling
-    theorem and raises TropgeoError.  Distances are taken relative to
-    integers near x, so the answer is exact at every magnitude.
+    engage the private list step ``locate_bruteforce``, which lists every
+    containing center in closed form; a list without the fast-path center
+    breaks the tiling theorem and raises TropgeoError.  Distances are taken
+    relative to integers near x, so the answer is exact at every magnitude.
+    ``all_centers`` holds every containing center on either path, and is
+    the only public way to list them.
     """
     px = as_point(x)
     check_eps(eps)
@@ -438,7 +451,7 @@ def verify_tiling(
     for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
         m = min(_SHARD_SIZE, samples - done)
         for X in _batch._sample_blocks(seed, shard, m, n, box_halfwidth):
-            i_cnt, b_cnt, mm = _batch._verify_block(X, eps, locate)
+            i_cnt, b_cnt, mm = _batch._verify_block(X, eps)
             interior += i_cnt
             boundary += b_cnt
             mismatches += mm

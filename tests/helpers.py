@@ -10,7 +10,7 @@ import numpy as np
 
 import tropgeo as tg
 from tropgeo import ball, honeycomb
-from tropgeo.core import DomainError, Point, _dist, _pair, as_point
+from tropgeo.core import DomainError, Point, _as_int, _dist, _pair, as_point
 from tropgeo.honeycomb import Center
 
 
@@ -568,9 +568,13 @@ class FacetId:
     def __post_init__(self):
         if self.kind not in ("upper", "lower", "diff"):
             raise DomainError("facet kind must be upper, lower or diff")
-        if self.i < 1:
+        # the indices are read as the record reads them, so a non-integer
+        # raises the record's DomainError
+        if _as_int("facet index", self.i) < 1:
             raise DomainError("facet indices are 1-based")
         if self.kind == "diff":
+            if self.j is not None:
+                _as_int("facet index", self.j)
             if self.j is None or self.j < 1 or self.j == self.i:
                 raise DomainError("diff facet needs two distinct indices")
         elif self.j is not None:

@@ -123,7 +123,7 @@ def test_locate_matches_bruteforce():
             on_int = np.where(snap.random(n) < 0.3, np.round(u), u)
             for x in (tuple(u), tuple(on_int)):
                 res = tg.locate(x)
-                brute = tg.locate_bruteforce(x)
+                brute = honeycomb.locate_bruteforce(tg.as_point(x), tg.DEFAULT_EPS)
                 assert tuple(brute) == res.all_centers
                 if res.status == "interior":
                     assert brute == [res.center]
@@ -276,9 +276,9 @@ def test_locate_bruteforce_equals_the_enumeration_oracle(n, eps):
     # the rounded bound the product's ranges drop a center (the test below),
     # so the chart cover judges those points
     for x in _mixed_points(n, np.random.default_rng([n, 7]), 40):
-        assert tg.locate_bruteforce(x, eps) == locate_enumeration_oracle(x, eps), x
+        assert honeycomb.locate_bruteforce(tg.as_point(x), eps) == locate_enumeration_oracle(x, eps), x
     for x in _at_the_rounded_bound(n, eps):
-        assert tg.locate_bruteforce(x, eps) == chart_cover_oracle(x, eps), x
+        assert honeycomb.locate_bruteforce(tg.as_point(x), eps) == chart_cover_oracle(x, eps), x
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
@@ -298,7 +298,7 @@ def test_enumeration_keeps_a_center_at_the_rounded_bound():
     assert tg.dist(x, (0,)) <= 1.0 + eps
     assert chart_cover_oracle(x, eps) == [(0,), (2,)]
     assert locate_enumeration_oracle(x, eps) == [(2,)]
-    assert tg.locate_bruteforce(x, eps) == [(0,), (2,)]
+    assert honeycomb.locate_bruteforce(tg.as_point(x), eps) == [(0,), (2,)]
 
 
 def test_locate_raises_when_the_list_lacks_the_fast_center(monkeypatch):
@@ -309,6 +309,43 @@ def test_locate_raises_when_the_list_lacks_the_fast_center(monkeypatch):
     monkeypatch.setattr(honeycomb, "locate_bruteforce", lambda x, eps: [(0, 0)])
     with pytest.raises(tg.TropgeoError, match="fast-path center"):
         tg.locate(x)
+
+
+def test_locate_lists_once_per_snapped_or_uncertain_point(monkeypatch):
+    # the list step runs only where the decoder cannot answer alone: never
+    # for an interior point, once for a point with an integer coordinate,
+    # once per snapped row of verify_tiling (which _batch hands to locate)
+    listed = []
+    step = honeycomb.locate_bruteforce
+
+    def counted(px, eps):
+        listed.append(px)
+        return step(px, eps)
+
+    monkeypatch.setattr(honeycomb, "locate_bruteforce", counted)
+    rng = np.random.default_rng(31)
+    for n in (2, 6, 10):
+        for x in rng.uniform(-10, 10, (100, n)).tolist():
+            assert tg.locate(x).status == "interior"
+    assert listed == []
+    points = 0
+    for n in range(4, 11):
+        for x in rng.uniform(-10, 10, (10, n)):
+            k = rng.integers(n)
+            x[k] = np.round(x[k])
+            tg.locate(tuple(x.tolist()))
+            points += 1
+    assert len(listed) == points
+    listed.clear()
+    assert tg.locate((1.0, 0.5)).status == "boundary"
+    assert listed == [(1.0, 0.5)]
+    listed.clear()
+    eps = 0.05
+    # the samples verify_tiling draws for seed 0: shard 0 is uniform(-10, 10)
+    X = np.random.default_rng([0, 0]).uniform(-10, 10, (2000, 3))
+    snapped = int(np.count_nonzero((np.abs(X - np.round(X)) <= eps).any(axis=1)))
+    assert tg.verify_tiling(3, samples=2000, eps=eps).mismatches == 0
+    assert 0 < snapped == len(listed)
 
 
 def _high_dim_points(n, rng):
@@ -339,7 +376,7 @@ def test_locate_at_high_dimension_misses_no_center(n, eps):
     # the chart cover judges completeness where 3^n offsets cannot be tried
     for x in _high_dim_points(n, np.random.default_rng([n, 9])):
         want = chart_cover_oracle(x, eps)
-        assert tg.locate_bruteforce(x, eps) == want, x
+        assert honeycomb.locate_bruteforce(tg.as_point(x), eps) == want, x
         res = tg.locate(x, eps)
         assert res.all_centers == tuple(want)
         assert res.center in want
@@ -437,7 +474,7 @@ def test_boundary_point_on_shared_facet():
     res = tg.locate((1.0, 0.5))
     assert res.status == "boundary"
     assert set(res.all_centers) == {(0, 0), (2, 1)}
-    brute = tg.locate_bruteforce((1.0, 0.5))
+    brute = honeycomb.locate_bruteforce(tg.as_point((1.0, 0.5)), tg.DEFAULT_EPS)
     assert set(brute) == {(0, 0), (2, 1)}
 
 
