@@ -421,13 +421,17 @@ def _locate_rows(
     # rank's unsigned dtype, where k = 0 wraps to its maximum, above every
     # rank, so such a column raises none
     inc = rank >= np.subtract(k, 1, dtype=rank.dtype)
-    # taking inc off x - F is _fast_center's inc - f negated, so d is its
-    # distance bit for bit.  x - F is not exact for x in (-1/2, -eps), where
-    # it is 1 - |x| rounded, so d can be an ulp from dist(F + inc, x).
-    # inc is copied into D first, so the subtraction is float64 only and
-    # skips numpy's cast of a bool operand
+    # x - F - inc is _fast_center's (c - F) - f negated.  inc is copied into
+    # D first, so the subtraction is float64 only and skips numpy's cast of
+    # a bool operand.  A raised entry whose floor is -1 takes x itself, as
+    # _fast_center takes c - x there, since x - F rounds for x in (-1/2, 0);
+    # F + inc is never formed in float64, where F + 1 rounds at 2^53.  So d
+    # is _fast_center's distance bit for bit
     np.copyto(D, inc)
-    d = _norms(np.subtract(P0, D, out=D))
+    np.subtract(P0, D, out=D)
+    at = np.flatnonzero(inc & (F == -1.0))
+    D.put(at, XT.take(at))
+    d = _norms(D)
     return F, inc, d, snapped, k
 
 

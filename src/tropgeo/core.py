@@ -15,12 +15,15 @@ kernels directly.
 Every result record of the package (``OrthantCoords``, ``TropSegment``,
 ``GeodesicRegion``, ``Ball``, ``LocateResult``, ...) subclasses ``_Record``,
 the one place that decides how a record is frozen, compared, hashed,
-printed, copied and pickled.  Its fields are its ``__slots__``; each record
-writes its own ``__init__`` and sets each field once through ``_setfield``.
+printed, copied and pickled.  A record declares its fields once, in
+``__slots__``: ``_Record`` builds a plain record's constructor from them, and
+only a record that checks, defaults or closes its inputs writes its own
+``__init__``, setting each field once through ``_setfield``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -234,7 +237,9 @@ def _rebuild(cls, values):
 
 class _Record:
     """Base of the immutable records: the fields are the subclass's
-    ``__slots__``, in order.
+    ``__slots__``, in order, declared there once.  A subclass whose body
+    defines no ``__init__`` gets one that takes every field, positionally
+    or by name, with no defaults.
 
     Assigning or deleting an attribute raises AttributeError.  Two records
     are equal when they are of the same class and their field tuples are
@@ -245,6 +250,21 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # built from source, as dataclasses builds its __init__, so that a
+        # record runs one straight-line _setfield call per field
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            return
+        names = cls.__slots__
+        src = "def __init__(self, %s):\n" % ", ".join(names)
+        src += "".join("    _setfield(self, %r, %s)\n" % (f, f) for f in names) or "    pass\n"
+        namespace = {"_setfield": _setfield}
+        exec(src, namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = cls.__qualname__ + ".__init__"
+        init.__module__ = cls.__module__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -282,10 +302,6 @@ class OrthantCoords(_Record):
 
     __slots__ = ("omitted_index", "values")
 
-    def __init__(self, omitted_index: int, values: tuple[float, ...]):
-        _setfield(self, "omitted_index", omitted_index)
-        _setfield(self, "values", values)
-
 
 def to_orthant_coords(h) -> OrthantCoords:
     """Orthant chart of a projective class; ties pick the first minimal entry."""
@@ -299,12 +315,18 @@ def to_orthant_coords(h) -> OrthantCoords:
 
 
 def orthant_to_projective(oc: OrthantCoords) -> Point:
-    """Homogeneous representative reconstructed from an orthant chart."""
-    k = _as_int("omitted index", oc.omitted_index) - 1
-    values = [float(v) for v in oc.values]
-    if k < 0 or k > len(values):
+    """Homogeneous representative reconstructed from an orthant chart.
+
+    The omitted entry's 0 and the values are read as a point is, so a value
+    that is no finite real raises DomainError, and so does a chart with no
+    values, which would give a one-entry class."""
+    k = _as_int("omitted index", oc.omitted_index)
+    ph = as_point(itertools.chain((0.0,), oc.values))
+    if len(ph) < 2:
+        raise DomainError("projective input needs at least two entries")
+    if not 1 <= k <= len(ph):
         raise DomainError("omitted index out of range")
-    return as_point(values[:k] + [0.0] + values[k:])
+    return ph[1:k] + ph[:1] + ph[k:]
 
 
 class TropSegment(_Record):
@@ -316,15 +338,6 @@ class TropSegment(_Record):
     """
 
     __slots__ = ("start", "end", "apex", "vertices", "mode")
-
-    def __init__(
-        self, start: Point, end: Point, apex: Point, vertices: tuple[Point, ...], mode: str
-    ):
-        _setfield(self, "start", start)
-        _setfield(self, "end", end)
-        _setfield(self, "apex", apex)
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "mode", mode)
 
     def length(self) -> float:
         total = 0.0

@@ -418,14 +418,6 @@ class Shape2DType(_Record):
 
     __slots__ = ("kind", "present_edges", "edge_count", "canonical_id")
 
-    def __init__(
-        self, kind: str, present_edges: tuple[int, ...], edge_count: int, canonical_id: int
-    ):
-        _setfield(self, "kind", kind)
-        _setfield(self, "present_edges", present_edges)
-        _setfield(self, "edge_count", edge_count)
-        _setfield(self, "canonical_id", canonical_id)
-
 
 def classify2d(region: GeodesicRegion, eps: float = DEFAULT_EPS) -> Shape2DType:
     """Name the shape a planar bound system cuts out.

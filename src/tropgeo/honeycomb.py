@@ -35,7 +35,6 @@ from .core import (
     _Record,
     _as_int,
     _as_real,
-    _setfield,
     as_point,
     check_eps,
 )
@@ -71,19 +70,12 @@ class LocateResult(_Record):
     ``center`` is the fast-path center; ``status`` is "interior" or
     "boundary"; ``all_centers`` lists, sorted, every center whose closed
     ball contains the point (just one in the interior case), and is the
-    library's public list of them; ``distance`` is dist(center, x), up to
-    an ulp (see _fast_center).
+    library's public list of them; ``distance`` is the distance from
+    ``center`` to the point, with each coordinate's c - x rounded once
+    (see _fast_center).
     """
 
     __slots__ = ("center", "status", "all_centers", "distance")
-
-    def __init__(
-        self, center: Center, status: str, all_centers: tuple[Center, ...], distance: float
-    ):
-        _setfield(self, "center", center)
-        _setfield(self, "status", status)
-        _setfield(self, "all_centers", all_centers)
-        _setfield(self, "distance", distance)
 
 
 # Margin of the snap filter in _fast_center and _batch._locate_rows: a
@@ -97,19 +89,33 @@ def _fast_center(x, eps: float):
 
     A coordinate within eps of an integer takes that integer as its floor,
     the others math.floor; k = (sum of floors) mod (n+1) says how many to
-    raise.  The distance is the norm of the 0/1 raises c minus the
-    fractional parts f = x - floors.  f is exact but for x in (-1/2, -eps),
-    where it is 1 - |x| rounded, so the distance can be an ulp from
-    dist(center, x): at x = (-0.3,) it is 0.30000000000000004, and dist
-    gives 0.3.  It is read from the extreme fractional parts, not from all
-    n deltas: fl(c - f) falls as f grows, so the largest delta of the
-    raised coordinates is 1 - (their least f), and the smallest is
-    1 - (their greatest f), and likewise 0 - f for the kept ones.  The sort
-    that picks the raised coordinates lists those extremes at its ends and
-    at the cut; with none or all raised, they are min and max of all f.  No
-    delta is -0.0 (0 - 0.0 and 1 - 1.0 are +0.0), so the max and min of
-    those four with 0.0 are the very doubles that max and min of all n
-    deltas give, and the last subtraction is the one _dist makes.
+    raise.  The distance is the norm of the deltas c - x, each rounded
+    once, taken in the floors' frame as (c - floor) - f with the fractional
+    parts f = x - floors, so no int coordinate of c is made a float: it
+    stays exact past 2^53, where dist's float of such a coordinate rounds.
+
+    It is read from the extreme fractional parts, not from all n deltas:
+    fl(c - f) falls as f grows, so the largest delta of the raised
+    coordinates is 1 - (their least f), and the smallest is 1 - (their
+    greatest f), and likewise 0 - f for the kept ones.  The sort that picks
+    the raised coordinates lists those extremes at its ends and at the cut;
+    with none or all raised, they are min and max of all f.  No delta is
+    -0.0 (0 - 0.0 and 1 - 1.0 are +0.0), so the max and min of those four
+    with 0.0 are the very doubles that max and min of all n deltas give,
+    and the last subtraction is the one _dist makes.
+
+    f is exact but where the floor is -1 and x is in (-1/2, 0): f = x + 1
+    rounds there, into [1/2, 1].  A kept 0 - f is then -fl(x + 1) =
+    fl(-1 - x), rounded once, but a raised 1 - f rounds twice (at
+    x = (-0.3,) it gave 0.30000000000000004, where dist gives 0.3).  Such a
+    delta, true or computed, lies in [0, 1/2], so it can only matter as the
+    largest delta, and only when its f is the least raised f, ``least``: a
+    raised f above least is at least 2^-53, an ulp in [1/2, 1), above it,
+    so the exact x + 1 is above least too and -x below 1 - least, which is
+    exact.  So when least is 1/2 or more, -1 is among the floors, and
+    least's coordinate has floor -1 or another coordinate ties it, the
+    deltas are taken one by one, as c - x itself where the floor is -1,
+    c being -1 or 0 there.
 
     For k >= 2 the cut comes from the plain sort of f: the k - 1 smallest
     are kept and the rest raised, so a coordinate is raised when its f is
@@ -155,19 +161,31 @@ def _fast_center(x, eps: float):
         # raise none (k = 0) or all (k = 1): one delta k - f per coordinate
         center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
         d = max(k - lo, 0.0) - min(k - hi, 0.0)
-        return center, d, snapped
-    # raise all but the k - 1 with the smallest fractional parts
-    srt = sorted(fracs)
-    cut = srt[k - 2]
-    d = max(1 - srt[k - 1], 0 - lo, 0.0) - min(0 - cut, 1 - hi, 0.0)
-    if cut != srt[k - 1]:
-        return tuple([c + (f > cut) for c, f in zip(floors, fracs)]), d, snapped
-    # a tie at the cut: a stable sort breaks it by index, order[:k-1] kept
-    order = sorted(range(n), key=fracs.__getitem__)
-    raised = [1] * n
-    for i in order[: k - 1]:
-        raised[i] = 0
-    return tuple(map(operator.add, floors, raised)), d, snapped
+        least = lo  # of the raised f, when there are any
+    else:
+        # raise all but the k - 1 with the smallest fractional parts
+        srt = sorted(fracs)
+        cut = srt[k - 2]
+        least = srt[k - 1]
+        d = max(1 - least, 0 - lo, 0.0) - min(0 - cut, 1 - hi, 0.0)
+        if cut != least:
+            center = tuple([c + (f > cut) for c, f in zip(floors, fracs)])
+        else:
+            # a tie at the cut: a stable sort breaks it by index, order[:k-1] kept
+            order = sorted(range(n), key=fracs.__getitem__)
+            raised = [1] * n
+            for i in order[: k - 1]:
+                raised[i] = 0
+            center = tuple(map(operator.add, floors, raised))
+    if k and least >= 0.5 and -1 in floors and (
+        floors[fracs.index(least)] == -1 or fracs.count(least) > 1
+    ):
+        # c - x, rounded once, where the floor is -1 (c is -1 or 0)
+        deltas = [
+            c - v if b == -1 else (c - b) - f for v, b, f, c in zip(x, floors, fracs, center)
+        ]
+        d = max(max(deltas), 0.0) - min(min(deltas), 0.0)
+    return center, d, snapped
 
 
 def _local_frame(px: Point) -> tuple[Center, Point]:
@@ -374,24 +392,6 @@ class TilingReport(_Record):
     """Summary of a randomized covering/disjointness check."""
 
     __slots__ = ("n", "samples", "box_halfwidth", "seed", "interior", "boundary", "mismatches")
-
-    def __init__(
-        self,
-        n: int,
-        samples: int,
-        box_halfwidth: float,
-        seed: int,
-        interior: int,
-        boundary: int,
-        mismatches: int,
-    ):
-        _setfield(self, "n", n)
-        _setfield(self, "samples", samples)
-        _setfield(self, "box_halfwidth", box_halfwidth)
-        _setfield(self, "seed", seed)
-        _setfield(self, "interior", interior)
-        _setfield(self, "boundary", boundary)
-        _setfield(self, "mismatches", mismatches)
 
 
 def verify_tiling(

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -185,10 +186,19 @@ def stable_rank_oracle(f):
     return np.argsort(np.argsort(f, axis=0, kind="stable"), axis=0, kind="stable")
 
 
+def exact_distance(center, x) -> float:
+    """The norm of center - x with each coordinate's difference rounded
+    once from its exact rational value: the distance the decoder must give,
+    also past 2^53, where ``_dist`` rounds an int center coordinate to a
+    float before it subtracts."""
+    deltas = [float(Fraction(c) - Fraction(v)) for c, v in zip(center, x)]
+    return max(max(deltas), 0.0) - min(min(deltas), 0.0)
+
+
 def fast_center_oracle(x, eps: float):
     """honeycomb._fast_center as first written: a per-coordinate round and
-    floor loop, a generator for the center, and ``_dist`` over all n
-    deltas.  The reference that the library's decoder must match bit for
+    floor loop, a generator for the center, and the exact distance over all
+    n deltas.  The reference that the library's decoder must match bit for
     bit: its center, its snapped flag and the bytes of its distance."""
     n = len(x)
     floors = []
@@ -208,7 +218,8 @@ def fast_center_oracle(x, eps: float):
     if k > 1:
         for i in sorted(range(n), key=fracs.__getitem__)[: k - 1]:
             raised[i] = 0
-    return tuple(f + b for f, b in zip(floors, raised)), _dist(raised, fracs), snapped
+    center = tuple(f + b for f, b in zip(floors, raised))
+    return center, exact_distance(center, x), snapped
 
 
 def snap_by_rounding(x, eps: float):
@@ -227,24 +238,21 @@ def fast_center_rounding_oracle(x, eps: float):
     """honeycomb._fast_center before its snap filter: it rounds every
     coordinate and measures |x - round(x)| before it takes any floor.  The
     reference rule that the filtered decoder, scalar and batch, must match
-    bit for bit on every point: center, snapped flag and distance bytes."""
-    sub = operator.sub
+    bit for bit on every point: center, snapped flag and distance bytes,
+    the distance being the exact one."""
     floors, snapped = snap_by_rounding(x, eps)
     n = len(x)
     k = sum(floors) % (n + 1)
-    fracs = list(map(sub, x, floors))
     if k < 2:
         center = tuple(floors) if k == 0 else tuple([f + 1 for f in floors])
-        d = max(k - min(fracs), 0.0) - min(k - max(fracs), 0.0)
-        return center, d, snapped
+        return center, exact_distance(center, x), snapped
+    fracs = list(map(operator.sub, x, floors))
     order = sorted(range(n), key=fracs.__getitem__)
     raised = [1] * n
     for i in order[: k - 1]:
         raised[i] = 0
-    d = max(1 - fracs[order[k - 1]], 0 - fracs[order[0]], 0.0) - min(
-        0 - fracs[order[k - 2]], 1 - fracs[order[-1]], 0.0
-    )
-    return tuple(map(operator.add, floors, raised)), d, snapped
+    center = tuple(map(operator.add, floors, raised))
+    return center, exact_distance(center, x), snapped
 
 
 def locate_enumeration_oracle(x, eps=tg.DEFAULT_EPS):

@@ -703,6 +703,11 @@ GOLDEN = [
      "center: 1,-1\nstatus: interior\ndistance: 0.7\nall_centers: 1,-1\n"),
     ("records", "honeycomb locate --point 0.9,-0.4", 0,
      "op=locate\ncenter=1,-1\nstatus=interior\ndistance=0.7\nall_centers=1,-1\n"),
+    # the decoder's distance is c - x rounded once: dist gives 0.3 too
+    ("text", "honeycomb locate --point=-0.3", 0,
+     "center: 0\nstatus: interior\ndistance: 0.3\nall_centers: 0\n"),
+    ("records", "honeycomb locate --point=-0.3", 0,
+     "op=locate\ncenter=0\nstatus=interior\ndistance=0.3\nall_centers=0\n"),
     ("text", "honeycomb locate --point 1,0", 0,
      "center: 2,1\nstatus: boundary\ndistance: 1\nall_centers: 0,0 1,-1 2,1\n"),
     ("records", "honeycomb locate --point 1,0", 0,

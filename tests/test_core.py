@@ -1,3 +1,4 @@
+import inspect
 import math
 import operator
 
@@ -381,6 +382,33 @@ def test_orthant_coords_round_trip(h):
 def test_orthant_coords_bad_index():
     with pytest.raises(tg.DomainError):
         tg.orthant_to_projective(core.OrthantCoords(5, (1.0, 1.0)))
+
+
+# record constructors
+
+
+def test_plain_records_take_their_fields_from_slots():
+    # a record declares its fields once: one with no __init__ of its own
+    # takes its __slots__, in order, with no defaults
+    for cls in (tg.OrthantCoords, tg.TropSegment, tg.Shape2DType, tg.LocateResult,
+                tg.TilingReport):
+        assert "def __init__" not in inspect.getsource(cls)
+        params = inspect.signature(cls).parameters
+        assert list(params) == list(cls.__slots__)
+        assert all(p.default is p.empty for p in params.values())
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+        assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
+        assert cls.__init__.__module__ == cls.__module__
+    # a record that checks, defaults or closes its inputs keeps its own
+    for cls in (tg.Ball, tg.FacetId, tg.GeodesicRegion):
+        assert "def __init__" in inspect.getsource(cls)
+    assert list(inspect.signature(tg.Ball).parameters) == ["center", "radius"]
+    rec = tg.OrthantCoords(values=(1.0,), omitted_index=2)
+    assert rec == tg.OrthantCoords(2, (1.0,))
+    with pytest.raises(TypeError):
+        tg.OrthantCoords(2)
+    with pytest.raises(AttributeError):
+        rec.values = ()
 
 
 # parsing and formatting

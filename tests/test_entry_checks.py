@@ -111,14 +111,29 @@ def test_a_bad_tol_raises_a_library_error(call, tol):
         lambda: tg.polyline_evaluator([(0, 0), (1, 1)])(None),
         lambda: tg.orthant_to_projective(tg.OrthantCoords("a", (1.0,))),
         lambda: tg.orthant_to_projective(tg.OrthantCoords(1.0, (1.0,))),
+        # the chart's values are read as a point is
+        lambda: tg.orthant_to_projective(tg.OrthantCoords(1, ("a",))),
+        lambda: tg.orthant_to_projective(tg.OrthantCoords(1, (None,))),
+        lambda: tg.orthant_to_projective(tg.OrthantCoords(1, (math.nan,))),
+        lambda: tg.orthant_to_projective(tg.OrthantCoords(2, (1.0, math.inf))),
+        lambda: tg.orthant_to_projective(tg.OrthantCoords(1, None)),
     ],
     ids=["FacetId-str", "FacetId-float", "FacetId-None", "FacetId-diff-str",
          "FacetId-diff-float", "evaluator-nan", "evaluator-inf", "evaluator-str",
-         "evaluator-None", "orthant-str", "orthant-float"],
+         "evaluator-None", "orthant-str", "orthant-float", "orthant-value-str",
+         "orthant-value-None", "orthant-value-nan", "orthant-value-inf",
+         "orthant-values-None"],
 )
 def test_a_malformed_index_or_parameter_raises_domain_error(call):
     with pytest.raises(tg.DomainError):
         call()
+
+
+def test_an_empty_orthant_chart_is_no_projective_class():
+    # it would give the one-entry class (0.0,), which every projective
+    # function rejects, as to_orthant_coords and canon do
+    with pytest.raises(tg.DomainError, match="projective input needs at least two entries"):
+        tg.orthant_to_projective(tg.OrthantCoords(1, ()))
 
 
 def test_checked_indices_and_parameters_keep_their_answers():

@@ -550,6 +550,42 @@ def test_locate_is_exact_at_every_magnitude(s, y, caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+def test_locate_takes_each_delta_once_where_the_floor_is_minus_one():
+    # x - floor(x) = x + 1 rounds for x in (-1/2, 0), and 1 - (x + 1) then
+    # rounded again, to 0.30000000000000004; c - x rounds once, as dist does
+    assert tg.locate((-0.3,)).distance == 0.3 == tg.dist((0,), (-0.3,))
+    # past 2^53 dist rounds the center's second coordinate, 2^60 + 257, onto
+    # x's and reads 0.3; the exact distance is 1, on a boundary
+    x = (-0.3, 2.0**60 + 256)
+    res = tg.locate(x)
+    assert res.center == (0, 2**60 + 257)
+    assert (res.distance, res.status) == (1.0, "boundary")
+    assert res.all_centers == ((-1, 2**60 + 255), (0, 2**60 + 257))
+    assert tg.dist(res.center, x) == 0.3
+    # x + 1 rounds onto the first coordinate's fractional part, so the
+    # decoder's least raised f is tied, and the floor -1 comes second
+    v = -0.1603593009809457
+    x = (v + 1.0, v, -0.8845381017537157)
+    res = tg.locate(x)
+    assert res.distance == tg.dist(res.center, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True),
+        st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True),
+    ),
+    min_size=1,
+    max_size=8,
+))
+def test_locate_distance_is_dist_to_its_center(x):
+    # below 2^52 every center coordinate is a float exactly, so dist rounds
+    # each c - x once, as the decoder does
+    res = tg.locate(x)
+    assert res.distance == tg.dist(res.center, x)
+
+
 def test_neighbors_golden_2d():
     assert set(tg.neighbors((0, 0))) == {
         (2, 1), (1, 2), (-1, 1), (1, -1), (-2, -1), (-1, -2),
