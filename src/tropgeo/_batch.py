@@ -19,20 +19,23 @@ later ones, and the count evaluates only the floor-plus-0/1 candidates that
 are lattice points (see _containing_counts).  The fractional parts x - F
 are formed once per block, by the locator, before any snap test: they
 decide which entries take the exact test, they are what the rank sorts,
-and the count reads them as its P0.
+and the count reads them as its P0.  The locator's distance is the norm of
+the deltas c - x, c = F + inc formed in float64, which is exact below
+2^53, where every sample lies; past it, where F + 1 rounds, the snap step
+lists the entries for a fix-up.
 
 Only the float64 arrays of a block live in ``_WS``, a grow-only workspace
 per thread, written with ``out=``: the transpose XT, the floors F, the pair
-buffer (the samples as drawn, then x - F beside x - F - inc, then x - F
-beside x - (F + 1)), a class's columns, the takes and their norms.  They
-outlive the call because an allocator hands so large a freed array back to
-the OS, and a fresh one each block faulted its pages in again, at several
-times the cost of its arithmetic.  Each is sized by the budgets, not by
-the samples, the shard size or the number of calls; verify_tiling states
-what a thread retains.  Every other array -- the masks, the rank, the
-residues, the class order, the per-row distances and counts -- is a plain
-numpy array, new in each block, and so is every result but
-_locate_rows' F.
+buffer (the samples as drawn, then x - F beside the deltas (F + inc) - x,
+then x - F beside x - (F + 1)), a class's columns, the takes and their
+norms.  They outlive the call because an allocator hands so large a freed
+array back to the OS, and a fresh one each block faulted its pages in
+again, at several times the cost of its arithmetic.  Each is sized by the
+budgets, not by the samples, the shard size or the number of calls;
+verify_tiling states what a thread retains.  Every other array -- the
+masks, the rank, the residues, the class order, the per-row distances and
+counts -- is a plain numpy array, new in each block, and so is every
+result but _locate_rows' F.
 
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
@@ -353,18 +356,29 @@ def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
     count = _containing_counts(XT, F, _WS.array("pair", (2, n, m)), k, eps)
     # rows with a coordinate within eps of an integer are not complete in the
     # floor-plus-0/1 count, so scalar locate answers for them
-    for idx in np.flatnonzero(snapped):
+    snapped_rows = np.flatnonzero(snapped)
+    for idx in snapped_rows:
         # its distance is d[idx] already: _locate_rows snaps as locate does
         count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
     # count != 1, a boundary row when d > 1 + eps or (count < 2 and
-    # |d - 1| > eps)
-    interior = (d < 1.0 - eps) & (~snapped | (count == 1))
-    far = (d > 1.0 + eps) | ((np.abs(d - 1.0) > eps) & (count < 2))
-    bad = np.where(interior, count != 1, far)
+    # |d - 1| > eps).  With no row snapped, ~snapped is all true.  The
+    # boundary rule runs on the boundary rows only; verify_tiling's default
+    # box of 10 gives none at n = 3, 6 and 9
+    interior = d < 1.0 - eps
+    if len(snapped_rows):
+        interior &= ~snapped | (count == 1)
     n_interior = int(np.count_nonzero(interior))
-    return n_interior, m - n_interior, int(np.count_nonzero(bad))
+    bad = count != 1
+    bad &= interior
+    mismatches = int(np.count_nonzero(bad))
+    if n_interior < m:
+        out = ~interior
+        d, count = d[out], count[out]
+        far = (d > 1.0 + eps) | ((np.abs(d - 1.0) > eps) & (count < 2))
+        mismatches += int(np.count_nonzero(far))
+    return n_interior, m - n_interior, mismatches
 
 
 def _locate_rows(
@@ -387,50 +401,65 @@ def _locate_rows(
     test |x - rint(x)| <= eps.  fl(x - floor x) is within 2^-54 of the
     exact value, so no other entry lies within eps of an integer (see
     _fast_center for the margin), and in a block with no flagged entry the
-    test costs two comparisons per entry.  An entry that snaps takes rint(x)
-    as its floor and x - rint(x) as its x - F; every other entry, flagged
-    or not, keeps the floor and x - F already formed.
+    test costs a min and a max of the block's x - F.  An entry that snaps
+    takes rint(x) as its floor and x - rint(x) as its x - F; every other
+    entry, flagged or not, keeps the floor and x - F already formed.
+
+    d is the norm of the deltas c - x, c = F + inc, formed in float64 as
+    (F + inc) - x: F + inc is exact wherever F < 2^53, so each delta is
+    the exact c - x rounded once, as _fast_center takes it.  Past 2^53,
+    F + 1 rounds, but there x is an integer: its x - F is 0, so the snap
+    filter flags it and it snaps, and the snap step lists it for a fix-up
+    that sets its delta to inc, exact.  A block with no flagged entry pays
+    nothing for the guard.  verify_tiling's samples lie below its box, at
+    most 2^53, so only the tests reach the fix-up.  The deltas are c - x,
+    not x - c: at x = -0.0, x - c would be -0.0, and _norms' max and min
+    may return either zero of a tie.
 
     x - F is left in the first half of the workspace's (2, n, m) pair
-    buffer, where _containing_counts reads it as P0, and d is taken from
-    x - F - inc in the second half, which the count overwrites.
+    buffer, where _containing_counts reads it as P0, and the deltas in the
+    second half, which the count overwrites.
     """
     n, m = XT.shape
     F = np.floor(XT, out=_WS.array("F", (n, m)))
     P0, D = _WS.array("pair", (2, n, m))
     np.subtract(XT, F, out=P0)
     near = eps + _SNAP_MARGIN
-    flag = np.less_equal(P0, near)
-    flag |= np.greater_equal(P0, 1.0 - near)
     snapped = np.zeros(m, bool)
-    if flag.any():
+    huge = ()
+    # a block whose x - F all lie inside the bounds builds no mask
+    if P0.min() <= near or P0.max() >= 1.0 - near:
+        flag = np.less_equal(P0, near)
+        flag |= np.greater_equal(P0, 1.0 - near)
         # the flat indices of the flagged entries, and their x - rint(x)
         at = np.flatnonzero(flag)
         x = XT.take(at)
         r = np.rint(x)
         x -= r
         hit = np.abs(x) <= eps
-        at = at[hit]
+        at, r = at[hit], r[hit]
         # a snapped entry's floor is rint(x), so its x - F is x - rint(x)
-        F.put(at, r[hit])
+        F.put(at, r)
         P0.put(at, x[hit])
         snapped[at % m] = True
+        # every x >= 2^53 is an integer, so it snaps: these are all the
+        # entries whose F + 1 rounds
+        huge = at[r >= 2.0**53]
     k = _floor_sum_residue(F)
     rank = _stable_rank(P0)
     # column j raises the entries of rank >= k - 1; k - 1 is taken in the
     # rank's unsigned dtype, where k = 0 wraps to its maximum, above every
     # rank, so such a column raises none
     inc = rank >= np.subtract(k, 1, dtype=rank.dtype)
-    # x - F - inc is _fast_center's (c - F) - f negated.  inc is copied into
-    # D first, so the subtraction is float64 only and skips numpy's cast of
-    # a bool operand.  A raised entry whose floor is -1 takes x itself, as
-    # _fast_center takes c - x there, since x - F rounds for x in (-1/2, 0);
-    # F + inc is never formed in float64, where F + 1 rounds at 2^53.  So d
-    # is _fast_center's distance bit for bit
+    # the deltas (F + inc) - x: inc is copied into D first, so the addition
+    # and the subtraction are float64 only and skip numpy's cast of a bool
+    # operand.  F + inc is exact but where F >= 2^53, and there x = F, so
+    # the delta is inc
     np.copyto(D, inc)
-    np.subtract(P0, D, out=D)
-    at = np.flatnonzero(inc & (F == -1.0))
-    D.put(at, XT.take(at))
+    D += F
+    D -= XT
+    if len(huge):
+        D.put(huge, inc.take(huge))
     d = _norms(D)
     return F, inc, d, snapped, k
 

@@ -435,8 +435,10 @@ def _parse_coords(text: str, sep: str) -> Point:
 
 
 def format_number(v: float) -> str:
-    """Shortest faithful decimal; integral values print without a dot, and
-    an int, such as a lattice coordinate, prints every digit."""
+    """Shortest faithful decimal.  An integral float below 1e15 in magnitude
+    prints without a dot; from 1e15 on it keeps repr's ".0" (2**53 prints
+    as 9007199254740992.0).  An int, such as a lattice coordinate, prints
+    every digit."""
     if isinstance(v, int):
         return str(v)
     f = float(v)

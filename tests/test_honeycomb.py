@@ -135,20 +135,27 @@ def decoder_cases(draw):
 
     Each coordinate is an integer base plus an offset, drawn from a small
     pool so that fractional parts tie within and across the kept and the
-    raised coordinates.  Half the points keep every offset more than eps
-    from an integer, so that nothing snaps.  The others mix in bases of
-    +-2^52 and +-2^53, and offsets of +-0.0, +-1e-20 and values on, just
-    inside and just outside +-eps and 1 - eps.
+    raised coordinates.  A third of the points keep every offset more than
+    eps from an integer, so that nothing snaps.  A third take uniform
+    offsets in (-1/2, 0), mostly on base 0, where x - floor(x) rounds and a
+    raised coordinate's delta c - x is -x: the floors are -1, so most of
+    these points raise them all.  The others mix in bases of +-2^52 and
+    +-2^53, and offsets of +-0.0, +-1e-20 and values on, just inside and
+    just outside +-eps and 1 - eps.
     """
     n = draw(st.integers(1, 12))
     eps = draw(st.sampled_from([1e-9, 0.05, 0.2]))
     inside, outside = math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)
-    if draw(st.booleans()):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         offsets = st.one_of(
             st.floats(outside, 1.0 - outside),
             st.sampled_from([0.25, 0.5, 0.75, outside, 1.0 - outside]),
         )
         bases = st.integers(-6, 6)
+    elif kind == 1:
+        offsets = st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True)
+        bases = st.sampled_from([0, 0, 0, 1, -4])
     else:
         special = [0.0, -0.0, 1e-20, -1e-20, 0.5, 1.0 - 2.0**-53]
         special += [eps, -eps, inside, -inside, outside, -outside]
@@ -868,8 +875,10 @@ def _counts(X, F, eps):
 
 def _count_cases(n, rng):
     """Uniform rows, rows with tied fractional parts, facet grids, snapping
-    rows, rows mixing +-2^53 with small entries, and rows of integers
-    +- 1e-20."""
+    rows, rows mixing +-2^53 with small entries, rows of integers +- 1e-20,
+    rows mixing 0.0, -0.0 and -1e-12 (which snaps to -0.0) with a few
+    entries in (-1, 1), and rows putting +-2^53 next to entries in
+    (-1/2, 0), quarters and signed zeros."""
     m = 150
     uniform = rng.uniform(-10, 10, (m, n))
     tied = rng.integers(-6, 6, (m, n)) + rng.choice([0.25, 0.5, 0.75, 0.3], (m, n))
@@ -883,7 +892,31 @@ def _count_cases(n, rng):
     far = rng.random((m, n)) < 0.5
     huge[far] = rng.choice([-(2.0**53), 2.0**53], far.sum())
     near_integer = rng.integers(-6, 6, (m, n)) + rng.choice([0.0, 1e-20, -1e-20], (m, n))
-    return np.vstack([uniform, tied, quarters, eighths, snapping, huge, near_integer])
+    zeros = rng.choice([0.0, -0.0, -1e-12], (m, n))
+    some = rng.random((m, n)) < 0.25
+    zeros[some] = rng.uniform(-1, 1, some.sum())
+    edge = rng.uniform(-0.5, 0, (m, n))
+    kind = rng.choice(4, (m, n), p=[0.3, 0.2, 0.2, 0.3])
+    edge[kind == 1] = rng.integers(-24, 24, (kind == 1).sum()) / 4
+    edge[kind == 2] = rng.choice([0.0, -0.0], (kind == 2).sum())
+    edge[kind == 3] = rng.choice([-(2.0**53), 2.0**53], (kind == 3).sum())
+    return np.vstack([uniform, tied, quarters, eighths, snapping, huge, near_integer, zeros, edge])
+
+
+def _minus_half_rows(n, rng, m=100):
+    """m rows uniform in (-1/2, 0), where x - floor(x) rounds, the same
+    rows with their first coordinate shifted by a random j = 1..n, so that
+    other residues k occur, and m rows with about half their entries in
+    (-1/2, 0) and the rest uniform in (-10, 10).  With every floor -1 and
+    k = 1, an unshifted row raises every coordinate, and its distance is
+    the largest -x."""
+    base = rng.uniform(-0.5, 0, (m, n))
+    shifted = base.copy()
+    shifted[:, 0] += rng.integers(1, n + 1, m)
+    mixed = rng.uniform(-10, 10, (m, n))
+    half = rng.random((m, n)) < 0.5
+    mixed[half] = rng.uniform(-0.5, 0, half.sum())
+    return np.vstack([base, shifted, mixed])
 
 
 # from n = 256 on, the rank and the residues are uint16
@@ -893,6 +926,7 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
     scale = 2.0 ** rng.integers(0, 54, (200, n))
     X = np.vstack([
         _count_cases(n, rng),
+        _minus_half_rows(n, rng),
         rng.uniform(-1, 1, (200, n)) * scale,
         rng.uniform(-(2.0**53), 2.0**53, (50, n)),
         rng.uniform(-1, 1, (50, n)) * 2.0**50,
@@ -909,6 +943,38 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
             assert tuple(centers[j]) == c
             assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
             assert bool(snapped[j]) == sj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_batch_locator_guard_at_2_pow_53_leaves_the_other_columns_alone(n):
+    # a column with a floor of 2^53, where F + 1 rounds, sends the block
+    # through the guarded fix-up; every other column must come out as it
+    # does from a block that never reaches it
+    rng = np.random.default_rng(500 + n)
+    X = np.vstack([_count_cases(n, rng), _minus_half_rows(n, rng, 30)])
+    # -2^53 stays: F + 1 is exact there
+    X = X[X.max(axis=1) < 2.0**53]
+    edge = [(2.0**53,) + (0.0,) * (n - 1)]
+    if n >= 2:
+        # the floor sum is 1 mod n + 1, so every coordinate is raised, and
+        # 2^53 + 1, whose delta is 1, decides the distance
+        t = (1 - 2**53) % (n + 1)
+        edge.append((2.0**53, t + 0.5) + (0.5,) * (n - 2))
+    m = len(X)
+    for eps in (tg.DEFAULT_EPS, 0.05):
+        F, *rest = _batch._locate_rows(X.T.copy(), eps)
+        assert F.max() < 2.0**53
+        plain = [F.copy()] + rest
+        F, *rest = _batch._locate_rows(np.vstack([X, edge]).T.copy(), eps)
+        assert F.max() >= 2.0**53
+        for a, b in zip(plain, [F] + rest):
+            assert a.tobytes() == np.ascontiguousarray(b[..., :m]).tobytes()
+        inc, d, snapped = rest[:3]
+        centers = (F.astype(np.int64) + inc).T.tolist()
+        for j, row in enumerate(edge, m):
+            c, dj, sj = honeycomb._fast_center(row, eps)
+            assert (tuple(centers[j]), bool(snapped[j])) == (c, sj)
+            assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
 
 
 SNAP_FILTER_EPS = [5e-324, 1e-300, 1e-9, 0.2]
@@ -1167,6 +1233,55 @@ def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n)
             for budget in (1, 7, 13 * n, _batch._TILING_BUDGET):
                 monkeypatch.setattr(_batch, "_TILING_BUDGET", budget)
                 assert tg.verify_tiling(n, **kw) == want, (eps, shard_size, budget)
+
+
+@pytest.mark.parametrize("eps", [tg.DEFAULT_EPS, 0.05])
+def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps):
+    # distances and counts moved off on some rows must be judged by
+    # locate's status rule, written out per row below, in blocks with and
+    # without boundary and snapped rows
+    rng = np.random.default_rng(43)
+    seen = []
+
+    def moved_rows(XT, eps):
+        F, inc, d, snapped, k = locate_rows(XT, eps)
+        if move_d:
+            d += rng.choice([0.0, 0.0, 0.0, 0.5, -0.5, 2 * eps, -2 * eps], len(d))
+            d[rng.random(len(d)) < 0.1] = 1.0
+        seen.append((d.tolist(), snapped.tolist()))
+        return F, inc, d, snapped, k
+
+    def moved_counts(*args):
+        count = true_counts(*args)
+        count += rng.choice([0, 0, 1, -1], len(count))
+        seen.append(count.tolist())
+        return count
+
+    locate_rows, true_counts = _batch._locate_rows, _batch._containing_counts
+    monkeypatch.setattr(_batch, "_locate_rows", moved_rows)
+    monkeypatch.setattr(_batch, "_containing_counts", moved_counts)
+    kinds, all_interior = set(), 0
+    for n in (1, 2, 3):
+        # a block in (-0.3, 0.3)^n with true distances has no boundary row
+        for box, move_d in ((0.3, False), (3.0, True)):
+            X = rng.uniform(-box, box, (400, n))
+            got = _batch._verify_block(X.copy(), eps)
+            (ds, snaps), counts = seen[-2:]
+            interior = mismatches = 0
+            for row, d, snapped, count in zip(X.tolist(), ds, snaps, counts):
+                if snapped:
+                    count = len(tg.locate(row, eps).all_centers)
+                inside = d < 1.0 - eps and (not snapped or count == 1)
+                interior += inside
+                if inside:
+                    bad = count != 1
+                else:
+                    bad = d > 1.0 + eps or (count < 2 and abs(d - 1.0) > eps)
+                mismatches += bad
+                kinds.add((inside, bad))
+            assert got == (interior, len(X) - interior, mismatches)
+            all_interior += interior == len(X)
+    assert len(kinds) == 4 and all_interior, (kinds, all_interior)
 
 
 def _in_fresh_thread(fn):
