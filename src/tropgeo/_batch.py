@@ -10,32 +10,32 @@ above ``geodesy._SMALL_WORK`` (a closure past n = 6, a hull of an ndarray
 or of more than about 343 / n^2 points), or one that geodesy's pure-Python
 layout of the same rule cannot read: these kernels raise its errors.
 
-verify_tiling draws each shard of samples in blocks of at most
-_TILING_BUDGET // n rows and works on each block as one coordinate-major
-(n, m) array, so every numpy reduction runs over the leading coordinate
-axis: the batch locator takes the floors, their sum mod n+1 and a stable
-rank of the fractional parts, one comparison of each coordinate against all
-later ones, and the count evaluates only the floor-plus-0/1 candidates that
-are lattice points (see _containing_counts).  The fractional parts x - F
-are formed once per block, by the locator, before any snap test: they
-decide which entries take the exact test, they are what the rank sorts,
-and the count reads them as its P0.  The locator's distance is the norm of
-the deltas c - x, c = F + inc formed in float64, which is exact below
-2^53, where every sample lies; past it, where F + 1 rounds, the snap step
-lists the entries for a fix-up.
+_tiling_counts draws each shard of verify_tiling's samples in blocks of at
+most _TILING_BUDGET // n rows, scales each block as it transposes it into
+one coordinate-major (n, m) array, and works on that array alone, so every
+numpy reduction runs over the leading coordinate axis: the batch locator
+takes the floors, their sum mod n+1 and a stable rank of the fractional
+parts, one comparison of each coordinate against all later ones, and the
+count evaluates only the floor-plus-0/1 candidates that are lattice points
+(see _containing_counts).  The fractional parts x - F are formed once per
+block, by the locator, before any snap test: they decide which entries take
+the exact test, they are what the rank sorts, and the count reads them as
+its P0.  The locator's distance is the norm of the deltas c - x, c = F + inc
+formed in float64, which is exact below 2^53, where every sample lies; past
+it, where F + 1 rounds, the snap step lists the entries for a fix-up.
 
 Only the float64 arrays of a block live in ``_WS``, a grow-only workspace
-per thread, written with ``out=``: the transpose XT, the floors F, the pair
-buffer (the samples as drawn, then x - F beside the deltas (F + inc) - x,
-then x - F beside x - (F + 1)), a class's columns, the takes and their
-norms.  They outlive the call because an allocator hands so large a freed
-array back to the OS, and a fresh one each block faulted its pages in
-again, at several times the cost of its arithmetic.  Each is sized by the
-budgets, not by the samples, the shard size or the number of calls;
-verify_tiling states what a thread retains.  Every other array -- the
-masks, the rank, the residues, the class order, the per-row distances and
-counts -- is a plain numpy array, new in each block, and so is every
-result but _locate_rows' F.
+per thread, written with ``out=``: the scaled transpose XT, the floors F,
+the pair buffer (the block as drawn, row-major, in its first half, then
+x - F beside the deltas (F + inc) - x, then x - F beside x - (F + 1)), a
+class's columns, the takes and their norms.  They outlive the call because
+an allocator hands so large a freed array back to the OS, and a fresh one
+each block faulted its pages in again, at several times the cost of its
+arithmetic.  Each is sized by the budgets, not by the samples, the shard
+size or the number of calls; verify_tiling states what a thread retains.
+Every other array -- the masks, the rank, the residues, the class order,
+the per-row distances and counts -- is a plain numpy array, new in each
+block, and so is every result but _locate_rows' F.
 
 contains_batch is coordinate-major too, and tests the cheap bounds first.
 It casts the rows, a chunk under a fixed element budget at a time, into one
@@ -281,6 +281,11 @@ def _hull_bounds(points):
     return PT.min(axis=1), PT.max(axis=1), diff
 
 
+# Samples per shard of verify_tiling: shard s draws from the substream
+# seeded by (seed, s), so this fixes which stream each sample comes from.
+# Memory is bounded by the block budget below, not by the shard.
+_SHARD_SIZE = 65_536
+
 # Element budget of each block of verify_tiling's samples (1 MiB of
 # float64): a shard is drawn and checked in blocks of at most
 # _TILING_BUDGET // n rows, so the workspace below stays bounded however
@@ -321,36 +326,42 @@ class _Workspace(threading.local):
 _WS = _Workspace()
 
 
-def _sample_blocks(seed: int, shard: int, m: int, n: int, box_halfwidth: float):
-    """Shard ``shard`` of verify_tiling's samples, m uniform points of the
-    box drawn from the substream seeded by (seed, shard), yielded in (k, n)
-    blocks of at most _TILING_BUDGET // n rows.
+def _tiling_counts(
+    n: int, box_halfwidth: float, samples: int, seed: int, eps: float
+) -> tuple[int, int, int]:
+    """verify_tiling's (interior, boundary, mismatches) over its samples,
+    uniform points of the box [-box_halfwidth, box_halfwidth]^n.
 
-    Each block is drawn into the first half of the pair buffer, which
-    _verify_block reuses once it has transposed the block, so a block is
-    valid until it is checked.  random() then ``* 2 box`` and ``- box`` is
-    the arithmetic of ``uniform(-box, box)``, on the same stream, so the
-    blocks concatenate to ``rng.uniform(-box, box, (m, n))`` byte for byte.
+    Shard s holds up to _SHARD_SIZE of them, read from the substream
+    default_rng([seed, s]) in blocks of at most _TILING_BUDGET // n rows.
+    Each block is drawn into the first half of the pair buffer and scaled
+    as it is transposed into the (n, m) array XT: random() * 2 box, then
+    + (-box), the arithmetic of ``uniform(-box, box)`` on the same stream,
+    so a shard's blocks, transposed back, concatenate to
+    ``rng.uniform(-box, box, (m, n))`` byte for byte.  The draw is not read
+    again: its buffer holds the locator's and count's scratch.
     """
-    rng = np.random.default_rng([seed, shard])
     step = max(1, _TILING_BUDGET // n)
-    for start in range(0, m, step):
-        X = _WS.array("pair", (2, min(step, m - start), n))[0]
-        rng.random(out=X)
-        X *= 2 * box_halfwidth
-        X += -box_halfwidth
-        yield X
+    totals = np.zeros(3, np.int64)
+    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
+        rng = np.random.default_rng([seed, shard])
+        m = min(_SHARD_SIZE, samples - done)
+        for start in range(0, m, step):
+            X = _WS.array("pair", (2, min(step, m - start), n))[0]
+            rng.random(out=X)
+            # one transpose per block: every kernel reduces over the leading
+            # coordinate axis of XT, never over a short trailing one
+            XT = np.multiply(X.T, 2 * box_halfwidth, out=_WS.array("XT", X.T.shape))
+            XT += -box_halfwidth
+            totals += _verify_block(XT, eps)
+    return tuple(totals.tolist())
 
 
-def _verify_block(X: np.ndarray, eps: float) -> tuple[int, int, int]:
-    """(interior, boundary, mismatches) over the (m, n) samples X; scalar
-    ``locate`` answers for the snapped rows."""
-    m, n = X.shape
-    # one transpose per block: every kernel below reduces over the leading
-    # coordinate axis of this (n, m) copy, never over a short trailing one.
-    # X is not read again: its buffer holds the locator's and count's scratch
-    XT = _WS.array("XT", (n, m))
-    np.copyto(XT, X.T)
+def _verify_block(XT: np.ndarray, eps: float) -> tuple[int, int, int]:
+    """(interior, boundary, mismatches) over the m samples that are the
+    columns of the (n, m) array XT; scalar ``locate`` answers for the
+    snapped rows."""
+    n, m = XT.shape
     F, _, d, snapped, k = _locate_rows(XT, eps)
     # x - F, formed once by the locator, is the count's P0
     count = _containing_counts(XT, F, _WS.array("pair", (2, n, m)), k, eps)
@@ -601,7 +612,11 @@ def _containing_counts(
     return count
 
 
-@functools.lru_cache(maxsize=64)
+# 17 entries, so that the cache stays under the 64 MB that _MAX_TILING_DIM
+# is set by: an entry is n C(n, r) bytes, and any 17 classes with n <= 21
+# come to at most 62.7 MB, where 64 came to 82.6 MB.  The benchmark's
+# n = 3, 6, 9 cycle asks for 15 classes (r = 1..n-1) and keeps them all.
+@functools.lru_cache(maxsize=17)
 def _subsets(n: int, r: int) -> np.ndarray:
     """The weight-r subsets S of range(n) as one read-only (n, C(n, r)) take
     index into the 2n rows of P0 over P1.

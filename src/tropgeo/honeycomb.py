@@ -377,11 +377,6 @@ def neighbors(c, eps: float = DEFAULT_EPS) -> list[Center]:
     return sorted(tuple(map(operator.add, cc, r)) for r in roots)
 
 
-# Samples per shard of verify_tiling: shard s draws from the substream
-# seeded by (seed, s), so this fixes which stream each sample comes from.
-# Memory is bounded by _batch's block budget, not by the shard.
-_SHARD_SIZE = 65_536
-
 # The largest n that verify_tiling checks: its count caches one take index
 # per weight class, n C(n, r) bytes, so n 2^n over all classes, which is
 # 42 MiB at n = 21 and would pass about 64 MB at n = 22.
@@ -406,9 +401,10 @@ def verify_tiling(
     A sample counts as a mismatch when an interior point has more or fewer
     than one containing center, or when a boundary point's fast-path center
     is not among its containing centers.  Sampling is sharded in
-    _SHARD_SIZE samples; shard s uses the substream seeded by (seed, s), so
-    a report depends only on (n, box, samples, seed, eps), not on the
-    blocks a shard is checked in, the thread or earlier calls.
+    _batch._SHARD_SIZE samples; shard s uses the substream seeded by
+    (seed, s), so a report depends only on (n, box, samples, seed, eps),
+    not on the blocks a shard is checked in, the thread or earlier calls.
+    _batch._tiling_counts draws, blocks and checks every shard.
 
     The enumeration evaluates dist to every floor-plus-0/1 candidate that
     is a lattice point, about 2^n / (n+1) per sample rather than 2^n;
@@ -447,14 +443,7 @@ def verify_tiling(
     check_eps(eps)
     from . import _batch
 
-    interior = boundary = mismatches = 0
-    for shard, done in enumerate(range(0, samples, _SHARD_SIZE)):
-        m = min(_SHARD_SIZE, samples - done)
-        for X in _batch._sample_blocks(seed, shard, m, n, box_halfwidth):
-            i_cnt, b_cnt, mm = _batch._verify_block(X, eps)
-            interior += i_cnt
-            boundary += b_cnt
-            mismatches += mm
+    interior, boundary, mismatches = _batch._tiling_counts(n, box_halfwidth, samples, seed, eps)
     return TilingReport(
         n=n,
         samples=samples,

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import tropgeo as tg
-from tropgeo import ball, honeycomb
+from tropgeo import _batch, ball, honeycomb
 from tropgeo.core import DomainError, Point, _as_int, _dist, _pair, as_point
 from tropgeo.honeycomb import Center
 
@@ -361,14 +361,14 @@ def alcove_faces(n, seed, denominator=1024):
 def tiling_report_oracle(n, box_halfwidth, samples, seed, eps):
     """verify_tiling's report from the scalar locate and the exhaustive count.
 
-    Draws each shard of honeycomb._SHARD_SIZE samples whole with
+    Draws each shard of _batch._SHARD_SIZE samples whole with
     ``uniform`` from the substream (seed, shard), takes each sample's status
     and distance from ``tg.locate``, and its number of containing centers
     from containing_count_oracle, or from locate's all_centers when a
     coordinate is within eps of an integer, as verify_tiling does.  Then
     applies verify_tiling's mismatch rule.
     """
-    shard_size = honeycomb._SHARD_SIZE
+    shard_size = _batch._SHARD_SIZE
     interior = mismatches = 0
     for shard, start in enumerate(range(0, samples, shard_size)):
         m = min(shard_size, samples - start)

@@ -769,7 +769,7 @@ def test_verify_tiling_is_deterministic():
 
 
 def test_verify_tiling_crosses_shard_boundaries(monkeypatch):
-    monkeypatch.setattr(honeycomb, "_SHARD_SIZE", 1024)
+    monkeypatch.setattr(_batch, "_SHARD_SIZE", 1024)
     rep = tg.verify_tiling(2, box_halfwidth=5.0, samples=3000, seed=3)
     assert rep.mismatches == 0
     assert rep.interior + rep.boundary == 3000
@@ -1188,6 +1188,35 @@ def test_subsets_list_each_subset_once_with_its_complement():
     assert _batch._subsets(129, 128).dtype == np.uint16
 
 
+def test_subsets_cache_stays_under_64_mb_at_the_tiling_cap():
+    # an entry is n C(n, r) one-byte indices, and the cache keeps maxsize of
+    # them, from any dimensions: the largest maxsize classes up to the cap
+    # must stay under the 64 MB that the cap is set by
+    cap = honeycomb._MAX_TILING_DIM
+    maxsize = _batch._subsets.cache_parameters()["maxsize"]
+    for r in (1, 2):
+        assert _batch._subsets(cap, r).nbytes == cap * math.comb(cap, r)
+    sizes = sorted(n * math.comb(n, r) for n in range(1, cap + 1) for r in range(n + 1))
+    assert sum(sizes[-maxsize:]) < 64 * 10**6
+
+
+def test_subsets_cache_keeps_the_benchmark_cycle_after_its_first_pass():
+    # the tiling workload's n = 3, 6, 9 cycle asks for the 15 classes
+    # r = 1..n-1, once per block; one block each at these sample counts
+    cycle = [(3, 24_000), (6, 3_400), (9, 480)]
+    _batch._subsets.cache_clear()
+    for n, samples in cycle:
+        tg.verify_tiling(n, samples=samples, seed=1)
+    first = _batch._subsets.cache_info()
+    assert first.misses == 15
+    for _ in range(2):
+        for n, samples in cycle:
+            tg.verify_tiling(n, samples=samples, seed=1)
+    info = _batch._subsets.cache_info()
+    assert info.misses == first.misses
+    assert info.hits - first.hits == 2 * 15
+
+
 def test_subsets_are_cached_and_read_only():
     # the index is shared by every call, so it may not be written
     index = _batch._subsets(5, 2)
@@ -1210,24 +1239,41 @@ def test_verify_tiling_memory_stays_bounded():
 @pytest.mark.parametrize("box", [0.0, 0.7, 3.0, 10.0, 1e-300, 2.0**53])
 @pytest.mark.parametrize("budget", [1, 7, 13, _batch._TILING_BUDGET])
 def test_sample_blocks_are_uniform_byte_for_byte(monkeypatch, box, budget):
-    # verify_tiling's samples are the substream's uniform draws, however the
-    # blocks cut them; m is never a multiple of the block, so the last block
-    # is always shorter
+    # verify_tiling's samples are each shard's substream of uniform draws,
+    # however the blocks cut them: the (n, k) blocks that _verify_block gets,
+    # transposed back, concatenate to the shard's uniform(-box, box).  Shards
+    # of 20 cut every m below into three or more, the last one shorter
+    blocks = []
+
+    def capture(XT, eps):
+        assert XT.flags.c_contiguous
+        blocks.append(XT.T.copy())
+        return 0, XT.shape[1], 0
+
     monkeypatch.setattr(_batch, "_TILING_BUDGET", budget)
+    monkeypatch.setattr(_batch, "_SHARD_SIZE", 20)
+    monkeypatch.setattr(_batch, "_verify_block", capture)
     for n, m in [(1, 61), (3, 101), (5, 43)]:
         rows = max(1, budget // n)
-        blocks = [X.copy() for X in _batch._sample_blocks(11, 2, m, n, box)]
-        assert [len(X) for X in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= rows
-        want = np.random.default_rng([11, 2]).uniform(-box, box, (m, n))
-        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        blocks.clear()
+        rep = tg.verify_tiling(n, box_halfwidth=box, samples=m, seed=11)
+        assert (rep.interior, rep.boundary, rep.mismatches) == (0, m, 0)
+        shards = [min(20, m - start) for start in range(0, m, 20)]
+        assert len(shards) >= 3 and shards[-1] < 20
+        for shard, size in enumerate(shards):
+            sizes = [min(rows, size - start) for start in range(0, size, rows)]
+            mine, blocks[: len(sizes)] = blocks[: len(sizes)], []
+            assert [len(X) for X in mine] == sizes
+            want = np.random.default_rng([11, shard]).uniform(-box, box, (size, n))
+            assert np.concatenate(mine).tobytes() == want.tobytes()
+        assert not blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n):
     for eps in (tg.DEFAULT_EPS, 0.05):
         for shard_size, samples in [(1, 30), (7, 150), (1500, 150), (65_536, 150)]:
-            monkeypatch.setattr(honeycomb, "_SHARD_SIZE", shard_size)
+            monkeypatch.setattr(_batch, "_SHARD_SIZE", shard_size)
             kw = dict(box_halfwidth=3.0, samples=samples, seed=4, eps=eps)
             want = tiling_report_oracle(n, **kw)
             for budget in (1, 7, 13 * n, _batch._TILING_BUDGET):
@@ -1265,7 +1311,7 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
         # a block in (-0.3, 0.3)^n with true distances has no boundary row
         for box, move_d in ((0.3, False), (3.0, True)):
             X = rng.uniform(-box, box, (400, n))
-            got = _batch._verify_block(X.copy(), eps)
+            got = _batch._verify_block(X.T.copy(), eps)
             (ds, snaps), counts = seen[-2:]
             interior = mismatches = 0
             for row, d, snapped, count in zip(X.tolist(), ds, snaps, counts):
@@ -1329,7 +1375,7 @@ def test_verify_tiling_threads_get_the_serial_reports():
 
 
 def test_verify_tiling_allocates_its_workspace_once(monkeypatch):
-    monkeypatch.setattr(honeycomb, "_SHARD_SIZE", 20_000)
+    monkeypatch.setattr(_batch, "_SHARD_SIZE", 20_000)
 
     def peaks():
         out = []
@@ -1355,7 +1401,7 @@ def test_verify_tiling_workspace_is_bounded_by_the_budget(monkeypatch):
         block = _batch._TILING_BUDGET // n
         sizes = []
         for samples, shard_size in [(block, 65_536), (3 * block + 5, 3 * block), (block, block)]:
-            monkeypatch.setattr(honeycomb, "_SHARD_SIZE", shard_size)
+            monkeypatch.setattr(_batch, "_SHARD_SIZE", shard_size)
             for _ in range(2):
                 tg.verify_tiling(n, samples=samples, seed=3)
                 sizes.append(_workspace_bytes())

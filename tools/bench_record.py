@@ -7,22 +7,37 @@ Runs perfbench/run.py on every workload of BENCHMARK.json, on seeds 1 and
 writes their metrics to BENCH_<pr>.json at the root of the checkout, with
 the Python and numpy versions, the core count and each run's host
 slowdown.  Two records of one host compare the commits they were made at.
+
+Each run starts from a copy of the checkout's src and perfbench without
+their __pycache__ directories, under PYTHONDONTWRITEBYTECODE=1, so every
+child compiles tropgeo as in a fresh export of the commit: bytecode left
+by a test run would otherwise make setup_s and the cli workload read faster
+than a fresh export of the same code.  A PYTHONPYCACHEPREFIX would hide the
+tree's bytecode too, but then numpy and the standard library compile in
+every child as well: ``import numpy`` went from about 0.22 to 0.85 s.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 20261018)  # the second is run.py's SECOND_SEED
 
 
 def run(workload, seed, trace, seconds):
-    out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        stdout=subprocess.PIPE, text=True, check=True, cwd=ROOT).stdout.splitlines()
+    with tempfile.TemporaryDirectory() as tree:
+        for part in ("src", "perfbench"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        out = subprocess.run(
+            [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+            stdout=subprocess.PIPE, text=True, check=True, cwd=tree,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1")).stdout.splitlines()
     record, result = json.loads(out[-2])["record"], json.loads(out[-1])
     slowdown = result["metrics"]["host.slowdown"]["value"] if trace else record["slowdown"]
     return record, dict(workload=workload, seed=seed, trace=trace, correct=result["correct"],
