@@ -64,7 +64,6 @@ and about 120 KB at n = 2, mostly the indices of the rows inside the box.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import threading
@@ -72,7 +71,7 @@ import threading
 import numpy as np
 
 from .core import DimensionMismatch, DomainError
-from .honeycomb import _SNAP_MARGIN, locate
+from .honeycomb import locate
 
 
 def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
@@ -408,13 +407,13 @@ def _locate_rows(
     the next call in the same thread; the other four are new arrays.
 
     As in _fast_center, the floors and x - F come first, and only an entry
-    whose x - F lies within eps + _SNAP_MARGIN of 0 or of 1 takes the exact
-    test |x - rint(x)| <= eps.  fl(x - floor x) is within 2^-54 of the
-    exact value, so no other entry lies within eps of an integer (see
-    _fast_center for the margin), and in a block with no flagged entry the
-    test costs a min and a max of the block's x - F.  An entry that snaps
-    takes rint(x) as its floor and x - rint(x) as its x - F; every other
-    entry, flagged or not, keeps the floor and x - F already formed.
+    whose x - F is at most eps or at least 1.0 - eps takes the exact test
+    |x - rint(x)| <= eps.  No other entry lies within eps of an integer
+    (see _fast_center for why eps alone suffices), and in a block with no
+    flagged entry the test costs a min and a max of the block's x - F.  An
+    entry that snaps takes rint(x) as its floor and x - rint(x) as its
+    x - F; every other entry, flagged or not, keeps the floor and x - F
+    already formed.
 
     d is the norm of the deltas c - x, c = F + inc, formed in float64 as
     (F + inc) - x: F + inc is exact wherever F < 2^53, so each delta is
@@ -435,13 +434,12 @@ def _locate_rows(
     F = np.floor(XT, out=_WS.array("F", (n, m)))
     P0, D = _WS.array("pair", (2, n, m))
     np.subtract(XT, F, out=P0)
-    near = eps + _SNAP_MARGIN
     snapped = np.zeros(m, bool)
     huge = ()
     # a block whose x - F all lie inside the bounds builds no mask
-    if P0.min() <= near or P0.max() >= 1.0 - near:
-        flag = np.less_equal(P0, near)
-        flag |= np.greater_equal(P0, 1.0 - near)
+    if P0.min() <= eps or P0.max() >= 1.0 - eps:
+        flag = np.less_equal(P0, eps)
+        flag |= np.greater_equal(P0, 1.0 - eps)
         # the flat indices of the flagged entries, and their x - rint(x)
         at = np.flatnonzero(flag)
         x = XT.take(at)
@@ -612,11 +610,18 @@ def _containing_counts(
     return count
 
 
-# 17 entries, so that the cache stays under the 64 MB that _MAX_TILING_DIM
-# is set by: an entry is n C(n, r) bytes, and any 17 classes with n <= 21
-# come to at most 62.7 MB, where 64 came to 82.6 MB.  The benchmark's
-# n = 3, 6, 9 cycle asks for 15 classes (r = 1..n-1) and keeps them all.
-@functools.lru_cache(maxsize=17)
+# The take indices _subsets has built: per dimension n, a dict from r to
+# its index, the dimensions in order of last use.  Whole dimensions are
+# evicted, least recently used first, while the indices pass _SUBSETS_BYTES,
+# the 64 MB that _MAX_TILING_DIM is set by.  One dimension's classes
+# r = 1..n-1 take n (2^n - 2) bytes, 42 MiB at n = 21, so a dimension up to
+# the cap keeps all of its own from block to block and from call to call,
+# and the benchmark's n = 3, 6, 9 cycle keeps its 15 classes in under 10 KB.
+_SUBSETS_BYTES = 64 * 10**6
+_subsets_cache: dict[int, dict[int, np.ndarray]] = {}
+_subsets_lock = threading.Lock()
+
+
 def _subsets(n: int, r: int) -> np.ndarray:
     """The weight-r subsets S of range(n) as one read-only (n, C(n, r)) take
     index into the 2n rows of P0 over P1.
@@ -626,15 +631,28 @@ def _subsets(n: int, r: int) -> np.ndarray:
     The complements of the r-subsets, in combinations order, are the
     (n - r)-subsets in reverse order.  In the smallest unsigned dtype that
     holds 2n - 1, which take casts a slice of at a time, so the index takes
-    as many bytes as n bools per subset.  Cached, since every shard asks
-    for it.
+    as many bytes as n bools per subset.  Cached in _subsets_cache, since
+    every block asks for it.  Threads share the cache under one lock, held
+    while an index is built, so a thread never sees a torn update and no
+    index is built twice at once.
     """
-    dtype, count = np.min_scalar_type(2 * n - 1), math.comb(n, r)
+    with _subsets_lock:
+        classes = _subsets_cache.pop(n, {})
+        # put back last, as the most recently used dimension
+        _subsets_cache[n] = classes
+        if r in classes:
+            return classes[r]
+        dtype, count = np.min_scalar_type(2 * n - 1), math.comb(n, r)
 
-    def rows(k, first):
-        flat = itertools.chain.from_iterable(itertools.combinations(range(first, first + n), k))
-        return np.fromiter(flat, dtype, count=count * k).reshape(count, k)
+        def rows(k, first):
+            flat = itertools.chain.from_iterable(itertools.combinations(range(first, first + n), k))
+            return np.fromiter(flat, dtype, count=count * k).reshape(count, k)
 
-    index = np.concatenate([rows(n - r, 0)[::-1].T, rows(r, n).T])
-    index.flags.writeable = False
-    return index
+        index = classes[r] = np.concatenate([rows(n - r, 0)[::-1].T, rows(r, n).T])
+        index.flags.writeable = False
+        # the least recently used dimension is first; n, last, always stays
+        while len(_subsets_cache) > 1 and sum(
+            i.nbytes for c in _subsets_cache.values() for i in c.values()
+        ) > _SUBSETS_BYTES:
+            del _subsets_cache[next(iter(_subsets_cache))]
+        return index

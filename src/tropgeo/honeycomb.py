@@ -78,12 +78,6 @@ class LocateResult(_Record):
     __slots__ = ("center", "status", "all_centers", "distance")
 
 
-# Margin of the snap filter in _fast_center and _batch._locate_rows: a
-# point whose fractional parts all lie in (eps + _SNAP_MARGIN,
-# 1 - eps - _SNAP_MARGIN) has no coordinate within eps of an integer.
-_SNAP_MARGIN = 2.0**-50
-
-
 def _fast_center(x, eps: float):
     """Case analysis on floors: returns (center, distance, snapped_any).
 
@@ -126,26 +120,25 @@ def _fast_center(x, eps: float):
     runs to keep the tied coordinates of least index.
 
     The floors and f come first, and the exact snap test |x - round(x)| <= eps
-    runs only on a coordinate whose f is within eps + _SNAP_MARGIN of 0 or
-    of 1.  fl(x - floor x) is within 2^-54 of the exact f for every double:
-    it is exact (Sterbenz) but for x in (-1/2, 0), where x + 1 rounds in
-    (1/2, 1).  The thresholds eps + 2^-50 and 1 minus it round by at most
-    2^-55 and 2^-54, so a computed f strictly between them leaves the exact
-    f more than 2^-50 - 2^-52 > 0 inside (eps, 1 - eps): that coordinate is
-    more than eps from both neighbouring integers and cannot snap.  A
-    skipped test would have failed, so the floors, center, distance bits
-    and flag are those of rounding every coordinate first, and a point
-    with a flagged coordinate keeps the floors of those that do not snap.
+    runs only on a coordinate whose computed f is at most eps or at least
+    the computed 1.0 - eps.  Every coordinate that snaps is among them.  If
+    the integer within eps of x is its floor, f is exact, so at most eps:
+    fl(x - floor x) is exact (Sterbenz) but for x in (-1/2, 0), and there
+    the nearest integer is the floor plus 1.  If it is the floor plus 1,
+    the exact f is at least 1 - eps, and rounding is monotone, so the
+    computed f is at least fl(1 - eps), the computed bound.  A skipped test
+    would have failed, so the floors, center, distance bits and flag are
+    those of rounding every coordinate first, and a point with a flagged
+    coordinate keeps the floors of those that do not snap.
     """
     floors = list(map(math.floor, x))
     fracs = list(map(operator.sub, x, floors))
     lo, hi = min(fracs), max(fracs)
-    near = eps + _SNAP_MARGIN
-    far = 1.0 - near
+    far = 1.0 - eps
     snapped = False
-    if lo <= near or hi >= far:
+    if lo <= eps or hi >= far:
         for i, f in enumerate(fracs):
-            if near < f < far:
+            if eps < f < far:
                 continue
             v = x[i]
             r = round(v)
@@ -274,6 +267,7 @@ def locate(x, eps: float = DEFAULT_EPS) -> LocateResult:
     all_centers = locate_bruteforce(px, eps)
     if c not in all_centers:
         raise TropgeoError("no containing center of %r is the fast-path center %r" % (px, c))
+    # centers lie at least 2 apart (a root's norm is 2): only rounding admits a second
     status = "interior" if (d < 1.0 - eps and len(all_centers) == 1) else "boundary"
     return LocateResult(c, status, tuple(all_centers), d)
 

@@ -325,6 +325,44 @@ def test_segment_chain_properties(pair):
         assert any(tg.dist(v, seg.apex) < 1e-9 for v in verts)
 
 
+def test_segment_drops_a_stop_that_rounds_back_onto_the_start():
+    # at the stop t = 15.999999, 1e17 + t rounds to 1e17 + 16, where an ulp
+    # is 16, so that vertex is the start again
+    start, end = (1e17 + 16, 15.999999), (1e17, 0.0)
+    assert tg.segment(start, end).vertices == (start, end)
+
+
+@st.composite
+def near_stop_pairs(draw):
+    """(x, y, mode) where a large coordinate stops at T, a multiple of its
+    ulp, and another at a time within an ulp of T, so that at one of the two
+    stops the large coordinate rounds onto its position at the other."""
+    big = draw(st.floats(2.0**53, 1e300)) * draw(st.sampled_from([1.0, -1.0]))
+    u = math.ulp(big)
+    T = draw(st.integers(1, 4)) * u
+    t = draw(st.floats(T - u, T + u, exclude_min=True, exclude_max=True))
+    low = draw(st.sampled_from([0.0, 1.0, -3.5]))
+    x, y = [big + T, low + t], [big, low]
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.floats(-1e3, 1e3))
+        x.append(v + draw(st.floats(0.0, 1e3)))
+        y.append(v)
+    order = draw(st.permutations(range(len(x))))
+    x, y = tuple(x[i] for i in order), tuple(y[i] for i in order)
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y, draw(st.sampled_from(["min", "max"]))
+
+
+@settings(max_examples=300)
+@given(near_stop_pairs())
+def test_segment_never_repeats_a_vertex_at_stops_an_ulp_apart(case):
+    x, y, mode = case
+    verts = tg.segment(x, y, mode).vertices
+    assert verts[0] == x and verts[-1] == y
+    assert all(a != b for a, b in zip(verts, verts[1:])), verts
+
+
 @settings(max_examples=200)
 @given(point_pairs(max_dim=6))
 def test_segment_edges_move_uniformly(pair):

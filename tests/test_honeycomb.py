@@ -986,7 +986,9 @@ def _snap_filter_points(n, eps, rng, count=300):
     A coordinate is an integer plus one of 0, 5e-324, 1e-300, 2^-50,
     eps (1 +- 2^-40), eps, eps + 2^-50 and its neighbours, either sign; or
     uniform in (-1/2, 0), where x - floor(x) rounds; or +-[2^51, 2^53],
-    where a float holds at most a half; or uniform in (-10, 10).
+    where a float holds at most a half; or uniform in (-10, 10).  eps + 2^-50
+    and its neighbours sit where the filter's bound was while it widened
+    eps by a margin of 2^-50; the filter now tests eps alone.
     """
     near = eps + 2.0**-50
     offsets = [0.0, 5e-324, 1e-300, 2.0**-50, eps]
@@ -1038,9 +1040,53 @@ def test_batch_locator_matches_the_rounding_rule_bit_for_bit(eps):
             assert int(k[j]) == sum(floors) % (n + 1), x
 
 
+@st.composite
+def snap_edge_coordinates(draw):
+    """(eps, coordinates), each coordinate k +- eps or k +- eps (1 +- 2^-j),
+    j = 1..53, as float64 rounds them, or a float neighbour of one, up to
+    three steps away; k is 0, +-1, up to 10^6 or up to 2^52 in magnitude."""
+    eps = draw(st.sampled_from(
+        [5e-324, 2.0**-52, 1e-12, 2.0**-30, 1e-9, 1e-6, 0.01, 0.05, 0.1, 0.2499]
+    ))
+    ks = st.one_of(
+        st.sampled_from([0, 1, -1]), st.integers(-(10**6), 10**6), st.integers(-(2**52), 2**52)
+    )
+    signs = st.sampled_from([1.0, -1.0])
+
+    def coordinate(k, sign, j, tilt, step):
+        x = k + sign * (eps * (1 + tilt * 2.0**-j) if j else eps)
+        for _ in range(abs(step)):
+            x = math.nextafter(x, math.copysign(math.inf, step))
+        return x
+
+    coords = st.builds(coordinate, ks, signs, st.integers(0, 53), signs, st.integers(-3, 3))
+    return eps, draw(st.lists(coords, min_size=1, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(snap_edge_coordinates())
+def test_snap_filter_flags_every_coordinate_that_snaps(case):
+    # a coordinate that the filter passes over skips the exact snap test and
+    # reads as unsnapped, so in either layout every coordinate within eps of
+    # an integer, in exact arithmetic, must come out snapped onto it
+    eps, xs = case
+    snaps = [abs(Fraction(x) - round(x)) <= Fraction(eps) for x in xs]
+    floors = [round(x) if snap else math.floor(x) for x, snap in zip(xs, snaps)]
+    for x, snap in zip(xs, snaps):
+        assert honeycomb._fast_center((x,), eps)[2] == snap, x
+    assert honeycomb._fast_center(tuple(xs), eps)[2] == any(snaps)
+    # each coordinate a point of its own, in one (1, m) block
+    F, _, _, snapped, _ = _batch._locate_rows(np.array([xs]), eps)
+    assert snapped.tolist() == snaps and F[0].tolist() == floors
+    # all of them the coordinates of one point
+    F, _, _, snapped, _ = _batch._locate_rows(np.array([xs]).T.copy(), eps)
+    assert F[:, 0].tolist() == floors and bool(snapped[0]) == any(snaps)
+
+
 def test_fractional_parts_are_within_2_pow_minus_54_of_exact():
     # the snap filter's premise: fl(x - floor x) errs only for x in
-    # (-1/2, 0), and there by at most half an ulp of (1/2, 1)
+    # (-1/2, 0), where the nearest integer is the floor plus 1, and there by
+    # at most half an ulp of (1/2, 1)
     rng = np.random.default_rng(54)
     xs = [v for eps in SNAP_FILTER_EPS for x in _snap_filter_points(3, eps, rng, 100)
           for v in x]
@@ -1188,33 +1234,71 @@ def test_subsets_list_each_subset_once_with_its_complement():
     assert _batch._subsets(129, 128).dtype == np.uint16
 
 
+def _cached_indices():
+    """{(n, r): index} of every take index in _subsets' cache."""
+    return {
+        (n, r): index
+        for n, classes in list(_batch._subsets_cache.items())
+        for r, index in classes.items()
+    }
+
+
+def _cache_bytes():
+    return sum(index.nbytes for index in _cached_indices().values())
+
+
 def test_subsets_cache_stays_under_64_mb_at_the_tiling_cap():
-    # an entry is n C(n, r) one-byte indices, and the cache keeps maxsize of
-    # them, from any dimensions: the largest maxsize classes up to the cap
-    # must stay under the 64 MB that the cap is set by
+    # one dimension's classes r = 1..n-1 take n (2^n - 2) one-byte indices,
+    # 42 MiB at the cap; whole dimensions are evicted, least recently used
+    # first, so the three largest dimensions, filled in turn, stay under the
+    # 64 MB that the cap is set by, and each keeps all of its own classes
     cap = honeycomb._MAX_TILING_DIM
-    maxsize = _batch._subsets.cache_parameters()["maxsize"]
-    for r in (1, 2):
-        assert _batch._subsets(cap, r).nbytes == cap * math.comb(cap, r)
-    sizes = sorted(n * math.comb(n, r) for n in range(1, cap + 1) for r in range(n + 1))
-    assert sum(sizes[-maxsize:]) < 64 * 10**6
+    assert _batch._SUBSETS_BYTES <= 64 * 10**6
+    _batch._subsets_cache.clear()
+    try:
+        for n in (cap, cap - 1, cap - 2):
+            for r in range(1, n):
+                assert _batch._subsets(n, r).nbytes == n * math.comb(n, r)
+                assert _cache_bytes() < 64 * 10**6
+            assert sorted(_batch._subsets_cache[n]) == list(range(1, n))
+        # the cap's 42 MiB went first, to make room for cap - 1
+        assert list(_batch._subsets_cache) == [cap - 1, cap - 2]
+    finally:
+        _batch._subsets_cache.clear()
 
 
 def test_subsets_cache_keeps_the_benchmark_cycle_after_its_first_pass():
     # the tiling workload's n = 3, 6, 9 cycle asks for the 15 classes
     # r = 1..n-1, once per block; one block each at these sample counts
     cycle = [(3, 24_000), (6, 3_400), (9, 480)]
-    _batch._subsets.cache_clear()
+    _batch._subsets_cache.clear()
     for n, samples in cycle:
         tg.verify_tiling(n, samples=samples, seed=1)
-    first = _batch._subsets.cache_info()
-    assert first.misses == 15
+    first = _cached_indices()
+    assert sorted(first) == [(n, r) for n, _ in cycle for r in range(1, n)]
     for _ in range(2):
         for n, samples in cycle:
             tg.verify_tiling(n, samples=samples, seed=1)
-    info = _batch._subsets.cache_info()
-    assert info.misses == first.misses
-    assert info.hits - first.hits == 2 * 15
+    # no index was built again: the cache holds the very same arrays
+    after = _cached_indices()
+    assert after.keys() == first.keys()
+    assert all(after[key] is first[key] for key in first)
+
+
+def test_subsets_cache_keeps_every_class_of_n19_from_call_to_call():
+    # each block asks for the 18 classes r = 1..18 in a fixed cycle, so a
+    # cache of fewer whole classes would evict each just before its next use
+    _batch._subsets_cache.clear()
+    try:
+        tg.verify_tiling(19, samples=200, seed=1)
+        first = _cached_indices()
+        assert sorted(first) == [(19, r) for r in range(1, 19)]
+        tg.verify_tiling(19, samples=200, seed=1)
+        after = _cached_indices()
+        assert after.keys() == first.keys()
+        assert all(after[key] is first[key] for key in first)
+    finally:
+        _batch._subsets_cache.clear()
 
 
 def test_subsets_are_cached_and_read_only():
@@ -1285,9 +1369,18 @@ def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n)
 def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps):
     # distances and counts moved off on some rows must be judged by
     # locate's status rule, written out per row below, in blocks with and
-    # without boundary and snapped rows
+    # without boundary and snapped rows.  In the moved blocks, locate lists
+    # no center for a row whose first coordinate is an integer: such a row
+    # is snapped, so a boundary row, and at d < 1 - eps only count < 2
+    # makes it a mismatch
     rng = np.random.default_rng(43)
     seen = []
+
+    def no_centers_on_integers(x, eps):
+        res = true_locate(x, eps)
+        if move_d and float(x[0]).is_integer():
+            return honeycomb.LocateResult(res.center, res.status, (), res.distance)
+        return res
 
     def moved_rows(XT, eps):
         F, inc, d, snapped, k = locate_rows(XT, eps)
@@ -1304,19 +1397,27 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
         return count
 
     locate_rows, true_counts = _batch._locate_rows, _batch._containing_counts
+    true_locate = _batch.locate
     monkeypatch.setattr(_batch, "_locate_rows", moved_rows)
     monkeypatch.setattr(_batch, "_containing_counts", moved_counts)
-    kinds, all_interior = set(), 0
+    monkeypatch.setattr(_batch, "locate", no_centers_on_integers)
+    kinds, all_interior, lost_inside = set(), 0, 0
     for n in (1, 2, 3):
         # a block in (-0.3, 0.3)^n with true distances has no boundary row
         for box, move_d in ((0.3, False), (3.0, True)):
             X = rng.uniform(-box, box, (400, n))
+            if move_d:
+                # one integer coordinate in every fourth row, at any index
+                rows = np.arange(0, len(X), 4)
+                cols = rng.integers(0, n, len(rows))
+                X[rows, cols] = np.round(X[rows, cols])
             got = _batch._verify_block(X.T.copy(), eps)
             (ds, snaps), counts = seen[-2:]
             interior = mismatches = 0
             for row, d, snapped, count in zip(X.tolist(), ds, snaps, counts):
                 if snapped:
-                    count = len(tg.locate(row, eps).all_centers)
+                    count = len(_batch.locate(row, eps).all_centers)
+                    lost_inside += count == 0 and d < 1.0 - eps
                 inside = d < 1.0 - eps and (not snapped or count == 1)
                 interior += inside
                 if inside:
@@ -1327,7 +1428,7 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
                 kinds.add((inside, bad))
             assert got == (interior, len(X) - interior, mismatches)
             all_interior += interior == len(X)
-    assert len(kinds) == 4 and all_interior, (kinds, all_interior)
+    assert len(kinds) == 4 and all_interior and lost_inside, (kinds, all_interior, lost_inside)
 
 
 def _in_fresh_thread(fn):
