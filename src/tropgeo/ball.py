@@ -10,7 +10,6 @@ e_1 ... e_n and -(1,...,1).
 from __future__ import annotations
 
 import itertools
-import math
 
 from .core import (
     DEFAULT_EPS,
@@ -18,6 +17,7 @@ from .core import (
     DomainError,
     Point,
     _dist,
+    _finite_point,
     _norm,
     _Record,
     _as_dim,
@@ -271,12 +271,13 @@ def minkowski_coeffs(x, eps: float = DEFAULT_EPS) -> tuple[float, ...]:
 
 
 def zonotope_point(coeffs) -> Point:
-    """Recombine minkowski_coeffs back into the point they came from."""
+    """Recombine minkowski_coeffs back into the point they came from;
+    DomainError when a coordinate overflows float64."""
     a = as_point(coeffs)
     if len(a) < 2:
         raise DomainError("need at least two coefficients")
     last = a[-1]
-    return tuple(v - last for v in a[:-1])
+    return _finite_point(tuple(v - last for v in a[:-1]))
 
 
 def orthant_of(x, eps: float = DEFAULT_EPS) -> tuple[int, ...]:
@@ -320,9 +321,7 @@ def eval_trop_combination(coeffs, generators) -> Point:
         if len(g) != n:
             raise DimensionMismatch("generators have mixed dimensions")
     out = tuple(min(a[i] + g[k] for i, g in enumerate(gens)) for k in range(n))
-    if not all(map(math.isfinite, out)):
-        raise DomainError("the combination overflows float64")
-    return out
+    return _finite_point(out, "the combination")
 
 
 def pole_distances(x, eps: float = DEFAULT_EPS) -> tuple[float, float]:

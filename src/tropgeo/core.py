@@ -153,6 +153,23 @@ def _finite(value: float) -> float:
     return value
 
 
+def _finite_point(pt: Point, what: str = "the point") -> Point:
+    """pt, or DomainError naming ``what`` when finite input has overflowed
+    one of its coordinates; read from one sum, as in as_point."""
+    s = sum(pt)
+    if s - s != 0.0 and not all(map(math.isfinite, pt)):
+        raise DomainError("%s overflows float64" % what)
+    return pt
+
+
+def _proj(h) -> Point:
+    """h read as a projective class: a checked point of at least two entries."""
+    ph = as_point(h)
+    if len(ph) < 2:
+        raise DomainError("projective input needs at least two entries")
+    return ph
+
+
 def dist(x, y) -> float:
     """Min-plus distance between two points of R^n.
 
@@ -170,11 +187,28 @@ def _dist(px, py) -> float:
     return _finite(max(max(deltas), 0.0) - min(min(deltas), 0.0))
 
 
+def _length(points) -> float:
+    """Min-plus length of the polyline through the checked points, in order:
+    the sum of ``_dist`` over consecutive points, taken as they arrive, so
+    an iterator of points is never held as a list.  Raises DomainError for
+    no point, or when a piece or the sum overflows float64, and
+    DimensionMismatch when two consecutive points differ in length."""
+    points = iter(points)
+    a = next(points, None)
+    if a is None:
+        raise DomainError("polyline needs at least one vertex")
+    total = 0.0
+    for b in points:
+        _same_dim(a, b)
+        total += _dist(a, b)
+        a = b
+    return _finite(total)
+
+
 def dist_proj(x, y) -> float:
     """Distance between projective classes given by n+1 homogeneous entries."""
     px, py = _pair(x, y)
-    if len(px) < 2:
-        raise DomainError("projective input needs at least two entries")
+    _proj(px)
     deltas = [a - b for a, b in zip(px, py)]
     return _finite(max(deltas) - min(deltas))
 
@@ -191,9 +225,7 @@ def _norm(px: Point) -> float:
 
 def norm_proj(x) -> float:
     """Norm of a projective class: spread of its homogeneous entries."""
-    px = as_point(x)
-    if len(px) < 2:
-        raise DomainError("projective input needs at least two entries")
+    px = _proj(x)
     return _finite(max(px) - min(px))
 
 
@@ -206,12 +238,11 @@ def lp_distances(x, y) -> tuple[float, float]:
 
 
 def canon(h) -> Point:
-    """Canonical R^n representative of a projective class (last entry to 0)."""
-    ph = as_point(h)
-    if len(ph) < 2:
-        raise DomainError("projective input needs at least two entries")
+    """Canonical R^n representative of a projective class (last entry to 0);
+    DomainError when a coordinate overflows float64."""
+    ph = _proj(h)
     last = ph[-1]
-    return tuple(v - last for v in ph[:-1])
+    return _finite_point(tuple(v - last for v in ph[:-1]))
 
 
 def embed(x) -> Point:
@@ -304,13 +335,12 @@ class OrthantCoords(_Record):
 
 
 def to_orthant_coords(h) -> OrthantCoords:
-    """Orthant chart of a projective class; ties pick the first minimal entry."""
-    ph = as_point(h)
-    if len(ph) < 2:
-        raise DomainError("projective input needs at least two entries")
+    """Orthant chart of a projective class; ties pick the first minimal entry.
+    DomainError when a value overflows float64."""
+    ph = _proj(h)
     m = min(ph)
     k = ph.index(m)
-    values = tuple(v - m for i, v in enumerate(ph) if i != k)
+    values = _finite_point(tuple(v - m for i, v in enumerate(ph) if i != k))
     return OrthantCoords(omitted_index=k + 1, values=values)
 
 
@@ -321,9 +351,7 @@ def orthant_to_projective(oc: OrthantCoords) -> Point:
     that is no finite real raises DomainError, and so does a chart with no
     values, which would give a one-entry class."""
     k = _as_int("omitted index", oc.omitted_index)
-    ph = as_point(itertools.chain((0.0,), oc.values))
-    if len(ph) < 2:
-        raise DomainError("projective input needs at least two entries")
+    ph = _proj(itertools.chain((0.0,), oc.values))
     if not 1 <= k <= len(ph):
         raise DomainError("omitted index out of range")
     return ph[1:k] + ph[:1] + ph[k:]
@@ -340,10 +368,10 @@ class TropSegment(_Record):
     __slots__ = ("start", "end", "apex", "vertices", "mode")
 
     def length(self) -> float:
-        total = 0.0
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            total += _dist(a, b)
-        return total
+        """Min-plus length of the chain, ``_length`` of its vertices, which
+        equals dist(start, end) up to rounding; DomainError when it
+        overflows float64."""
+        return _length(self.vertices)
 
 
 def segment(x, y, mode: str = "min") -> TropSegment:

@@ -36,33 +36,30 @@ from .core import (
     EmptyRegionError,
     Point,
     _dist,
+    _finite_point,
+    _length,
     _Record,
     _as_real,
     _setfield,
-    _same_dim,
     as_point,
     check_eps,
-    dist,
 )
 
 
 def polyline_length(points) -> float:
-    """Total min-plus length of a polyline given by its vertices."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise DomainError("polyline needs at least one vertex")
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        _same_dim(a, b)
-        total += _dist(a, b)
-    return total
+    """Total min-plus length of a polyline given by its vertices, a sequence
+    or an iterator of points, each read as it is reached.  Raises
+    DomainError for no vertex or when the length overflows float64, and
+    DimensionMismatch for vertices of mixed dimensions."""
+    return _length(map(as_point, points))
 
 
 def polyline_evaluator(points):
     """Callable t in [0,1] -> point, tracing the polyline at uniform speed
     in parameter space (breakpoints at i/m for m segments).  A t outside
     [0, 1] extends the first or last segment; a t that is not a real, or
-    whose t * m is not finite, raises DomainError."""
+    whose t * m is not finite, raises DomainError, and so does a point
+    that overflows float64."""
     pts = [as_point(p) for p in points]
     if len(pts) < 2:
         raise DomainError("evaluator needs at least two vertices")
@@ -79,7 +76,7 @@ def polyline_evaluator(points):
             i = m - 1
         u = s - i
         a, b = pts[i], pts[i + 1]
-        return tuple((1.0 - u) * p + u * q for p, q in zip(a, b))
+        return _finite_point(tuple((1.0 - u) * p + u * q for p, q in zip(a, b)))
 
     return curve
 
@@ -98,8 +95,10 @@ def curve_length(curve, tol: float = 1e-6) -> float:
     estimates) if ``_MAX_DEPTH`` doublings do not stabilize; a one-level
     budget (``_MAX_DEPTH = 2``) has a single estimate and reports it as both
     ends of the bracket.  Converges for piecewise linear curves and for
-    smooth curves of bounded turning.  Each level's length is summed as its
-    samples are taken, so memory does not grow with the depth.
+    smooth curves of bounded turning.  Each level is ``polyline_length`` of
+    its samples i / 2^depth, read as they are taken, so memory does not grow
+    with the depth; curve(0) is taken once.  A level whose length overflows
+    float64 raises DomainError at once.
     """
     tol = _as_real(tol)
     if not (math.isfinite(tol) and tol > 0):
@@ -107,15 +106,9 @@ def curve_length(curve, tol: float = 1e-6) -> float:
     start = as_point(curve(0.0))
     prev = cur = None
     for depth in range(2, _MAX_DEPTH + 1):
-        # polyline_length of the samples i / 2^depth, in its order
         denom = 2**depth
-        prev, cur = cur, 0.0
-        a = start
-        for i in range(1, denom + 1):
-            b = as_point(curve(i / denom))
-            _same_dim(a, b)
-            cur += _dist(a, b)
-            a = b
+        samples = (curve(i / denom) for i in range(1, denom + 1))
+        prev, cur = cur, polyline_length(chain((start,), samples))
         if prev is not None and cur - prev < tol:
             return cur
     bracket = (cur if prev is None else prev, cur)
@@ -127,19 +120,20 @@ def curve_length(curve, tol: float = 1e-6) -> float:
 
 
 def is_geodesic(points, eps: float = DEFAULT_EPS) -> bool:
-    """True when the polyline realizes the distance between its endpoints."""
+    """True when the polyline realizes the distance between its endpoints;
+    DomainError when its length overflows float64."""
     check_eps(eps)
     pts = [as_point(p) for p in points]
     if len(pts) < 2:
         return True
-    # polyline_length has checked that every vertex has one dimension
-    return polyline_length(pts) <= _dist(pts[0], pts[-1]) + eps
+    # _length has checked that every vertex has one dimension
+    return _length(pts) <= _dist(pts[0], pts[-1]) + eps
 
 
 def is_between(x, z, y, eps: float = DEFAULT_EPS) -> bool:
-    """True when z lies on some geodesic from x to y."""
-    check_eps(eps)
-    return dist(x, z) + dist(z, y) <= dist(x, y) + eps
+    """True when z lies on some geodesic from x to y: ``is_geodesic`` of the
+    polyline (x, z, y), so DomainError when its length overflows float64."""
+    return is_geodesic((x, z, y), eps)
 
 
 # Work budget of the pure-Python layouts: a bound system is closed in pure

@@ -429,6 +429,20 @@ def test_dist_overflow_is_a_domain_error(capsys):
         assert err == "error: the distance overflows float64\n", argv
 
 
+def test_length_overflow_is_a_domain_error(capsys):
+    # every piece is finite and only the sum overflows; the circle's first
+    # level already does, where refining to the depth limit took over a minute
+    for argv in (
+        ["length", "0", "1e308", "1"],
+        ["segment", "0,2.5,1e308", "1e308,3e307,1"],
+        ["circle-length", "--radius", "3e307"],
+        ["geodesic-check", "0", "1e308", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: the distance overflows float64\n", argv
+
+
 @pytest.mark.parametrize(
     "listing, dim, cap", [("vertices", "18", 17), ("facets", "20000", 800)],
     ids=["vertices", "facets"],

@@ -202,6 +202,59 @@ def test_metric_overflow_is_a_domain_error(call):
         call()
 
 
+def _huge_circle():
+    # radius 3e307: each quarter chord is finite, four of them overflow.  A
+    # refinement that ignores the overflow stops here after 2^12 samples
+    # instead of running to _MAX_DEPTH
+    calls = 0
+
+    def circle(t):
+        nonlocal calls
+        calls += 1
+        if calls > 2**12:
+            raise AssertionError("curve_length kept refining an overflowed length")
+        return (3e307 * math.cos(2 * math.pi * t), 3e307 * math.sin(2 * math.pi * t))
+
+    return circle
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: tg.polyline_length([(0.0,), (1e308,), (1.0,)]), "distance"),
+        (lambda: tg.polyline_length(iter([(0.0,), (1e308,), (0.0,)])), "distance"),
+        (lambda: tg.segment((0.0, 2.5, 1e308), (1e308, 3e307, 1.0)).length(), "distance"),
+        (lambda: tg.curve_length(_huge_circle()), "distance"),
+        (lambda: tg.is_geodesic([(0.0,), (1e308,), (0.0,)]), "distance"),
+        (lambda: tg.is_between((0.0,), (1e308,), (0.0,)), "distance"),
+        (lambda: tg.canon((1e308, -1e308)), "point"),
+        (lambda: tg.to_orthant_coords((1e308, -1e308)), "point"),
+        (lambda: tg.zonotope_point((1e308, -1e308)), "point"),
+        (lambda: tg.polyline_evaluator([(0.0,), (1e308,)])(2.0), "point"),
+    ],
+    ids=["polyline_length", "polyline_length-iterator", "segment-length", "curve_length",
+         "is_geodesic", "is_between", "canon", "to_orthant_coords", "zonotope_point",
+         "polyline_evaluator"],
+)
+def test_length_and_point_overflow_is_a_domain_error(call, what):
+    # finite input whose length or point overflows float64 raises, never
+    # returns inf; each piece of the lengths here is finite on its own
+    with pytest.raises(tg.DomainError, match="the %s overflows float64" % what):
+        call()
+
+
+def test_combination_overflow_keeps_its_message():
+    with pytest.raises(tg.DomainError, match="the combination overflows float64"):
+        tg.eval_trop_combination((1e308,), [(1e308,)])
+
+
+def test_lengths_keep_the_largest_finite_sum():
+    big = 1.7976931348623157e308
+    assert tg.polyline_length([(0.0,), (big / 2,), (0.0,)]) == big
+    assert tg.segment((0.0, big / 2), (big / 2, 0.0)).length() == big
+    assert tg.canon((big / 2, -big / 2)) == (big,)
+
+
 def test_metric_keeps_the_largest_finite_distances():
     big = 1.7976931348623157e308
     assert tg.dist((big,), (0.0,)) == big
