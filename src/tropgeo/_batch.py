@@ -9,6 +9,9 @@ decompositions, locate) run without loading numpy.  ``contains_batch`` and
 above ``geodesy._SMALL_WORK`` (a closure past n = 6, a hull of an ndarray
 or of more than about 343 / n^2 points), or one that geodesy's pure-Python
 layout of the same rule cannot read: these kernels raise its errors.
+This module loads honeycomb only for verify_tiling's snapped rows, which
+scalar ``locate`` answers, so a region closed or tested here loads core,
+geodesy and _batch alone.
 
 _tiling_counts draws each shard of verify_tiling's samples in blocks of at
 most _TILING_BUDGET // n rows, scales each block as it transposes it into
@@ -71,7 +74,6 @@ import threading
 import numpy as np
 
 from .core import DimensionMismatch, DomainError
-from .honeycomb import locate
 
 
 def _closed_rows(lo, up, diff_lb) -> list[list[float]]:
@@ -364,12 +366,6 @@ def _verify_block(XT: np.ndarray, eps: float) -> tuple[int, int, int]:
     F, _, d, snapped, k = _locate_rows(XT, eps)
     # x - F, formed once by the locator, is the count's P0
     count = _containing_counts(XT, F, _WS.array("pair", (2, n, m)), k, eps)
-    # rows with a coordinate within eps of an integer are not complete in the
-    # floor-plus-0/1 count, so scalar locate answers for them
-    snapped_rows = np.flatnonzero(snapped)
-    for idx in snapped_rows:
-        # its distance is d[idx] already: _locate_rows snaps as locate does
-        count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
     # count != 1, a boundary row when d > 1 + eps or (count < 2 and
@@ -377,7 +373,15 @@ def _verify_block(XT: np.ndarray, eps: float) -> tuple[int, int, int]:
     # boundary rule runs on the boundary rows only; verify_tiling's default
     # box of 10 gives none at n = 3, 6 and 9
     interior = d < 1.0 - eps
+    snapped_rows = np.flatnonzero(snapped)
     if len(snapped_rows):
+        # rows with a coordinate within eps of an integer are not complete
+        # in the floor-plus-0/1 count, so scalar locate answers for them
+        from .honeycomb import locate
+
+        for idx in snapped_rows:
+            # its distance is d[idx] already: _locate_rows snaps as locate does
+            count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
         interior &= ~snapped | (count == 1)
     n_interior = int(np.count_nonzero(interior))
     bad = count != 1

@@ -21,6 +21,7 @@ from .core import (
     _norm,
     _Record,
     _as_dim,
+    _capped_dim,
     _as_int,
     _as_radius,
     _setfield,
@@ -87,13 +88,6 @@ def hrep(ball: Ball, eps: float = DEFAULT_EPS):
 # one vertex at a time and has no cap.
 _MAX_VERTEX_DIM = 17
 _MAX_FACET_DIM = 800
-
-
-def _capped_dim(n, cap: int, what: str) -> int:
-    n = _as_dim(n)
-    if n > cap:
-        raise DomainError("%s up to dimension %d, got %d" % (what, cap, n))
-    return n
 
 
 # The largest dimension of a ball written as a bound system.  Its region
@@ -336,9 +330,6 @@ def pole_distances(x, eps: float = DEFAULT_EPS) -> tuple[float, float]:
     if mx <= eps:
         return 2.0 - mx, 1.0 + mx
     return 1.0 - mn, 2.0 + mn
-
-
-_HEX_RING = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0))
 
 
 def sphere_position_2d(x, center=(0.0, 0.0), eps: float = DEFAULT_EPS) -> float:

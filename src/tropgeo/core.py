@@ -116,6 +116,14 @@ def _as_dim(n) -> int:
     return n
 
 
+def _capped_dim(n, cap: int, what: str) -> int:
+    """_as_dim(n), or DomainError "<what> up to dimension <cap>" above cap."""
+    n = _as_dim(n)
+    if n > cap:
+        raise DomainError("%s up to dimension %d, got %d" % (what, cap, n))
+    return n
+
+
 def _as_real(value) -> float:
     """float(value), or nan when value is no real number, so that a finite
     range check rejects it with that check's own message."""

@@ -332,22 +332,6 @@ class GeodesicRegion(_Record):
         comps = len({find(k) for k in range(n + 1)})
         return comps - 1
 
-    def sample(self, rng) -> Point:
-        """A point of the region, one coordinate at a time within the bounds
-        the earlier choices leave open.  Covers the region, not uniformly."""
-        n = self.dim
-        out: list[float] = []
-        for k in range(n):
-            lo = self.lower[k]
-            up = self.upper[k]
-            for j in range(k):
-                lo = max(lo, self.diff_lb[k][j] + out[j])
-                up = min(up, out[j] - self.diff_lb[j][k])
-            if up < lo:
-                up = lo
-            out.append(rng.uniform(lo, up))
-        return tuple(out)
-
 
 def hull(points, eps: float = DEFAULT_EPS) -> GeodesicRegion:
     """Smallest geodesically closed region containing ``points``, a sequence

@@ -35,10 +35,11 @@ from .core import (
     _Record,
     _as_int,
     _as_real,
+    _capped_dim,
     as_point,
     check_eps,
 )
-from .ball import Ball, hrep, _HEX_RING, _capped_dim
+from .ball import Ball, hrep
 
 Center = tuple[int, ...]
 
@@ -447,6 +448,9 @@ def verify_tiling(
         boundary=boundary,
         mismatches=mismatches,
     )
+
+
+_HEX_RING = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0))
 
 
 def hexagon_rings(box_halfwidth: float) -> list[tuple[Center, tuple[Point, ...]]]:

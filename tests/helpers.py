@@ -464,6 +464,23 @@ def contains_batch_oracle(region, X, eps):
     return ok
 
 
+def region_point(region, rng) -> Point:
+    """A point of a GeodesicRegion, one coordinate at a time within the
+    bounds the earlier choices leave open, each drawn by
+    ``rng.uniform(lo, up)``.  Covers the region, not uniformly."""
+    out: list[float] = []
+    for k in range(region.dim):
+        lo = region.lower[k]
+        up = region.upper[k]
+        for j in range(k):
+            lo = max(lo, region.diff_lb[k][j] + out[j])
+            up = min(up, out[j] - region.diff_lb[j][k])
+        if up < lo:
+            up = lo
+        out.append(rng.uniform(lo, up))
+    return tuple(out)
+
+
 def hull_iterate_oracle(points, depth, samples, seed=0):
     """Monte-Carlo betweenness closure, an independent hull oracle.
 
@@ -482,7 +499,7 @@ def hull_iterate_oracle(points, depth, samples, seed=0):
         for _ in range(samples):
             x = current[rng.randrange(len(current))]
             y = current[rng.randrange(len(current))]
-            fresh.append(tg.hull([x, y]).sample(rng))
+            fresh.append(region_point(tg.hull([x, y]), rng))
         current.extend(fresh)
     return current
 

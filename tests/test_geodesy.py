@@ -24,6 +24,7 @@ from helpers import (
     hull_iterate_oracle,
     independent_masks,
     random_pl_geodesic,
+    region_point,
 )
 
 # lengths
@@ -216,7 +217,7 @@ def test_pair_hull_members_are_between_in_all_dimensions():
             x = tuple(rng.uniform(-3, 3, n))
             y = tuple(rng.uniform(-3, 3, n))
             reg = tg.hull([x, y])
-            assert tg.is_between(x, reg.sample(r), y, eps=1e-8)
+            assert tg.is_between(x, region_point(reg, r), y, eps=1e-8)
             assert tg.is_between(x, reg.lower, y, eps=1e-8)
 
 
@@ -287,7 +288,7 @@ def test_hull_is_monotone_and_minimal():
         small = tg.hull(pts)
         big = tg.hull(pts + extra)
         for _ in range(10):
-            assert big.contains(small.sample(r), eps=1e-9)
+            assert big.contains(region_point(small, r), eps=1e-9)
 
 
 def test_segments_between_region_members_stay_inside():
@@ -297,7 +298,7 @@ def test_segments_between_region_members_stay_inside():
         n = int(rng.integers(1, 6))
         pts = [tuple(rng.uniform(-3, 3, n)) for _ in range(int(rng.integers(2, 6)))]
         reg = tg.hull(pts)
-        u, v = reg.sample(r), reg.sample(r)
+        u, v = region_point(reg, r), region_point(reg, r)
         for mode in ("min", "max"):
             for vert in tg.segment(u, v, mode).vertices:
                 assert reg.contains(vert, eps=1e-7)
@@ -643,7 +644,7 @@ def test_contains_batch_matches_scalar():
 
 
 class _EndpointRng:
-    """An rng for GeodesicRegion.sample that draws only the end of each
+    """An rng for helpers.region_point that draws only the end of each
     interval it is offered, so every sample lies on the region's boundary."""
 
     def __init__(self, rng):
@@ -659,7 +660,7 @@ def _membership_rows(rng, regions, points, eps):
     NaN or an infinity, and finite rows whose differences overflow float64."""
     n = points.shape[1]
     ends = _EndpointRng(rng)
-    edge = np.array([reg.sample(ends) for reg in regions for _ in range(40)])
+    edge = np.array([region_point(reg, ends) for reg in regions for _ in range(40)])
     shifts = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], edge.shape) * eps
     bad = rng.uniform(-1.0, 1.0, (6, n))
     bad[np.arange(6), rng.integers(0, n, 6)] = [np.nan, np.inf, -np.inf] * 2
@@ -850,10 +851,11 @@ def test_contains_batch_reuses_the_thread_workspace():
 
 
 def test_sample_stays_inside():
+    # the tests' own sampler, which several oracles above rely on
     r = random.Random(3)
     reg = SIMPLEX
     for _ in range(200):
-        assert reg.contains(reg.sample(r), eps=1e-9)
+        assert reg.contains(region_point(reg, r), eps=1e-9)
 
 
 # planar classification

@@ -1397,10 +1397,10 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
         return count
 
     locate_rows, true_counts = _batch._locate_rows, _batch._containing_counts
-    true_locate = _batch.locate
+    true_locate = honeycomb.locate
     monkeypatch.setattr(_batch, "_locate_rows", moved_rows)
     monkeypatch.setattr(_batch, "_containing_counts", moved_counts)
-    monkeypatch.setattr(_batch, "locate", no_centers_on_integers)
+    monkeypatch.setattr(honeycomb, "locate", no_centers_on_integers)
     kinds, all_interior, lost_inside = set(), 0, 0
     for n in (1, 2, 3):
         # a block in (-0.3, 0.3)^n with true distances has no boundary row
@@ -1416,7 +1416,7 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
             interior = mismatches = 0
             for row, d, snapped, count in zip(X.tolist(), ds, snaps, counts):
                 if snapped:
-                    count = len(_batch.locate(row, eps).all_centers)
+                    count = len(honeycomb.locate(row, eps).all_centers)
                     lost_inside += count == 0 and d < 1.0 - eps
                 inside = d < 1.0 - eps and (not snapped or count == 1)
                 interior += inside

@@ -5,7 +5,8 @@ import ``_batch``: ``contains_batch``, ``verify_tiling``, and a region or a
 ``hull`` above ``geodesy._SMALL_WORK`` (a closure past n = 6, an ndarray).
 Small regions and hulls, such as the CLI's ``hull``, ``classify2d`` and
 ``honeycomb neighbors`` examples, close in pure Python.  ``import tropgeo``
-loads no submodule; a CLI command loads only the modules it runs.  Each
+loads no submodule; a CLI command loads only the modules it runs, and a
+region closed in numpy loads ``core``, ``geodesy`` and ``_batch``.  Each
 test runs a fresh interpreter, since this process has every module loaded
 already.
 """
@@ -145,6 +146,20 @@ def test_batch_commands_run_with_numpy(capsys, argv):
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     proc = python("-c", LOADED_BY_CLI, " ".join(unloaded), *argv)
     assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+
+def test_a_region_closed_in_numpy_loads_core_geodesy_and_batch_only():
+    # _batch loads honeycomb only for verify_tiling's snapped rows
+    proc = python("-c", (
+        "import sys\n"
+        "import numpy as np\n"
+        "import tropgeo as tg\n"
+        "region = tg.hull(np.arange(72.0).reshape(9, 8))\n"
+        "assert region.contains_batch(np.zeros((5, 8))).shape == (5,)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tropgeo.')))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['tropgeo._batch', 'tropgeo.core', 'tropgeo.geodesy']\n"
 
 
 def test_circle_length_loads_neither_ball_nor_numpy():

@@ -28,16 +28,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 20261018)  # the second is run.py's SECOND_SEED
 
 
-def run(workload, seed, trace, seconds):
-    with tempfile.TemporaryDirectory() as tree:
-        for part in ("src", "perfbench"):
-            shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        out = subprocess.run(
-            [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-            stdout=subprocess.PIPE, text=True, check=True, cwd=tree,
-            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1")).stdout.splitlines()
+def copy_tree(tree):
+    """Copy the checkout's src and perfbench into tree, without __pycache__."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def run(workload, seed, trace, seconds, tree=None):
+    """One perfbench/run.py process on tree, a directory that holds src and
+    perfbench; by default a fresh copy of the checkout's.  Returns the run
+    record and this tool's entry for the run."""
+    if tree is None:
+        with tempfile.TemporaryDirectory() as tree:
+            copy_tree(tree)
+            return run(workload, seed, trace, seconds, tree)
+    out = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        stdout=subprocess.PIPE, text=True, check=True, cwd=tree,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1")).stdout.splitlines()
     record, result = json.loads(out[-2])["record"], json.loads(out[-1])
     slowdown = result["metrics"]["host.slowdown"]["value"] if trace else record["slowdown"]
     return record, dict(workload=workload, seed=seed, trace=trace, correct=result["correct"],
