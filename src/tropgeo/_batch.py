@@ -64,8 +64,6 @@ Beyond them and the mask, a repeated call on 100000 rows allocates about
 and about 120 KB at n = 2, mostly the indices of the rows inside the box.
 """
 
-from __future__ import annotations
-
 import contextlib
 import itertools
 import math

@@ -7,8 +7,6 @@ member splits as a nonnegative combination of the n+1 unit directions
 e_1 ... e_n and -(1,...,1).
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .core import (
@@ -120,7 +118,7 @@ def _vertices(n: int):
 def vertices(n: int) -> list[Point]:
     """The 2^(n+1) - 2 vertices as a list; DomainError above
     _MAX_VERTEX_DIM, where iter_vertices still runs."""
-    return list(iter_vertices(_capped_dim(n, _MAX_VERTEX_DIM, "vertices are listed")))
+    return list(_vertices(_capped_dim(n, _MAX_VERTEX_DIM, "vertices are listed")))
 
 
 class FacetId(_Record):

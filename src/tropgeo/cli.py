@@ -14,8 +14,6 @@ result.  Global flags come before the subcommand:
 1 domain violation, 2 usage or parse failure, 3 verification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -284,12 +282,6 @@ def cmd_ball_vertices(args):
     return head, items, _items
 
 
-def _facets_text(head, items):
-    for rec in items:
-        f = tg.FacetId(rec["kind"], rec["i"], rec.get("j"))
-        yield "%s opposite %s" % (f, rec["opposite"])
-
-
 def cmd_ball_facets(args):
     fs = tg.facets(args.dim)
     items = (
@@ -297,7 +289,12 @@ def cmd_ball_facets(args):
          **({} if f.j is None else {"j": f.j})}
         for f in fs
     )
-    return {"op": "facets", "dim": args.dim, "count": len(fs)}, items, _facets_text
+
+    def text(head, items):
+        # each record beside the facet it was made from
+        return ("%s opposite %s" % (f, rec["opposite"]) for f, rec in zip(fs, items))
+
+    return {"op": "facets", "dim": args.dim, "count": len(fs)}, items, text
 
 
 def cmd_ball_hrep(args):
@@ -313,13 +310,12 @@ def cmd_ball_hrep(args):
 
 
 def _decompose_text(head, items):
-    n = len(parse_point(head["point"]))
     return [
         "point: %s" % head["point"],
         "orthant: %s" % head["orthant"],
         "orthant_coords: omit=%d %s" % (head["orthant_omit"], head["orthant_values"]),
         "minkowski: %s" % head["minkowski"],
-        "generators: %s" % " ".join(format_point(g) for g in tg.neg_units(n)),
+        "generators: %s" % head["generators"],
         "generator_coeffs: %s" % head["generator_coeffs"],
         "recomposed: %s" % head["recomposed"],
         "max_error: %s" % head["max_error"],
@@ -328,10 +324,10 @@ def _decompose_text(head, items):
 
 def cmd_ball_decompose(args):
     x = parse_point(args.point)
-    n = len(x)
     mk = tg.minkowski_coeffs(x, eps=args.eps)
     gc = tg.generator_coeffs(x, eps=args.eps)
-    recomposed = tg.eval_trop_combination(gc, tg.neg_units(n))
+    gens = tg.neg_units(len(x))
+    recomposed = tg.eval_trop_combination(gc, gens)
     err = max(
         max(abs(a - b) for a, b in zip(recomposed, x)),
         max(abs(a - b) for a, b in zip(tg.zonotope_point(mk), x)),
@@ -344,6 +340,7 @@ def cmd_ball_decompose(args):
         "orthant_omit": oc.omitted_index,
         "orthant_values": format_point(oc.values),
         "minkowski": format_point(mk),
+        "generators": " ".join(map(format_point, gens)),
         "generator_coeffs": format_point(gc),
         "recomposed": format_point(recomposed),
         "max_error": format_number(err),

@@ -21,8 +21,6 @@ only a record that checks, defaults or closes its inputs writes its own
 ``__init__``, setting each field once through ``_setfield``.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

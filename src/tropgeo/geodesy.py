@@ -22,8 +22,6 @@ of four points, ``classify2d`` or ``neighbors`` at n <= 6, never imports
 numpy; ``contains_batch`` always does.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain
 from operator import sub
@@ -121,12 +119,11 @@ def curve_length(curve, tol: float = 1e-6) -> float:
 
 def is_geodesic(points, eps: float = DEFAULT_EPS) -> bool:
     """True when the polyline realizes the distance between its endpoints;
-    DomainError when its length overflows float64."""
+    DomainError when it has no point or its length overflows float64."""
     check_eps(eps)
     pts = [as_point(p) for p in points]
-    if len(pts) < 2:
-        return True
-    # _length has checked that every vertex has one dimension
+    # _length runs first: it raises for no point, and checks that every
+    # vertex has one dimension
     return _length(pts) <= _dist(pts[0], pts[-1]) + eps
 
 

@@ -18,8 +18,6 @@ kernels in ``_batch``, loaded on the first call; everything else here is
 pure Python.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from bisect import bisect_left, bisect_right

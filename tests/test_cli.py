@@ -695,7 +695,8 @@ GOLDEN = [
      "max_error: 5.551115123125783e-17\n"),
     ("records", "ball decompose --point=-0.4,0.3", 0,
      "op=decompose\npoint=-0.4,0.3\northant=1\northant_omit=1\n"
-     "orthant_values=0.7,0.4\nminkowski=0,0.7,0.4\ngenerator_coeffs=0.6,1.3,0\n"
+     "orthant_values=0.7,0.4\nminkowski=0,0.7,0.4\ngenerators=-1,0 0,-1 1,1\n"
+     "generator_coeffs=0.6,1.3,0\n"
      "recomposed=-0.4,0.30000000000000004\nmax_error=5.551115123125783e-17\n"),
     ("text", "ball decompose --point 2,0", 1, ""),
     ("records", "ball decompose --point 2,0", 1, ""),
@@ -786,6 +787,38 @@ def test_golden_output(tmp_path, capsys, fmt, command, code, stdout):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["ball decompose --point=-0.4,0.3", "ball facets --dim 3"])
+def test_text_is_rendered_from_what_the_command_built(capsys, monkeypatch, command):
+    # the command's whole text, which the goldens pin for decompose
+    code, want, _ = run(capsys, *command.split())
+    assert code == 0
+    args = cli.build_parser().parse_args(command.split())
+    head, items, text = args.handler(args)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a renderer rebuilt what its command built")
+
+    # no renderer parses a record, lists the generators or makes a facet
+    monkeypatch.setattr(tropgeo, "neg_units", rebuilt)
+    monkeypatch.setattr(tropgeo, "FacetId", rebuilt)
+    monkeypatch.setattr(cli, "parse_point", rebuilt)
+    assert "".join(line + "\n" for line in text(head, items)) == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_ball_facets_makes_two_facet_ids_per_facet(capsys, monkeypatch, fmt):
+    init, made = tropgeo.FacetId.__init__, []
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tropgeo.FacetId, "__init__", spy)
+    code, out, _ = run(capsys, "--format", fmt, "ball", "facets", "--dim", "3")
+    # the 12 listed facets and their opposites, in either format
+    assert (code, len(made)) == (0, 24)
+
+
 def test_every_operation_is_reachable(tmp_path, capsys):
     # the code of every function the golden commands call
     called = set()
@@ -815,10 +848,12 @@ def test_every_operation_is_reachable(tmp_path, capsys):
     # helpers; `ball decompose` takes its outside-the-ball error from
     # minkowski_coeffs, so no command calls contains, and `sphere poles`
     # reads each facet's test from the point's max and min in facet_of, so
-    # no command calls facet_contains
+    # no command calls facet_contains; `ball vertices` lists through
+    # vertices, which checks its cap and walks the vertices itself, so no
+    # command calls iter_vertices
     assert unreached == {
         "canon", "orthant_to_projective", "polyline_evaluator", "unit_ball", "contains",
-        "facet_contains",
+        "facet_contains", "iter_vertices",
     }
 
 

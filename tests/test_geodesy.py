@@ -138,6 +138,9 @@ def test_is_geodesic_worked_values():
     assert tg.is_geodesic(tg.segment((0, 0), (1, 2)).vertices)
     assert not tg.is_geodesic([(0, 0), (1, 0), (0, 1)])
     assert tg.is_geodesic([(5.0, 5.0)])
+    # no point is no polyline, as for polyline_length
+    with pytest.raises(tg.DomainError, match="polyline needs at least one vertex"):
+        tg.is_geodesic([])
 
 
 def test_shuffled_subsegments_stay_geodesic():
