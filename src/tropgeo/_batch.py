@@ -24,8 +24,8 @@ count evaluates only the floor-plus-0/1 candidates that are lattice points
 block, by the locator, before any snap test: they decide which entries take
 the exact test, they are what the rank sorts, and the count reads them as
 its P0.  The locator's distance is the norm of the deltas c - x, c = F + inc
-formed in float64, which is exact below 2^53, where every sample lies; past
-it, where F + 1 rounds, the snap step lists the entries for a fix-up.
+formed in float64, which is exact on every row that does not snap.  The
+locator only flags the rows that snap, and scalar ``locate`` answers them.
 
 Only the float64 arrays of a block live in ``_WS``, a grow-only workspace
 per thread, written with ``out=``: the scaled transpose XT, the floors F,
@@ -364,6 +364,16 @@ def _verify_block(XT: np.ndarray, eps: float) -> tuple[int, int, int]:
     F, _, d, snapped, k = _locate_rows(XT, eps)
     # x - F, formed once by the locator, is the count's P0
     count = _containing_counts(XT, F, _WS.array("pair", (2, n, m)), k, eps)
+    snapped_rows = np.flatnonzero(snapped)
+    if len(snapped_rows):
+        # rows with a coordinate within eps of an integer are not complete
+        # in the floor-plus-0/1 count, and _locate_rows only flags them, so
+        # scalar locate answers for them
+        from .honeycomb import locate
+
+        for idx in snapped_rows:
+            res = locate(tuple(XT[:, idx]), eps)
+            d[idx], count[idx] = res.distance, len(res.all_centers)
     # locate's status rule: a row is interior when d < 1 - eps and it is not
     # snapped or has one center.  An interior row is a mismatch when
     # count != 1, a boundary row when d > 1 + eps or (count < 2 and
@@ -371,15 +381,7 @@ def _verify_block(XT: np.ndarray, eps: float) -> tuple[int, int, int]:
     # boundary rule runs on the boundary rows only; verify_tiling's default
     # box of 10 gives none at n = 3, 6 and 9
     interior = d < 1.0 - eps
-    snapped_rows = np.flatnonzero(snapped)
     if len(snapped_rows):
-        # rows with a coordinate within eps of an integer are not complete
-        # in the floor-plus-0/1 count, so scalar locate answers for them
-        from .honeycomb import locate
-
-        for idx in snapped_rows:
-            # its distance is d[idx] already: _locate_rows snaps as locate does
-            count[idx] = len(locate(tuple(XT[:, idx]), eps).all_centers)
         interior &= ~snapped | (count == 1)
     n_interior = int(np.count_nonzero(interior))
     bad = count != 1
@@ -399,34 +401,30 @@ def _locate_rows(
     """honeycomb._fast_center on every column of XT, an (n, m) array of m
     points.
 
-    Returns (F, inc, d, snapped, k): the floors after snapping, the 0/1
-    raises, so that column j's center is F[:, j] + inc[:, j], the distance
-    d[j] to it, whether any coordinate of column j snapped to an integer,
-    and the residues _floor_sum_residue(F), which _containing_counts takes
-    on the same floors.  Each entry equals _fast_center's on the same point
-    while |x| <= 2^53, where the floors are exact and x - F rounds as
-    _fast_center's fractional parts do.  F is the workspace's, valid until
-    the next call in the same thread; the other four are new arrays.
+    Returns (F, inc, d, snapped, k): the floors, the 0/1 raises, so that
+    column j's center is F[:, j] + inc[:, j], the distance d[j] to it,
+    whether any coordinate of column j snaps to an integer, and the
+    residues _floor_sum_residue(F), which _containing_counts takes on the
+    same floors.  snapped equals _fast_center's flag on every column, and on
+    a column that does not snap every other entry equals _fast_center's
+    too; a snapped column's other entries are unspecified, since
+    _fast_center takes its floors after snapping.  F is the workspace's,
+    valid until the next call in the same thread; the other four are new
+    arrays.
 
     As in _fast_center, the floors and x - F come first, and only an entry
     whose x - F is at most eps or at least 1.0 - eps takes the exact test
-    |x - rint(x)| <= eps.  No other entry lies within eps of an integer
-    (see _fast_center for why eps alone suffices), and in a block with no
-    flagged entry the test costs a min and a max of the block's x - F.  An
-    entry that snaps takes rint(x) as its floor and x - rint(x) as its
-    x - F; every other entry, flagged or not, keeps the floor and x - F
-    already formed.
+    |x - rint(x)| <= eps, which sets snapped.  No other entry lies within
+    eps of an integer (see _fast_center for why eps alone suffices), and in
+    a block with no flagged entry the test costs a min and a max of the
+    block's x - F.
 
     d is the norm of the deltas c - x, c = F + inc, formed in float64 as
-    (F + inc) - x: F + inc is exact wherever F < 2^53, so each delta is
-    the exact c - x rounded once, as _fast_center takes it.  Past 2^53,
-    F + 1 rounds, but there x is an integer: its x - F is 0, so the snap
-    filter flags it and it snaps, and the snap step lists it for a fix-up
-    that sets its delta to inc, exact.  A block with no flagged entry pays
-    nothing for the guard.  verify_tiling's samples lie below its box, at
-    most 2^53, so only the tests reach the fix-up.  The deltas are c - x,
-    not x - c: at x = -0.0, x - c would be -0.0, and _norms' max and min
-    may return either zero of a tie.
+    (F + inc) - x.  A double of 2^52 or more is an integer, so it snaps;
+    on a column that does not snap every |x| < 2^52, so F + inc is exact
+    and each delta is the exact c - x rounded once, as _fast_center takes
+    it.  The deltas are c - x, not x - c: at x = -0.0, x - c would be
+    -0.0, and _norms' max and min may return either zero of a tie.
 
     x - F is left in the first half of the workspace's (2, n, m) pair
     buffer, where _containing_counts reads it as P0, and the deltas in the
@@ -437,7 +435,6 @@ def _locate_rows(
     P0, D = _WS.array("pair", (2, n, m))
     np.subtract(XT, F, out=P0)
     snapped = np.zeros(m, bool)
-    huge = ()
     # a block whose x - F all lie inside the bounds builds no mask
     if P0.min() <= eps or P0.max() >= 1.0 - eps:
         flag = np.less_equal(P0, eps)
@@ -445,17 +442,8 @@ def _locate_rows(
         # the flat indices of the flagged entries, and their x - rint(x)
         at = np.flatnonzero(flag)
         x = XT.take(at)
-        r = np.rint(x)
-        x -= r
-        hit = np.abs(x) <= eps
-        at, r = at[hit], r[hit]
-        # a snapped entry's floor is rint(x), so its x - F is x - rint(x)
-        F.put(at, r)
-        P0.put(at, x[hit])
-        snapped[at % m] = True
-        # every x >= 2^53 is an integer, so it snaps: these are all the
-        # entries whose F + 1 rounds
-        huge = at[r >= 2.0**53]
+        x -= np.rint(x)
+        snapped[at[np.abs(x) <= eps] % m] = True
     k = _floor_sum_residue(F)
     rank = _stable_rank(P0)
     # column j raises the entries of rank >= k - 1; k - 1 is taken in the
@@ -464,13 +452,10 @@ def _locate_rows(
     inc = rank >= np.subtract(k, 1, dtype=rank.dtype)
     # the deltas (F + inc) - x: inc is copied into D first, so the addition
     # and the subtraction are float64 only and skip numpy's cast of a bool
-    # operand.  F + inc is exact but where F >= 2^53, and there x = F, so
-    # the delta is inc
+    # operand
     np.copyto(D, inc)
     D += F
     D -= XT
-    if len(huge):
-        D.put(huge, inc.take(huge))
     d = _norms(D)
     return F, inc, d, snapped, k
 
@@ -546,17 +531,14 @@ def _containing_counts(
 
         max(0, max_{i not in S} P0_i) - min_{i in S} P1_i
 
-    bit for bit.  The floors snap only within eps < 1/4 of an integer, so
-    an unsnapped x_i lies more than eps from F_i and from F_i + 1, and a
-    snapped one at most eps from F_i: P0 >= -eps >= P1.  So P1 adds nothing
-    to the maximum of the full norm, P0 nothing to its minimum, and the
-    minimum is at most 0.  max and min are exact, and the last subtraction
-    is the one _norms makes.  Past 2^53, F + 1 can round to F, so P1 = 0 on
-    an integer x_i, and the norm can come out up to eps lower; the count
-    cannot change, since both norms are then at most 1: every P0_i is
-    below 1 - eps before rounding, and the lost term is at most eps.  The
-    single candidates b = 0 and b = 1 of r = 0 and r = n are _norms of P0
-    and of P1.
+    bit for bit.  With plain floors, P0 >= 0 >= P1 by definition (floors
+    snapped within eps of an integer keep P0 >= -eps >= P1, which serves as
+    well).  So P1 adds nothing to the maximum of the full norm, P0 nothing
+    to its minimum, and the minimum is at most 0.  max and min are exact,
+    and the last subtraction is the one _norms makes.  A column past 2^53,
+    where F + 1 can round, is a snapped row, whose count _verify_block
+    replaces.  The single candidates b = 0 and b = 1 of r = 0 and r = n are
+    _norms of P0 and of P1.
 
     So a candidate costs a gather, not arithmetic on n coordinates.  One
     stable sort by residue makes each class a run of columns; one take

@@ -8,6 +8,7 @@ e_1 ... e_n and -(1,...,1).
 """
 
 import itertools
+import math
 
 from .core import (
     DEFAULT_EPS,
@@ -64,7 +65,8 @@ def contains(ball: Ball, x, eps: float = DEFAULT_EPS) -> bool:
 
 def hrep(ball: Ball, eps: float = DEFAULT_EPS):
     """Ball as a canonical GeodesicRegion (already tight as written);
-    DomainError above _MAX_HREP_DIM."""
+    DomainError above _MAX_HREP_DIM, or when a bound of the finite ball
+    overflows float64."""
     # geodesy loads here, on the first region: the ball decompositions and
     # locate build none
     from .geodesy import GeodesicRegion
@@ -72,8 +74,11 @@ def hrep(ball: Ball, eps: float = DEFAULT_EPS):
     c = ball.center
     r = ball.radius
     n = _hrep_dim(len(c))
-    lo = tuple(v - r for v in c)
-    up = tuple(v + r for v in c)
+    lo = _finite_point(tuple(v - r for v in c), "the ball's lower bound")
+    up = _finite_point(tuple(v + r for v in c), "the ball's upper bound")
+    # every (c_i - c_j) - r lies between these two, as rounding is monotone
+    if not (math.isfinite((max(c) - min(c)) - r) and math.isfinite((min(c) - max(c)) - r)):
+        raise DomainError("the ball's difference bound overflows float64")
     diff = [
         [(c[i] - c[j]) - r if i != j else 0.0 for j in range(n)] for i in range(n)
     ]

@@ -402,8 +402,8 @@ def verify_tiling(
     The enumeration evaluates dist to every floor-plus-0/1 candidate that
     is a lattice point, about 2^n / (n+1) per sample rather than 2^n;
     samples with a coordinate within eps of an integer go through
-    ``locate`` instead.  The batch locator gives the same centers and
-    distances as the fast path of ``locate``.
+    ``locate`` instead.  The batch locator matches ``locate``'s fast path
+    on the samples that do not snap.
 
     Memory does not grow with samples, C(n, r) or the number of calls: a
     thread keeps its float64 block arrays in a workspace sized by the block

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import tropgeo as tg
 from tropgeo import ball
 from tropgeo.ball import FacetId, facet_contains, iter_vertices, sphere_position_2d, zonotope_point
+from tropgeo.cli import main
 
 from helpers import ball_points, batch_norm, facet_of_oracle, sphere_points
 
@@ -125,6 +129,50 @@ def test_hrep_is_capped_at_about_64_mb(monkeypatch):
     assert tg.hrep(tg.unit_ball(3)) == tg.hull(tg.units(3))
     with pytest.raises(tg.DomainError):
         tg.hrep(tg.unit_ball(4))
+
+
+@pytest.mark.parametrize(
+    "center, radius, bound",
+    [
+        ((1e308, 0.0), 1e308, "upper bound"),
+        ((-1e308, 0.0), 1e308, "lower bound"),
+        ((1e308, -1e308), 1.0, "difference bound"),
+        ((-1e308, 1e308), 1.0, "difference bound"),
+        # n = 8 closes in numpy, which the check runs before
+        ((1e308, -1e308) * 4, 1.0, "difference bound"),
+    ],
+)
+def test_hrep_names_the_bound_that_overflows(center, radius, bound):
+    # the input is finite, so the message names the ball's bound, not it
+    with pytest.raises(tg.DomainError) as exc:
+        tg.hrep(tg.Ball(center, radius))
+    assert str(exc.value) == "the ball's %s overflows float64" % bound
+
+
+def test_hrep_overflow_loads_no_numpy():
+    # sys.modules["numpy"] = None makes every later "import numpy" raise
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import tropgeo as tg\n"
+        "try:\n"
+        "    tg.hrep(tg.Ball((1e308, -1e308) * 4))\n"
+        "except tg.DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=False)
+    want = "the ball's difference bound overflows float64\n"
+    assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+
+
+def test_cli_ball_hrep_overflow_exits_1(capsys):
+    code = main(["ball", "hrep", "--dim", "2", "--radius", "1e308", "--center", "1e308,0"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == "error: the ball's upper bound overflows float64\n"
 
 
 def test_iter_vertices_has_no_cap():

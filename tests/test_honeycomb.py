@@ -852,7 +852,9 @@ def test_verify_tiling_report_with_a_wide_eps(n, box, seed, interior, boundary):
 
 
 def _snapped_floors(X, eps):
-    """The floors _verify_block uses: coordinates within eps of an integer snap first."""
+    """Floors as _fast_center takes them, coordinates within eps of an integer
+    snapped first.  _verify_block hands the count plain floors; snapped ones,
+    with x - F down to -eps, are the harder input the count tests use."""
     R = np.round(X)
     return np.floor(np.where(np.abs(X - R) <= eps, R, X))
 
@@ -936,45 +938,39 @@ def test_batch_locator_matches_fast_center_bit_for_bit(n):
         # the residues, against Python's exact integer sums of the floors
         assert k.dtype == np.min_scalar_type(n)
         assert k.tolist() == [sum(map(int, col)) % (n + 1) for col in F.T.tolist()]
-        # summed as integers: F + 1 rounds back to F at 2^53 in float64
         centers = (F.astype(np.int64) + inc).T.tolist()
         for j, row in enumerate(X.tolist()):
             c, dj, sj = honeycomb._fast_center(row, eps)
-            assert tuple(centers[j]) == c
-            assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
             assert bool(snapped[j]) == sj
+            # scalar locate answers a snapped row
+            if not sj:
+                assert tuple(centers[j]) == c
+                assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
-def test_batch_locator_guard_at_2_pow_53_leaves_the_other_columns_alone(n):
-    # a column with a floor of 2^53, where F + 1 rounds, sends the block
-    # through the guarded fix-up; every other column must come out as it
-    # does from a block that never reaches it
+def test_batch_locator_snaps_columns_at_2_pow_53_and_leaves_the_rest_alone(n):
+    # a column with an entry at +-2^53, where F + 1 can round, comes out
+    # snapped, for scalar locate to answer; every other column must come out
+    # as it does from a block without such columns
     rng = np.random.default_rng(500 + n)
     X = np.vstack([_count_cases(n, rng), _minus_half_rows(n, rng, 30)])
-    # -2^53 stays: F + 1 is exact there
-    X = X[X.max(axis=1) < 2.0**53]
-    edge = [(2.0**53,) + (0.0,) * (n - 1)]
+    X = X[np.abs(X).max(axis=1) < 2.0**53]
+    edge = [(2.0**53,) + (0.0,) * (n - 1), (-(2.0**53),) + (0.5,) * (n - 1)]
     if n >= 2:
         # the floor sum is 1 mod n + 1, so every coordinate is raised, and
-        # 2^53 + 1, whose delta is 1, decides the distance
+        # 2^53 + 1 would decide the distance
         t = (1 - 2**53) % (n + 1)
         edge.append((2.0**53, t + 0.5) + (0.5,) * (n - 2))
     m = len(X)
     for eps in (tg.DEFAULT_EPS, 0.05):
         F, *rest = _batch._locate_rows(X.T.copy(), eps)
-        assert F.max() < 2.0**53
         plain = [F.copy()] + rest
         F, *rest = _batch._locate_rows(np.vstack([X, edge]).T.copy(), eps)
-        assert F.max() >= 2.0**53
         for a, b in zip(plain, [F] + rest):
             assert a.tobytes() == np.ascontiguousarray(b[..., :m]).tobytes()
-        inc, d, snapped = rest[:3]
-        centers = (F.astype(np.int64) + inc).T.tolist()
-        for j, row in enumerate(edge, m):
-            c, dj, sj = honeycomb._fast_center(row, eps)
-            assert (tuple(centers[j]), bool(snapped[j])) == (c, sj)
-            assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes()
+        assert rest[2][m:].all()
+        assert all(honeycomb._fast_center(row, eps)[2] for row in edge)
 
 
 SNAP_FILTER_EPS = [5e-324, 1e-300, 1e-9, 0.2]
@@ -1032,11 +1028,14 @@ def test_batch_locator_matches_the_rounding_rule_bit_for_bit(eps):
         F, inc, d, snapped, k = _batch._locate_rows(np.array(pts).T.copy(), eps)
         for j, x in enumerate(pts):
             center, dj, sj = fast_center_rounding_oracle(x, eps)
+            assert bool(snapped[j]) == sj, x
+            # scalar locate answers a snapped row
+            if sj:
+                continue
             floors, _ = snap_by_rounding(x, eps)
             assert F[:, j].tolist() == floors, x
             assert inc[:, j].tolist() == [a - b for a, b in zip(center, floors)], x
             assert np.float64(d[j]).tobytes() == np.float64(dj).tobytes(), x
-            assert bool(snapped[j]) == sj, x
             assert int(k[j]) == sum(floors) % (n + 1), x
 
 
@@ -1068,19 +1067,23 @@ def snap_edge_coordinates(draw):
 def test_snap_filter_flags_every_coordinate_that_snaps(case):
     # a coordinate that the filter passes over skips the exact snap test and
     # reads as unsnapped, so in either layout every coordinate within eps of
-    # an integer, in exact arithmetic, must come out snapped onto it
+    # an integer, in exact arithmetic, must come out flagged; _fast_center
+    # snaps it onto that integer, while the batch locator only flags it
     eps, xs = case
     snaps = [abs(Fraction(x) - round(x)) <= Fraction(eps) for x in xs]
-    floors = [round(x) if snap else math.floor(x) for x, snap in zip(xs, snaps)]
+    kept = [math.floor(x) for x, snap in zip(xs, snaps) if not snap]
     for x, snap in zip(xs, snaps):
         assert honeycomb._fast_center((x,), eps)[2] == snap, x
     assert honeycomb._fast_center(tuple(xs), eps)[2] == any(snaps)
     # each coordinate a point of its own, in one (1, m) block
     F, _, _, snapped, _ = _batch._locate_rows(np.array([xs]), eps)
-    assert snapped.tolist() == snaps and F[0].tolist() == floors
+    assert snapped.tolist() == snaps
+    assert [f for f, snap in zip(F[0].tolist(), snaps) if not snap] == kept
     # all of them the coordinates of one point
     F, _, _, snapped, _ = _batch._locate_rows(np.array([xs]).T.copy(), eps)
-    assert F[:, 0].tolist() == floors and bool(snapped[0]) == any(snaps)
+    assert bool(snapped[0]) == any(snaps)
+    if not any(snaps):
+        assert F[:, 0].tolist() == kept
 
 
 def test_fractional_parts_are_within_2_pow_minus_54_of_exact():
@@ -1369,10 +1372,11 @@ def test_verify_tiling_reports_do_not_depend_on_the_block_budget(monkeypatch, n)
 def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps):
     # distances and counts moved off on some rows must be judged by
     # locate's status rule, written out per row below, in blocks with and
-    # without boundary and snapped rows.  In the moved blocks, locate lists
-    # no center for a row whose first coordinate is an integer: such a row
-    # is snapped, so a boundary row, and at d < 1 - eps only count < 2
-    # makes it a mismatch
+    # without boundary and snapped rows.  A snapped row's distance and count
+    # come from scalar locate, not from the moved batch.  In the moved
+    # blocks, locate lists no center for a row whose first coordinate is an
+    # integer: such a row is snapped, so a boundary row, and at d < 1 - eps
+    # only count < 2 makes it a mismatch
     rng = np.random.default_rng(43)
     seen = []
 
@@ -1416,7 +1420,9 @@ def test_verify_block_applies_the_status_rule_to_wrong_answers(monkeypatch, eps)
             interior = mismatches = 0
             for row, d, snapped, count in zip(X.tolist(), ds, snaps, counts):
                 if snapped:
-                    count = len(honeycomb.locate(row, eps).all_centers)
+                    # scalar locate answers a snapped row, its distance too
+                    res = honeycomb.locate(row, eps)
+                    d, count = res.distance, len(res.all_centers)
                     lost_inside += count == 0 and d < 1.0 - eps
                 inside = d < 1.0 - eps and (not snapped or count == 1)
                 interior += inside

@@ -53,14 +53,6 @@ MUTANTS = [
         ("tests/test_geodesy.py::test_contains_batch_matches_the_row_major_oracle",),
     ),
     Mutant(
-        "the batch locator drops its fix-up past 2^53",
-        "_batch.py",
-        "        D.put(huge, inc.take(huge))\n",
-        "        pass\n",
-        ("tests/test_honeycomb.py::"
-         "test_batch_locator_guard_at_2_pow_53_leaves_the_other_columns_alone",),
-    ),
-    Mutant(
         "the containing count takes a candidate at 1 + eps as outside",
         "_batch.py",
         "np.add.reduce(h <= 1.0 + eps, axis=0)",
@@ -119,6 +111,14 @@ MUTANTS = [
         "with d < 1 - eps no second center lies within 1 + eps in exact arithmetic; "
         "only the rounding of two distances could list one",
     ),
+    # the batch locator only flags a snapped row, and scalar locate answers it
+    Mutant(
+        "_verify_block keeps the batch distance of a snapped row",
+        "_batch.py",
+        "            d[idx], count[idx] = res.distance, len(res.all_centers)\n",
+        "            count[idx] = len(res.all_centers)\n",
+        ("tests/test_honeycomb.py::test_verify_block_applies_the_status_rule_to_wrong_answers",),
+    ),
     # mended bugs that were one clause, after their CHANGES.md MENDED lines
     Mutant(
         "_fast_center takes a raised delta as 1 - f, rounded twice (item 17)",
@@ -171,6 +171,13 @@ MUTANTS = [
         "    if isinstance(v, int):\n        return str(v)\n",
         "",
         ("tests/test_cli.py::test_honeycomb_locate_prints_large_centers_exactly",),
+    ),
+    Mutant(
+        "hrep lets its difference bounds overflow",
+        "ball.py",
+        "        raise DomainError(\"the ball's difference bound overflows float64\")\n",
+        "        pass\n",
+        ("tests/test_ball.py::test_hrep_names_the_bound_that_overflows",),
     ),
     Mutant(
         "iter_vertices checks its dimension on the first next()",
